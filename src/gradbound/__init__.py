@@ -23,7 +23,6 @@ from .regimes import (
     check_thm3,
     classify_thm1,
     compute_M_general,
-    compute_M_plaplace,
     kappa,
     plaplace_window,
     thm1_case2_sup,
@@ -36,14 +35,12 @@ from .mesh import (
     Grid,
     ball_mask,
     ball_volume,
-    cylinder_integrate,
     divergence,
     grad_magnitude,
     gradient,
     load_field,
     node_coords,
     save_field,
-    sup_slice,
 )
 from .flux import (
     FluxKind,
@@ -55,7 +52,6 @@ from .flux import (
     rhs_eval,
 )
 from .solver import (
-    ManufacturedInit,
     Prescribed,
     RandomSmooth,
     RunRecord,

@@ -34,6 +34,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .energy import (
+    _energy_s_floor,
+    _require_s_admissible,
     energy_inequality_check,
     holder_sandwich_check,
     moser_chain_check,
@@ -49,6 +51,7 @@ from .regimes import (
     check_thm2,
     check_thm3,
     classify_thm1,
+    kappa,
 )
 from .solver import RandomSmooth, RunRecord, SolveConfig, StatusKind, run, save_run
 from .verify import (
@@ -115,6 +118,13 @@ def _need(cfg: dict, key: str, where: str = "") -> object:
     return cfg[key]
 
 
+def _flag(cfg: dict, key: str, default: bool, where: str = "") -> bool:
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise InputError(f"'{where}{key}' must be true or false, got {value!r}")
+    return value
+
+
 def _as_tuple(value, n: int, label: str) -> tuple:
     if isinstance(value, (int, float)):
         return (value,) * n
@@ -178,7 +188,7 @@ def _classify_config(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemP
     p_tilde = float(cfg.get("p_tilde", p))
     lam = cfg.get("lam")
     Lam = cfg.get("Lam")
-    c2_zero = bool(cfg.get("c2_zero", True))
+    c2_zero = _flag(cfg, "c2_zero", True, where)
     derived = "s0" not in cfg
 
     def params_with(s0: float) -> ProblemParams:
@@ -212,10 +222,9 @@ def _classify_config(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemP
 def _ladder_or_none(report: RegimeReport, params: ProblemParams | None, steps: int):
     if not report.covered or params is None:
         return None
-    try:
-        return build_ladder(report.s0_effective, params.p, report.M, params.n, steps)
-    except ValueError:
+    if not kappa(report.s0_effective, params.p, report.M, params.n) > 0.0:
         return None  # e.g. case-1 tuples whose recursion denominator closes at <= 0
+    return build_ladder(report.s0_effective, params.p, report.M, params.n, steps)
 
 
 # --- check ------------------------------------------------------------------------
@@ -372,20 +381,14 @@ _VERIFY_KEYS = {
 }
 
 
-def _energy_s_floor(params: ProblemParams) -> float:
-    floor = params.p - 2.0 * params.w - 2.0
-    if not params.c2_zero:
-        floor = max(floor, params.p - 2.0)
-    return floor
-
-
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     _reject_unknown(cfg, _VERIFY_KEYS)
     problem_cfg = dict(_need(cfg, "problem"))
     rhs_cfg = dict(cfg.get("rhs", {}))
+    c2 = float(rhs_cfg.get("c2", 0.0))
     if "c2_zero" not in problem_cfg:
-        problem_cfg["c2_zero"] = float(rhs_cfg.get("c2", 0.0)) == 0.0
-    elif problem_cfg["c2_zero"] and float(rhs_cfg.get("c2", 0.0)) != 0.0:
+        problem_cfg["c2_zero"] = c2 == 0.0
+    elif _flag(problem_cfg, "c2_zero", True, "problem.") and c2 != 0.0:
         raise InputError("problem.c2_zero is true but rhs.c2 is nonzero")
 
     report, params = _classify_config(problem_cfg, where="problem.")
@@ -442,10 +445,14 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     if levels is not None and (not isinstance(levels, int) or levels < 2):
         raise InputError(f"'levels' must be an integer >= 2, got {levels}")
     max_spread = float(cfg.get("max_spread", 10.0))
-    s_floor = _energy_s_floor(params)
     energy_s = cfg.get("energy_s")
     if energy_s is None:
-        energy_s = [params.s0] if params.s0 > s_floor and 1.0 + params.s0**3 > 0.0 else []
+        try:
+            _require_s_admissible(params.s0, params)
+        except ValueError:
+            energy_s = []
+        else:
+            energy_s = [params.s0]
     elif not isinstance(energy_s, list):
         raise InputError("'energy_s' must be a list of exponents")
 
@@ -524,7 +531,8 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         "sandwich": sandwich_rows,
         "energy": energy_rows,
         "energy_skipped": None if energy_s else
-            f"s0 = {params.s0} is outside the energy s-range (needs s > {s_floor})",
+            f"s0 = {params.s0} is outside the energy s-range "
+            f"(needs s > {_energy_s_floor(params)})",
         "chain": chain_out,
         "checks": checks,
         "passed": passed,

@@ -2,7 +2,9 @@
 
 The machinery rests on three computable objects, all evaluated on stored
 solver runs with a common quadrature (node sums in the ball, trapezoid over
-snapshots in time):
+snapshots in time).  Every cylinder passes through one validated window
+(_window): the run completed, the ball lies in the domain, the snapshots
+span [t0 - R^e, t0] to within 1e-12, and at least 3 of them fall inside.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
@@ -103,8 +105,31 @@ def _sweep_series(record: RunRecord,
     return out
 
 
-def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
-    """iint over the cylinder of |grad u|^exponent."""
+@dataclass(frozen=True)
+class _Window:
+    """A validated cylinder over one completed record.
+
+    lo and b are the time window clipped to the stored snapshots, inside
+    holds the indices of the snapshots in [lo, b], and mask the closed ball.
+    """
+
+    times: np.ndarray
+    mask: np.ndarray
+    lo: float
+    b: float
+    inside: np.ndarray
+
+    def integrate(self, series: np.ndarray) -> float:
+        """Endpoint-interpolated trapezoid over [lo, b] of a per-snapshot series."""
+        return time_integral(self.times, series, self.lo, self.b)
+
+
+def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
+    """The one place that decides whether a cylinder can be evaluated on a record."""
+    if record.status.kind is not StatusKind.COMPLETED:
+        raise ValueError(
+            f"cylinder checks need a completed run, got status {record.status.kind.value}"
+        )
     grid = record.config.grid
     if not cyl.fits_grid(grid):
         raise ValueError("cylinder ball exits the spatial domain")
@@ -112,11 +137,23 @@ def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     a, b = cyl.time_window()
     if a < times[0] - 1e-12 or b > times[-1] + 1e-12:
         raise ValueError("run does not span the cylinder time window")
-    mask = ball_mask(grid, cyl.center, cyl.R)
+    lo, b = max(a, float(times[0])), min(b, float(times[-1]))
+    inside = np.nonzero((times >= lo) & (times <= b))[0]
+    if inside.size < 3:
+        raise ValueError(
+            f"only {inside.size} snapshots inside the cylinder window; need >= 3"
+        )
+    return _Window(times, ball_mask(grid, cyl.center, cyl.R), lo, b, inside)
+
+
+def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
+    """iint over the cylinder of |grad u|^exponent."""
+    grid = record.config.grid
+    win = _window(record, cyl)
     (series,) = _sweep_series(
-        record, [lambda s, m: spatial_integral(grid, _powered(m, exponent), mask)]
+        record, [lambda s, m: spatial_integral(grid, _powered(m, exponent), win.mask)]
     )
-    return time_integral(times, series, max(a, float(times[0])), b)
+    return win.integrate(series)
 
 
 @dataclass(frozen=True)
@@ -148,10 +185,16 @@ class EnergyReport:
         }
 
 
-def _require_s_admissible(s: float, params: ProblemParams) -> None:
+def _energy_s_floor(params: ProblemParams) -> float:
+    """Exclusive lower end of the s-range of the energy inequality."""
     floor = params.p - 2.0 * params.w - 2.0
     if not params.c2_zero:
         floor = max(floor, params.p - 2.0)
+    return floor
+
+
+def _require_s_admissible(s: float, params: ProblemParams) -> None:
+    floor = _energy_s_floor(params)
     if not s > floor:
         raise ValueError(
             f"s = {s} violates the energy-inequality range (needs s > {floor} "
@@ -173,30 +216,21 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     """
     if not (0.0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    if record.status.kind is not StatusKind.COMPLETED:
-        raise ValueError("energy evaluation needs a completed run")
-    _require_s_admissible(s, params)
-
     grid = record.config.grid
     center, t0 = _default_center_t0(record, center, t0)
     cyl = CylinderSpec(center, t0, R, time_exponent)
-    if not cyl.fits_grid(grid):
-        raise ValueError("cylinder ball exits the spatial domain")
-    times = record.times()
-    a, b = cyl.time_window()
-    if a < times[0] - 1e-12:
-        raise ValueError("run does not span the cylinder time window")
+    win = _window(record, cyl)
+    _require_s_admissible(s, params)
 
     p = params.p
     M = compute_M_general(p, params.q, params.w)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
     x = node_coords(grid)
-    mask = ball_mask(grid, center, R)
     half = (p + s) / 2.0
 
     def sup_term(snap: Field, mag: np.ndarray) -> float:
         eta = cut.values(x, snap.time)
-        return spatial_integral(grid, mag ** (s + 2.0) * eta * eta, mask)
+        return spatial_integral(grid, mag ** (s + 2.0) * eta * eta, win.mask)
 
     def grad_term(snap: Field, mag: np.ndarray) -> float:
         eta = cut.values(x, snap.time)
@@ -204,19 +238,17 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
         gm = gradient_of(grid, mag)
         vec = (half * _powered(mag, half - 1.0) * eta)[..., None] * gm \
             + (mag**half)[..., None] * geta
-        return spatial_integral(grid, np.sum(vec * vec, axis=-1), mask)
+        return spatial_integral(grid, np.sum(vec * vec, axis=-1), win.mask)
 
     def raw_term(snap: Field, mag: np.ndarray) -> float:
-        return spatial_integral(grid, 1.0 + mag ** (s + M), mask)
+        return spatial_integral(grid, 1.0 + mag ** (s + M), win.mask)
 
     sup_series, grad_series, raw_series = _sweep_series(
         record, [sup_term, grad_term, raw_term]
     )
-    lo = max(a, float(times[0]))
-    inside = (times >= lo) & (times <= b)
-    lhs_sup = float(sup_series[inside].max())
-    lhs_grad = time_integral(times, grad_series, lo, b)
-    rhs_raw = time_integral(times, raw_series, lo, b)
+    lhs_sup = float(sup_series[win.inside].max())
+    lhs_grad = win.integrate(grad_series)
+    rhs_raw = win.integrate(raw_series)
 
     scale = (1.0 + s**3) / (R - rho) ** M * rhs_raw
     if c is None:
@@ -268,20 +300,13 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
     center, t0 = _default_center_t0(record, center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
-    outer = CylinderSpec(center, t0, R, time_exponent)
-    if not outer.fits_grid(grid):
-        raise ValueError("cylinder ball exits the spatial domain")
-
-    times = record.times()
-    aR, b = outer.time_window()
+    win = _window(record, CylinderSpec(center, t0, R, time_exponent))
+    idx = win.inside
+    weights = trapezoid_weights(win.times[idx])
     a_rho = t0 - rho**time_exponent
-    idx = np.nonzero((times >= max(aR, float(times[0]))) & (times <= b))[0]
-    if idx.size < 3:
-        raise ValueError("need >= 3 snapshots inside the cylinder window")
-    weights = trapezoid_weights(times[idx])
 
     x = node_coords(grid)
-    mask_R = ball_mask(grid, center, R)
+    mask_R = win.mask
     mask_rho = ball_mask(grid, center, rho)
     e_lhs = p + s + (s + 2.0) * 2.0 / n
     e_B = 2.0 * n / (n - 2.0)
@@ -346,8 +371,6 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
 
     if not (isinstance(levels, int) and levels >= 2):
         raise ValueError(f"need integer levels >= 2, got {levels}")
-    if record.status.kind is not StatusKind.COMPLETED:
-        raise ValueError("chain evaluation needs a completed run")
     report = _admissibility(params)
     grid = record.config.grid
     if not R0 < 1.0:
@@ -362,23 +385,14 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     ladder = build_ladder(params.s0, params.p, report.M, params.n, levels)
     radii = [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
     exponents = [si + report.M for si in ladder.s]
+    windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
 
-    times = record.times()
-    masks = [ball_mask(grid, center, r) for r in radii]
     series = [np.empty(len(record.snapshots)) for _ in radii]
     for k, snap in enumerate(record.snapshots):
         mag = grad_magnitude(gradient(snap))
-        for i in range(levels + 1):
-            series[i][k] = spatial_integral(grid, _powered(mag, exponents[i]), masks[i])
-    psis = []
-    for i, r in enumerate(radii):
-        cyl = CylinderSpec(center, t0, r, time_exponent)
-        if not cyl.fits_grid(grid):
-            raise ValueError("chain cylinder exits the spatial domain")
-        a, b = cyl.time_window()
-        if a < times[0] - 1e-12:
-            raise ValueError("run does not span the chain time window")
-        psis.append(time_integral(times, series[i], max(a, float(times[0])), b))
+        for i, win in enumerate(windows):
+            series[i][k] = spatial_integral(grid, _powered(mag, exponents[i]), win.mask)
+    psis = [win.integrate(ser) for win, ser in zip(windows, series)]
 
     beta = 1.0 + 2.0 / params.n
     C = 1.0
@@ -440,25 +454,13 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
 
     per_run: list[tuple[float, float]] = []
     for record in campaign:
-        if record.status.kind is not StatusKind.COMPLETED:
-            raise ValueError(f"campaign run has status {record.status.kind.value}")
-        grid = record.config.grid
         c, t_top = _default_center_t0(record, center, t0)
-        inner = CylinderSpec(c, t_top, R0 / 2.0, time_exponent)
-        outer = CylinderSpec(c, t_top, R0, time_exponent)
-        if not outer.fits_grid(grid):
-            raise ValueError("outer cylinder exits the spatial domain")
-        times = record.times()
-        a_in, b = inner.time_window()
-        mask_in = ball_mask(grid, c, inner.R)
-        idx = np.nonzero((times >= max(a_in, float(times[0]))) & (times <= b))[0]
-        if idx.size == 0:
-            raise ValueError("no snapshots inside the inner cylinder window")
+        rhs = psi(record, CylinderSpec(c, t_top, R0, time_exponent), psi_exp) ** exponent
+        inner = _window(record, CylinderSpec(c, t_top, R0 / 2.0, time_exponent))
         lhs = 0.0
-        for k in idx:
+        for k in inner.inside:
             mag = grad_magnitude(gradient(record.snapshots[k]))
-            lhs = max(lhs, float(mag[mask_in].max()))
-        rhs = psi(record, outer, psi_exp) ** exponent
+            lhs = max(lhs, float(mag[inner.mask].max()))
         per_run.append((lhs, rhs))
 
     if not per_run:

@@ -7,11 +7,13 @@ Gradients are second-order central differences, falling back to one-sided
 second-order stencils on Dirichlet boundary planes, so affine fields
 differentiate exactly.
 
-Space-time cylinders Q_R = B_R(x0) x (t0 - R^e, t0) are integrated with a
-midpoint (node-sum) rule in space restricted to the ball and a trapezoid rule
-in time over stored snapshots, with linear interpolation to the exact window
-endpoints so a constant integrand reproduces |B_R| * R^e up to the spatial
-staircase error.
+Space-time cylinders Q_R = B_R(x0) x (t0 - R^e, t0) are described by
+CylinderSpec.  This module supplies their quadrature pieces and nothing that
+knows about run records: a midpoint (node-sum) rule in space restricted to
+the ball, and a trapezoid rule in time over sampled series with linear
+interpolation to the exact window endpoints, so a constant integrand
+reproduces |B_R| * R^e up to the spatial staircase error.  The energy module
+validates a cylinder against a stored run and assembles the two.
 
 Cutoff functions are smoothstep products: with q(tau) = 3 tau^2 - 2 tau^3 the
 profile ramps over [rho, R] in |x - x0| and over [t0 - R^e, t0 - rho^e] in
@@ -28,7 +30,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,8 +47,6 @@ __all__ = [
     "ball_mask",
     "ball_volume",
     "spatial_integral",
-    "cylinder_integrate",
-    "sup_slice",
     "trapezoid_weights",
     "time_integral",
     "save_field",
@@ -266,11 +266,6 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _window_indices(times: np.ndarray, a: float, b: float) -> np.ndarray:
-    idx = np.nonzero((times >= a) & (times <= b))[0]
-    return idx
-
-
 def _interp_value(times: np.ndarray, series: np.ndarray, t: float) -> float:
     return float(np.interp(t, times, series))
 
@@ -290,55 +285,6 @@ def time_integral(times: np.ndarray, series: np.ndarray, a: float, b: float) -> 
     ))
     trap = getattr(np, "trapezoid", None) or np.trapz  # renamed in numpy 2
     return float(trap(vs, ts))
-
-
-def _check_cylinder(record, cyl: CylinderSpec) -> np.ndarray:
-    grid = record.config.grid
-    if not cyl.fits_grid(grid):
-        raise ValueError("cylinder ball exits the spatial domain")
-    times = record.times()
-    a, b = cyl.time_window()
-    if a < times[0] - 1e-12 or b > times[-1] + 1e-12:
-        raise ValueError("run does not span the cylinder time window")
-    inside = _window_indices(times, a, b)
-    if inside.size < 3:
-        raise ValueError(
-            f"only {inside.size} snapshots inside the cylinder window; need >= 3"
-        )
-    return times
-
-
-def cylinder_integrate(record, cyl: CylinderSpec,
-                       integrand: Callable[[Field], np.ndarray]) -> float:
-    """Integrate integrand(field) over the cylinder.
-
-    integrand maps a snapshot Field to scalar node samples (*node_shape,).
-    Space: node sum over the closed ball; time: endpoint-interpolated
-    trapezoid over the window (t0 - R^e, t0).
-    """
-    times = _check_cylinder(record, cyl)
-    grid = record.config.grid
-    mask = ball_mask(grid, cyl.center, cyl.R)
-    a, b = cyl.time_window()
-    lo = max(a, float(times[0]))
-    series = np.array([
-        spatial_integral(grid, integrand(snap), mask) for snap in record.snapshots
-    ])
-    return time_integral(times, series, lo, b)
-
-
-def sup_slice(record, cyl: CylinderSpec,
-              integrand: Callable[[Field], np.ndarray]) -> float:
-    """Maximum over stored snapshots in the window of the spatial ball integral."""
-    times = _check_cylinder(record, cyl)
-    grid = record.config.grid
-    mask = ball_mask(grid, cyl.center, cyl.R)
-    a, b = cyl.time_window()
-    idx = _window_indices(times, max(a, float(times[0])), b)
-    best = -math.inf
-    for k in idx:
-        best = max(best, spatial_integral(grid, integrand(record.snapshots[k]), mask))
-    return best
 
 
 # --- cutoff functions --------------------------------------------------------

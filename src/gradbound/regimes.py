@@ -9,7 +9,7 @@ bound is driven by a single composite exponent
 
     M = max(2, p, 2q - p, w + 1, 2w - p + 2)
 
-(the 2q - p entry drops when the flux is a pure p-Laplacian window, q = p)
+(for a pure p-Laplacian window, q = p, the 2q - p entry equals p)
 and by the iteration denominator
 
     kappa = s0 + 2 + n (p - M) / 2 ,
@@ -42,7 +42,6 @@ __all__ = [
     "ExponentLadder",
     "plaplace_window",
     "compute_M_general",
-    "compute_M_plaplace",
     "kappa",
     "bound_exponent",
     "build_ladder",
@@ -176,16 +175,6 @@ def compute_M_general(p: float, q: float, w: float) -> float:
     return max(2.0, p, 2.0 * q - p, w + 1.0, 2.0 * w - p + 2.0)
 
 
-def compute_M_plaplace(p: float, w: float, q: float | None = None) -> float:
-    """Composite exponent max(2, p, w + 1, 2w - p + 2) of the pure window q = p.
-
-    Rejects q != p: the pure-window formula has no 2q - p entry.
-    """
-    if q is not None and q != p:
-        raise ValueError(f"pure-window exponent needs q = p, got q={q}, p={p}")
-    return max(2.0, p, w + 1.0, 2.0 * w - p + 2.0)
-
-
 def kappa(s0: float, p: float, M: float, n: int) -> float:
     """Iteration denominator s0 + 2 + n (p - M) / 2."""
     return s0 + 2.0 + n * (p - M) / 2.0
@@ -220,7 +209,11 @@ def build_ladder(s0: float, p: float, M: float, n: int, I: int) -> ExponentLadde
     for _ in range(I):
         si = s[-1]
         s.append(p + si + (si + 2.0) * (2.0 / n) - M)
-    ratios = [si / beta**i for i, si in enumerate(s)]
+    try:
+        ratios = [si / beta**i for i, si in enumerate(s)]
+    except OverflowError:
+        raise ValueError(f"ladder depth {I} overflows beta^I in double precision "
+                         f"(beta = {beta})") from None
     return ExponentLadder(beta=beta, s=tuple(s), ratios=tuple(ratios), limit=k)
 
 
@@ -312,7 +305,7 @@ def check_thm3(params: ProblemParams) -> RegimeReport:
     """
     if params.q != params.p:
         raise ValueError(f"pure-window check needs q = p, got q={params.q}, p={params.p}")
-    M = compute_M_plaplace(params.p, params.w)
+    M = compute_M_general(params.p, params.p, params.w)
     k = kappa(params.s0, params.p, M, params.n)
     violated = []
     s0_floor = max(-params.lam / params.Lam, params.p - 2.0 * params.w - 2.0)

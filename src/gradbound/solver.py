@@ -43,7 +43,6 @@ from .mesh import (
 __all__ = [
     "RandomSmooth",
     "Prescribed",
-    "ManufacturedInit",
     "SolveConfig",
     "StatusKind",
     "RunStatus",
@@ -76,14 +75,7 @@ class Prescribed:
     values: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ManufacturedInit:
-    """Initial samples of a manufactured target at t = 0."""
-
-    values: np.ndarray
-
-
-InitialData = Union[RandomSmooth, Prescribed, ManufacturedInit]
+InitialData = Union[RandomSmooth, Prescribed]
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,7 @@ def _resolve_flux(spec: FluxSpec) -> FluxSpec:
 
 def initial_field(config: SolveConfig) -> Field:
     grid, init = config.grid, config.initial
-    if isinstance(init, (Prescribed, ManufacturedInit)):
+    if isinstance(init, Prescribed):
         vals = np.asarray(init.values, dtype=np.float64)
         if vals.shape != grid.node_shape + (config.N,):
             raise ValueError(
@@ -288,8 +280,6 @@ def _initial_to_dict(init: InitialData) -> dict:
     if isinstance(init, RandomSmooth):
         return {"kind": "random_smooth", "seed": init.seed,
                 "amplitude": init.amplitude, "modes": init.modes}
-    if isinstance(init, ManufacturedInit):
-        return {"kind": "manufactured"}
     return {"kind": "prescribed"}
 
 
@@ -332,10 +322,10 @@ def config_from_dict(d: dict, initial_values: np.ndarray | None = None) -> Solve
     if idict["kind"] == "random_smooth":
         init: InitialData = RandomSmooth(idict["seed"], idict["amplitude"], idict["modes"])
     else:
+        # "prescribed", or "manufactured" from records written before the two merged
         if initial_values is None:
             raise ValueError("prescribed initial data needs the stored snapshot 0")
-        cls = ManufacturedInit if idict["kind"] == "manufactured" else Prescribed
-        init = cls(initial_values)
+        init = Prescribed(initial_values)
     return SolveConfig(grid=g, flux=fl, rhs=rhs, initial=init, N=d["N"],
                        t_end=d["t_end"], cfl=d["cfl"], dt_max=d["dt_max"],
                        snapshot_count=d["snapshot_count"],

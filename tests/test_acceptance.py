@@ -18,7 +18,7 @@ from gradbound import (
     FluxKind,
     FluxSpec,
     Grid,
-    ManufacturedInit,
+    Prescribed,
     ProblemParams,
     RandomSmooth,
     RhsKind,
@@ -271,7 +271,7 @@ def test_criterion_05_counterexample_residual():
 def _mms_final_error(target, flux, cells, N, t_end, dt_fix):
     grid = Grid(n=3, cells=(cells,) * 3, extent=(1.0,) * 3)
     rhs, u0 = manufactured_problem(target, flux, grid)
-    cfg = SolveConfig(grid=grid, flux=flux, rhs=rhs, initial=ManufacturedInit(u0.values),
+    cfg = SolveConfig(grid=grid, flux=flux, rhs=rhs, initial=Prescribed(u0.values),
                       N=N, t_end=t_end, dt_max=dt_fix, snapshot_count=64)
     record = run(cfg)
     assert record.completed

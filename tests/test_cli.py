@@ -17,7 +17,7 @@ import jsonschema
 import pytest
 
 import gradbound
-from gradbound import load_run
+from gradbound import build_ladder, load_run
 from gradbound.cli import (
     EXIT_BLOWUP,
     EXIT_DIVERGED,
@@ -81,19 +81,37 @@ def test_check_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key 'pp'" in err
 
 
-def test_check_rejects_bad_ladder_steps(tmp_path, capsys):
-    cfg = _write(tmp_path, {"p": 2.0, "ladder_steps": 0})
+@pytest.mark.parametrize("steps, needle", [
+    (0, "ladder_steps"),
+    (3000, "ladder depth 3000 overflows"),  # beta^3000 is past the largest double
+], ids=["zero", "overflow"])
+def test_check_rejects_bad_ladder_steps(tmp_path, capsys, steps, needle):
+    cfg = _write(tmp_path, {"p": 2.0, "ladder_steps": steps})
     code, _, err = _run(capsys, ["check", "--config", cfg])
     assert code == EXIT_INPUT
-    assert "ladder_steps" in err
+    assert err.startswith("error:") and needle in err
 
 
-@pytest.mark.parametrize("text", ["not json {", "[1, 2]"])
+def test_check_deep_ladder(tmp_path, capsys):
+    cfg = _write(tmp_path, {"p": 2.0, "w": 1.0, "ladder_steps": 1000})
+    code, report, _ = _run(capsys, ["check", "--config", cfg])
+    assert code == EXIT_OK
+    assert report["ladder"] == build_ladder(0.0, 2.0, 2.0, 3, 1000).to_dict()
+
+
+@pytest.mark.parametrize("text", [
+    "not json {",
+    "[1, 2]",
+    # a string flag is not a boolean: "false" would read as true and hide s0_vs_c2
+    pytest.param('{"p": 2, "q": 2.2, "w": 1, "s0": -0.5, "c2_zero": "false"}',
+                 id="c2_zero-string"),
+])
 def test_check_rejects_malformed_config(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, _, err = _run(capsys, ["check", "--config", str(path)])
     assert code == EXIT_INPUT
+    assert err.startswith("error:")
 
 
 def test_check_rejects_missing_file(tmp_path, capsys):
@@ -249,6 +267,7 @@ def _campaign_cfg(**extra):
     (lambda c: c["cylinder"].update(R0=0.3, t0=0.05), "below t = 0"),
     (lambda c: c["cylinder"].update(t0=0.2), "past t_end"),
     (lambda c: c.update(levels=1), "levels"),
+    (lambda c: c["problem"].update(c2_zero="false"), "'problem.c2_zero' must be true or false"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, mutate, needle):
     cfg_obj = _campaign_cfg()

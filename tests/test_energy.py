@@ -16,6 +16,9 @@ from gradbound import (
     CylinderSpec,
     Grid,
     ProblemParams,
+    RunRecord,
+    RunStatus,
+    StatusKind,
     ball_volume,
     energy_inequality_check,
     holder_sandwich_check,
@@ -76,11 +79,24 @@ def test_psi_domain_monotone(heat_run_32):
     assert psi(heat_run_32, cyl_small, 2.0) <= psi(heat_run_32, cyl_big, 2.0)
 
 
-def test_psi_preconditions(heat_run_32):
+def test_psi_preconditions(heat_run_32, heat_params):
     with pytest.raises(ValueError, match="exits"):
         psi(heat_run_32, CylinderSpec((0.9, 0.5, 0.5), 0.1, 0.3), 2.0)
     with pytest.raises(ValueError, match="span"):
         psi(heat_run_32, CylinderSpec(CENTER, 0.5, 0.3), 2.0)
+    # every check shares psi's window: same refusal past the last snapshot
+    with pytest.raises(ValueError, match="does not span the cylinder time window"):
+        energy_inequality_check(heat_run_32, 0.0, 0.15, 0.3, heat_params, t0=0.5)
+    linear = _linear_record()  # snapshots end at t = 0.2
+    with pytest.raises(ValueError, match="span"):
+        holder_sandwich_check(linear, 0.0, 0.15, 0.3, 2.0, t0=0.25)
+    # a run that stopped early is refused, not integrated up to where it stopped
+    blowup = RunRecord(linear.config, linear.snapshots, linear.dt_history,
+                       RunStatus(StatusKind.BLOWUP, 0.2))
+    with pytest.raises(ValueError, match="completed"):
+        psi(blowup, CylinderSpec(CENTER, 0.2, 0.3), 2.0)
+    with pytest.raises(ValueError, match="completed"):
+        holder_sandwich_check(blowup, 0.0, 0.15, 0.3, 2.0)
 
 
 def test_energy_inequality_constant_run():

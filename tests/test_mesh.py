@@ -15,14 +15,14 @@ from gradbound import (
     Grid,
     ball_mask,
     ball_volume,
-    cylinder_integrate,
     grad_magnitude,
     gradient,
     load_field,
     node_coords,
+    psi,
     save_field,
-    sup_slice,
 )
+from gradbound.energy import _window
 from gradbound.mesh import (
     save_field_csv,
     spatial_integral,
@@ -109,10 +109,15 @@ def _unit_record(cells: int, sample, steps: int = 40, t_end: float = 0.2, N: int
     return prescribed_record(grid, sample, np.linspace(0.0, t_end, steps + 1), N=N)
 
 
+# Cylinder quadrature runs through psi = iint |grad u|^e: fields with a known
+# exact discrete gradient turn each oracle into a choice of u and e.
+
+
 def test_cylinder_measure():
+    # e = 0 integrates 1 whatever the field
     record = _unit_record(32, lambda x, t: np.ones(x.shape[:-1] + (1,)))
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.3)
-    got = cylinder_integrate(record, cyl, lambda snap: np.ones(snap.values.shape[:-1]))
+    got = psi(record, cyl, 0.0)
     expect = ball_volume(3, 0.3) * 0.3**2
     assert got == pytest.approx(expect, rel=0.05)  # ball staircase limits the rate
 
@@ -120,28 +125,26 @@ def test_cylinder_measure():
 def test_cylinder_zero_integrand():
     record = _unit_record(16, lambda x, t: np.zeros(x.shape[:-1] + (1,)))
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.25)
-    assert cylinder_integrate(record, cyl, lambda snap: snap.values[..., 0]) == 0.0
+    assert psi(record, cyl, 2.0) == 0.0
 
 
 def test_cylinder_polynomial_oracle():
+    # u = (x1 - 1/2)^2 / 2 has discrete gradient x1 - 1/2 in the ball:
     # iint (x1 - 1/2)^2 over B_R x window = (4 pi/15) R^5 * R^2
-    record = _unit_record(32, lambda x, t: np.ones(x.shape[:-1] + (1,)))
+    record = _unit_record(32, lambda x, t: ((x[..., :1] - 0.5) ** 2) / 2.0)
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.3)
-    got = cylinder_integrate(
-        record, cyl, lambda snap: (node_coords(snap.grid)[..., 0] - 0.5) ** 2
-    )
+    got = psi(record, cyl, 2.0)
     expect = (4.0 * math.pi / 15.0) * 0.3**5 * 0.3**2
     assert got == pytest.approx(expect, rel=0.05)
 
 
 def test_cylinder_time_quadrature_exact_on_linear():
-    # factor out the staircase: compare against the discrete ball measure
-    record = _unit_record(16, lambda x, t: np.ones(x.shape[:-1] + (1,)))
+    # u = t x1 has |grad u| = t in the ball; factor out the staircase by
+    # comparing against the discrete ball measure
+    record = _unit_record(16, lambda x, t: t * x[..., :1])
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.3)
     grid = record.config.grid
-    got = cylinder_integrate(
-        record, cyl, lambda snap: np.full(snap.values.shape[:-1], snap.time)
-    )
+    got = psi(record, cyl, 1.0)
     measure = spatial_integral(grid, np.ones(grid.node_shape),
                                ball_mask(grid, cyl.center, cyl.R))
     a, b = cyl.time_window()
@@ -150,21 +153,28 @@ def test_cylinder_time_quadrature_exact_on_linear():
 
 def test_cylinder_preconditions():
     record = _unit_record(16, lambda x, t: np.ones(x.shape[:-1] + (1,)))
-    ones = lambda snap: np.ones(snap.values.shape[:-1])
     with pytest.raises(ValueError, match="exits"):
-        cylinder_integrate(record, CylinderSpec((0.9, 0.5, 0.5), 0.2, 0.3), ones)
+        psi(record, CylinderSpec((0.9, 0.5, 0.5), 0.2, 0.3), 2.0)
     with pytest.raises(ValueError, match="span"):
-        cylinder_integrate(record, CylinderSpec((0.5, 0.5, 0.5), 0.5, 0.3), ones)
+        psi(record, CylinderSpec((0.5, 0.5, 0.5), 0.5, 0.3), 2.0)
     # 3 snapshots on [0, 0.2]: window (0.11, 0.2) holds only the last one
     thin = _unit_record(16, lambda x, t: np.ones(x.shape[:-1] + (1,)), steps=2)
     with pytest.raises(ValueError, match="snapshots"):
-        cylinder_integrate(thin, CylinderSpec((0.5, 0.5, 0.5), 0.2, 0.3), ones)
+        psi(thin, CylinderSpec((0.5, 0.5, 0.5), 0.2, 0.3), 2.0)
+
+
+def _window_sup(record, cyl):
+    """Largest ball integral of u over the snapshots inside the window."""
+    win = _window(record, cyl)
+    grid = record.config.grid
+    return max(spatial_integral(grid, record.snapshots[k].values[..., 0], win.mask)
+               for k in win.inside)
 
 
 def test_sup_slice_time_constant():
     record = _unit_record(16, lambda x, t: np.ones(x.shape[:-1] + (1,)))
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.3)
-    got = sup_slice(record, cyl, lambda snap: snap.values[..., 0])
+    got = _window_sup(record, cyl)
     grid = record.config.grid
     single = spatial_integral(grid, np.ones(grid.node_shape),
                               ball_mask(grid, cyl.center, cyl.R))
@@ -176,15 +186,17 @@ def test_sup_slice_separable_oracle():
     phi = lambda x: np.cos(2.0 * math.pi * x[..., 0]) + 2.0
     record = _unit_record(16, lambda x, t: (math.exp(-t) * phi(x))[..., None])
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.3)
-    got = sup_slice(record, cyl, lambda snap: snap.values[..., 0])
+    got = _window_sup(record, cyl)
     times = record.times()
     a, _ = cyl.time_window()
     first = int(np.nonzero(times >= a)[0][0])
+    assert _window(record, cyl).inside[0] == first
     grid = record.config.grid
     expect = spatial_integral(grid, record.snapshots[first].values[..., 0],
                               ball_mask(grid, cyl.center, cyl.R))
     assert got == pytest.approx(expect, rel=1e-14)
-    assert sup_slice(record, cyl, lambda snap: np.zeros(snap.values.shape[:-1])) == 0.0
+    zero = _unit_record(16, lambda x, t: np.zeros(x.shape[:-1] + (1,)))
+    assert _window_sup(zero, cyl) == 0.0
 
 
 def test_time_integral_interpolates_endpoints():

@@ -20,7 +20,6 @@ from gradbound import (
     check_thm3,
     classify_thm1,
     compute_M_general,
-    compute_M_plaplace,
     kappa,
     ladder_oracle,
     plaplace_window,
@@ -38,20 +37,15 @@ def test_M_general_values():
 
 
 def test_M_plaplace_values():
-    assert compute_M_plaplace(2.0, 1.0) == 2.0
-    assert compute_M_plaplace(2.0, 1.8) == pytest.approx(3.6, abs=0.0)
-    assert compute_M_plaplace(2.5, 0.5) == 2.5  # p dominates
-
-
-def test_M_plaplace_rejects_general_window():
-    with pytest.raises(ValueError, match="q = p"):
-        compute_M_plaplace(2.0, 1.0, q=2.5)
-    assert compute_M_plaplace(2.0, 1.0, q=2.0) == 2.0
+    # the pure window q = p: the 2q - p entry collapses onto p
+    assert compute_M_general(2.0, 2.0, 1.0) == 2.0
+    assert compute_M_general(2.0, 2.0, 1.8) == pytest.approx(3.6, abs=0.0)
+    assert compute_M_general(2.5, 2.5, 0.5) == 2.5  # p dominates
 
 
 def test_M_general_dominates_pure_window():
     for p, q, w in [(2.0, 2.3, 0.7), (2.5, 2.5, 1.1), (1.5, 2.1, 1.5), (3.0, 3.9, 0.0)]:
-        assert compute_M_general(p, q, w) >= compute_M_plaplace(p, w)
+        assert compute_M_general(p, q, w) >= compute_M_general(p, p, w)
 
 
 # --- kappa and the bound exponent ---------------------------------------------

@@ -1,5 +1,6 @@
 """Explicit marching: stability limit, statuses, determinism, persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -233,6 +234,15 @@ def test_persistence_roundtrip(tmp_path):
     assert back.config.rhs.direction == cfg.rhs.direction
     assert (tmp_path / "run" / "config.json").exists()
     assert (tmp_path / "run" / "dt_history.csv").exists()
+    # records tagged "manufactured" (written before that tag merged into
+    # "prescribed") load as prescribed data from snapshot 0
+    cfg_path = tmp_path / "run" / "config.json"
+    stored = json.loads(cfg_path.read_text())
+    stored["initial"] = {"kind": "manufactured"}
+    cfg_path.write_text(json.dumps(stored))
+    legacy = load_run(tmp_path / "run")
+    assert isinstance(legacy.config.initial, Prescribed)
+    assert np.array_equal(legacy.config.initial.values, rec.snapshots[0].values)
 
 
 def test_config_validation():
