@@ -235,7 +235,7 @@ _CHECK_KEYS = {k: None for k in _PROBLEM_KEYS} | {"ladder_steps": None}
 def cmd_check(cfg: dict, outdir: Path | None) -> int:
     _reject_unknown(cfg, _CHECK_KEYS)
     steps = cfg.get("ladder_steps", 8)
-    if not isinstance(steps, int) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise InputError(f"'ladder_steps' must be a positive integer, got {steps}")
     report, params = _classify_config(cfg)
     ladder = _ladder_or_none(report, params, steps)

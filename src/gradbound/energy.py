@@ -6,6 +6,17 @@ snapshots in time).  Every cylinder passes through one validated window
 (_window): the run completed, the ball lies in the domain, the snapshots
 span [t0 - R^e, t0] to within 1e-12, and at least 3 of them fall inside.
 
+The window also fixes the cylinder's spatial box: per axis, the index range
+of the ball's nodes widened by a 2-node halo, wrapped on periodic axes and
+clipped at Dirichlet planes (a box that reaches the whole grid on every axis
+is the grid).  Every sweep differentiates values[box] with the grid's own
+spacing and one-sided closures at the box faces, which spoil only the two
+halo planes: |grad u| is exact one node beyond the ball, enough for the
+energy check's gradient of |grad u| on the ball.  The ball's nodes keep
+their row-major order inside the box and every stencil value comes from the
+same arithmetic on the same neighbours, so each check returns bit for bit
+what the whole grid would.
+
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
       sup_t int |grad u|^(s+2) eta^2  +  iint |grad(|grad u|^((p+s)/2) eta)|^2
@@ -27,19 +38,21 @@ sweeps and grid refinement is the falsifiable content of the bound.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .mesh import (
+    Boundary,
     CutoffFn,
     CylinderSpec,
     Field,
+    Grid,
     ball_mask,
     grad_magnitude,
-    gradient,
     gradient_of,
     node_coords,
     spatial_integral,
@@ -90,19 +103,24 @@ def _powered(mag: np.ndarray, exponent: float) -> np.ndarray:
     return mag**exponent
 
 
-def _sweep_series(record: RunRecord,
+def _sweep_series(record: RunRecord, win: "_Window",
                   fns: Sequence[Callable[[Field, np.ndarray], float]]) -> list[np.ndarray]:
     """Evaluate several per-snapshot functionals in one pass over the record.
 
-    Each fn receives (snapshot, |grad u| samples) and returns a scalar; the
-    gradient magnitude is computed once per snapshot.
+    Each fn receives (snapshot, |grad u| on the window's box) and returns a
+    scalar; the gradient magnitude is computed once per snapshot.
     """
     out = [np.empty(len(record.snapshots)) for _ in fns]
     for k, snap in enumerate(record.snapshots):
-        mag = grad_magnitude(gradient(snap))
+        mag = win.magnitude(snap)
         for j, fn in enumerate(fns):
             out[j][k] = fn(snap, mag)
     return out
+
+
+# Box halo in nodes: the energy check differentiates |grad u|, so its ball
+# nodes read |grad u| one node out, which reads u two nodes out.
+HALO = 2
 
 
 @dataclass(frozen=True)
@@ -110,7 +128,11 @@ class _Window:
     """A validated cylinder over one completed record.
 
     lo and b are the time window clipped to the stored snapshots, inside
-    holds the indices of the snapshots in [lo, b], and mask the closed ball.
+    holds the indices of the snapshots in [lo, b], and mask the closed ball
+    on the full grid.  Every sweep works on the box, values[box]: the ball's
+    bounding box widened by HALO nodes, differentiated on box_grid.  core
+    locates the ball's own bounding box inside the box, and box_mask is the
+    ball cut to the box.
     """
 
     times: np.ndarray
@@ -118,10 +140,65 @@ class _Window:
     lo: float
     b: float
     inside: np.ndarray
+    box: tuple
+    box_grid: Grid
+    core: tuple
 
     def integrate(self, series: np.ndarray) -> float:
         """Endpoint-interpolated trapezoid over [lo, b] of a per-snapshot series."""
         return time_integral(self.times, series, self.lo, self.b)
+
+    def magnitude(self, snap: Field) -> np.ndarray:
+        """|grad u| on the box; exact at the ball's nodes and one node beyond."""
+        return grad_magnitude(gradient_of(self.box_grid, snap.values[self.box]))
+
+    def cut(self, mask: np.ndarray) -> np.ndarray:
+        """Cut a full-grid mask that lies inside the ball's bounding box to the box.
+
+        Halo positions are cleared: a periodic halo may repeat nodes of the core.
+        """
+        boxed = mask[self.box]
+        out = np.zeros_like(boxed)
+        out[self.core] = boxed[self.core]
+        return out
+
+    @functools.cached_property
+    def box_mask(self) -> np.ndarray:
+        return self.cut(self.mask)
+
+
+def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, Grid, tuple]:
+    """Per axis, the index range of the ball's nodes widened by HALO nodes.
+
+    The halo wraps on periodic axes and is clipped at Dirichlet planes, where
+    the box keeps the grid's one-sided closure.  Every other box face gets a
+    one-sided closure too, which only spoils the two halo planes.  When the
+    box reaches the whole grid on every axis, the grid itself is the box;
+    otherwise a periodic axis the halo overruns repeats some nodes, which
+    cut() leaves out.  box_grid is the grid with one-sided closures: it keeps
+    the grid's extent and cells, so gradient_of, which reads only the spacing
+    and the boundary kind, sees the same h.  Returns (box, box_grid, core).
+    """
+    whole = (slice(None),) * grid.n
+    if not mask.any():
+        return whole, grid, whole
+    idx, core = [], []
+    covers = True
+    for a, count in enumerate(grid.node_shape):
+        hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(grid.n) if b != a)))
+        first, last = int(hit[0]), int(hit[-1])
+        start, stop = first - HALO, last + HALO + 1
+        if grid.boundary is Boundary.PERIODIC:
+            idx.append(np.arange(start, stop) % count)
+            covers = covers and stop - start >= count
+        else:
+            start, stop = max(start, 0), min(stop, count)
+            idx.append(np.arange(start, stop))
+            covers = covers and stop - start == count
+        core.append(slice(first - start, last + 1 - start))
+    if covers:
+        return whole, grid, whole
+    return np.ix_(*idx), replace(grid, boundary=Boundary.DIRICHLET), tuple(core)
 
 
 def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
@@ -143,7 +220,8 @@ def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
         raise ValueError(
             f"only {inside.size} snapshots inside the cylinder window; need >= 3"
         )
-    return _Window(times, ball_mask(grid, cyl.center, cyl.R), lo, b, inside)
+    mask = ball_mask(grid, cyl.center, cyl.R)
+    return _Window(times, mask, lo, b, inside, *_box(grid, mask))
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
@@ -151,7 +229,7 @@ def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     grid = record.config.grid
     win = _window(record, cyl)
     (series,) = _sweep_series(
-        record, [lambda s, m: spatial_integral(grid, _powered(m, exponent), win.mask)]
+        record, win, [lambda s, m: spatial_integral(grid, _powered(m, exponent), win.box_mask)]
     )
     return win.integrate(series)
 
@@ -225,26 +303,27 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     p = params.p
     M = compute_M_general(p, params.q, params.w)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
-    x = node_coords(grid)
+    x = node_coords(grid)[win.box]
+    mask = win.box_mask
     half = (p + s) / 2.0
 
     def sup_term(snap: Field, mag: np.ndarray) -> float:
         eta = cut.values(x, snap.time)
-        return spatial_integral(grid, mag ** (s + 2.0) * eta * eta, win.mask)
+        return spatial_integral(grid, mag ** (s + 2.0) * eta * eta, mask)
 
     def grad_term(snap: Field, mag: np.ndarray) -> float:
         eta = cut.values(x, snap.time)
         geta = cut.space_grad(x, snap.time)
-        gm = gradient_of(grid, mag)
+        gm = gradient_of(win.box_grid, mag)
         vec = (half * _powered(mag, half - 1.0) * eta)[..., None] * gm \
             + (mag**half)[..., None] * geta
-        return spatial_integral(grid, np.sum(vec * vec, axis=-1), win.mask)
+        return spatial_integral(grid, np.sum(vec * vec, axis=-1), mask)
 
     def raw_term(snap: Field, mag: np.ndarray) -> float:
-        return spatial_integral(grid, 1.0 + mag ** (s + M), win.mask)
+        return spatial_integral(grid, 1.0 + mag ** (s + M), mask)
 
     sup_series, grad_series, raw_series = _sweep_series(
-        record, [sup_term, grad_term, raw_term]
+        record, win, [sup_term, grad_term, raw_term]
     )
     lhs_sup = float(sup_series[win.inside].max())
     lhs_grad = win.integrate(grad_series)
@@ -305,9 +384,9 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     weights = trapezoid_weights(win.times[idx])
     a_rho = t0 - rho**time_exponent
 
-    x = node_coords(grid)
-    mask_R = win.mask
-    mask_rho = ball_mask(grid, center, rho)
+    x = node_coords(grid)[win.box]
+    mask_R = win.box_mask
+    mask_rho = win.cut(ball_mask(grid, center, rho))
     e_lhs = p + s + (s + 2.0) * 2.0 / n
     e_B = 2.0 * n / (n - 2.0)
 
@@ -323,8 +402,7 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     B = np.empty(idx.size)
     for j, k in enumerate(idx):
         snap = record.snapshots[k]
-        mag = grad_magnitude(gradient(snap))
-        L[j], A[j], B[j] = terms(snap, mag)
+        L[j], A[j], B[j] = terms(snap, win.magnitude(snap))
 
     lhs = float(np.sum(weights * L))
     mid = float(np.sum(weights * A ** (2.0 / n) * B ** ((n - 2.0) / n)))
@@ -386,12 +464,14 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     radii = [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
     exponents = [si + report.M for si in ladder.s]
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
+    outer = windows[0]  # R_0 = R0 is the largest radius: every ball lies in its box
+    masks = [outer.cut(win.mask) for win in windows]
 
     series = [np.empty(len(record.snapshots)) for _ in radii]
     for k, snap in enumerate(record.snapshots):
-        mag = grad_magnitude(gradient(snap))
-        for i, win in enumerate(windows):
-            series[i][k] = spatial_integral(grid, _powered(mag, exponents[i]), win.mask)
+        mag = outer.magnitude(snap)
+        for i, mask in enumerate(masks):
+            series[i][k] = spatial_integral(grid, _powered(mag, exponents[i]), mask)
     psis = [win.integrate(ser) for win, ser in zip(windows, series)]
 
     beta = 1.0 + 2.0 / params.n
@@ -459,8 +539,8 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
         inner = _window(record, CylinderSpec(c, t_top, R0 / 2.0, time_exponent))
         lhs = 0.0
         for k in inner.inside:
-            mag = grad_magnitude(gradient(record.snapshots[k]))
-            lhs = max(lhs, float(mag[inner.mask].max()))
+            mag = inner.magnitude(record.snapshots[k])
+            lhs = max(lhs, float(mag[inner.box_mask].max()))
         per_run.append((lhs, rhs))
 
     if not per_run:

@@ -84,7 +84,8 @@ def test_check_rejects_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("steps, needle", [
     (0, "ladder_steps"),
     (3000, "ladder depth 3000 overflows"),  # beta^3000 is past the largest double
-], ids=["zero", "overflow"])
+    (True, "ladder_steps"),  # a JSON boolean is a Python int, but not a depth
+], ids=["zero", "overflow", "bool"])
 def test_check_rejects_bad_ladder_steps(tmp_path, capsys, steps, needle):
     cfg = _write(tmp_path, {"p": 2.0, "ladder_steps": steps})
     code, _, err = _run(capsys, ["check", "--config", cfg])

@@ -26,7 +26,16 @@ from gradbound import (
     psi,
     verify_bound,
 )
-from gradbound.mesh import ball_mask, spatial_integral
+from gradbound.mesh import (
+    CutoffFn,
+    ball_mask,
+    grad_magnitude,
+    gradient,
+    gradient_of,
+    node_coords,
+    spatial_integral,
+    time_integral,
+)
 
 CENTER = (0.5, 0.5, 0.5)
 
@@ -253,3 +262,64 @@ def test_verify_bound_exponent_single_source(heat_run_16):
     rep = verify_bound([heat_run_16], params, 0.3)
     M = max(2.0, 2.0 * 2.2 - 2.0)  # 2q - p
     assert rep.kappa == pytest.approx(0.5 + 2.0 + 3.0 * (2.0 - M) / 2.0)
+
+
+# Each check differentiates only the ball's bounding box plus a 2-node halo.
+# Cases: (grid, ball center, R, verify_bound center, R0).  The periodic ball
+# touches x = 0, so its halo wraps, and it spans the whole short z axis, so
+# the halo repeats ball nodes; the inner bound ball there also wraps.  The
+# centred R = 0.5 ball on 12^3 needs every axis whole.  The Dirichlet balls
+# touch the planes x = 0 and y = 1, or come within one node of them.
+BOX_CASES = {
+    "periodic-wrap": (Grid(3, (1.0, 1.0, 0.6), (16, 16, 8)),
+                      (0.3, 0.5, 0.3), 0.3, (0.12, 0.5, 0.3), 0.12),
+    "periodic-whole": (Grid(3, (1.0, 1.0, 1.0), (12,) * 3),
+                       CENTER, 0.5, CENTER, 0.5),
+    "dirichlet-planes": (Grid(3, (1.0, 1.0, 1.0), (16,) * 3, Boundary.DIRICHLET),
+                         (0.3, 0.7, 0.5), 0.3, (0.1, 0.9, 0.5), 0.1),
+}
+
+
+@pytest.mark.parametrize("case", list(BOX_CASES))
+def test_box_matches_full_grid(case):
+    grid, center, R, bound_center, R0 = BOX_CASES[case]
+    noise = lambda x, t: np.random.default_rng(round(t * 1e4)).standard_normal(
+        x.shape[:-1] + (2,))
+    times = np.linspace(0.0, 0.6, 61)
+    rec = prescribed_record(grid, noise, times, N=2)
+    params = ProblemParams(n=3, N=2, p=2.0, w=1.0, s0=0.0)
+    s, rho, t0 = 0.5, R / 2.0, 0.6
+
+    # full-grid reference: every snapshot differentiated on the whole grid
+    mags = [grad_magnitude(gradient(snap)) for snap in rec.snapshots]
+    mask = ball_mask(grid, center, R)
+    a = t0 - R**2
+    inside = np.nonzero(times >= a)[0]
+
+    def integrate(series):
+        return time_integral(times, np.asarray(series), a, t0)
+
+    assert psi(rec, CylinderSpec(center, t0, R), 3.0) == integrate(
+        [spatial_integral(grid, m**3.0, mask) for m in mags])
+
+    cut = CutoffFn(center, rho, R, t0)
+    x = node_coords(grid)
+    half = (2.0 + s) / 2.0
+    sup, grad, raw = [], [], []
+    for snap, m in zip(rec.snapshots, mags):
+        eta = cut.values(x, snap.time)
+        sup.append(spatial_integral(grid, m ** (s + 2.0) * eta * eta, mask))
+        vec = (half * m ** (half - 1.0) * eta)[..., None] * gradient_of(grid, m) \
+            + (m**half)[..., None] * cut.space_grad(x, snap.time)
+        grad.append(spatial_integral(grid, np.sum(vec * vec, axis=-1), mask))
+        raw.append(spatial_integral(grid, 1.0 + m ** (s + 2.0), mask))
+    rep = energy_inequality_check(rec, s, rho, R, params, center=center)
+    assert rep.lhs_sup == max(sup[k] for k in inside)
+    assert rep.lhs_grad == integrate(grad)
+    assert rep.rhs_raw == integrate(raw)
+
+    # time exponent 1 keeps >= 3 snapshots in the small inner windows
+    inner = ball_mask(grid, bound_center, R0 / 2.0)
+    first = np.nonzero(times >= t0 - R0 / 2.0)[0]
+    bound = verify_bound([rec], params, R0, center=bound_center, time_exponent=1.0)
+    assert bound.per_run[0][0] == max(float(mags[k][inner].max()) for k in first)

@@ -74,6 +74,16 @@ def test_gradient_sin_second_order():
     assert 3.5 < ratio < 4.5
 
 
+def test_periodic_gradient_is_the_wrapped_central_difference():
+    # (u[i+1] - u[i-1]) / 2h with i +- 1 taken mod the axis length, bit for bit
+    grid = Grid(3, (1.0, 0.7, 0.4), (20, 12, 8))
+    u = np.random.default_rng(3).standard_normal(grid.node_shape + (2,))
+    g = gradient(Field(grid, u))
+    for a, h in enumerate(grid.h):
+        wrapped = (np.roll(u, -1, axis=a) - np.roll(u, 1, axis=a)) / (2.0 * h)
+        assert np.array_equal(g[..., a], wrapped)
+
+
 def test_grad_magnitude_frobenius():
     assert grad_magnitude(np.zeros((4, 4, 4, 2, 3))).max() == 0.0
     g = np.zeros((2, 3))
