@@ -62,8 +62,6 @@ from .solver import (
     load_run,
     run,
     save_run,
-    stable_dt,
-    step,
 )
 from .energy import (
     BoundReport,

@@ -12,24 +12,27 @@ Exit codes are a stable contract:
     0 ok, 1 input error, 2 not covered by the verified regimes,
     3 blowup detected, 4 divergence, 5 verification failure.
 
-Configs are JSON with nested sections; unknown keys are rejected so typos
-fail loudly instead of silently using a default.  All randomness flows from
-the config's seeds.  Reports print to stdout and, when an output directory
-is configured (--output, config "output_dir", or the GRADBOUND_OUTPUT_DIR
-environment variable overriding both), land there as report.json plus CSV
-tables and, for solve, the binary snapshot record.
+Configs are JSON with nested sections.  Each verb's key table gives every key
+its JSON type; unknown keys and values of the wrong type are refused before
+anything runs, so typos fail loudly instead of silently using a default.
+All randomness flows from the config's seeds.  Reports print to stdout and,
+when an output directory is configured (--output, config "output_dir", or
+the GRADBOUND_OUTPUT_DIR environment variable overriding both), land there
+as report.json plus CSV tables and, for solve, the binary snapshot record.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,17 +102,92 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _reject_unknown(cfg: dict, allowed: dict, where: str = "") -> None:
-    """Recursively refuse keys outside the allowed tree (typo safety)."""
+class _Leaf:
+    """The JSON type one config key takes, and how the verbs read its value."""
+
+    def __init__(self, expected: str, accepts: Callable[[object], bool],
+                 read: Callable[[object], object] = lambda v: v, plural: str = "",
+                 refusal: str = "'{label}' must be {expected}, got {value}"):
+        self.expected, self.accepts, self.read = expected, accepts, read
+        self.plural, self.refusal = plural, refusal
+
+    def check(self, value, label: str, root: dict):
+        if not self.accepts(value):
+            raise InputError(self.refusal.format(label=label, expected=self.expected,
+                                                 value=json.dumps(value)))
+        return self.read(value)
+
+
+class _Vector:
+    """A list of `item` values, read as a tuple; per_axis also takes one bare item.
+
+    length is an int, None for any length, or (key, ..., default): the path
+    to the dimension key of the same config that the length must equal.
+    """
+
+    def __init__(self, item: _Leaf, length=None, per_axis: bool = False):
+        self.item, self.length, self.per_axis = item, length, per_axis
+
+    def _size(self, root: dict) -> int | None:
+        if not isinstance(self.length, tuple):
+            return self.length
+        *path, default = self.length
+        n = root
+        for key in path:
+            n = n.get(key, default) if isinstance(n, dict) else default
+        return n if _INTEGER.accepts(n) else None  # a bad dimension is refused on its own key
+
+    def check(self, value, label: str, root: dict):
+        if self.per_axis and self.item.accepts(value):
+            return self.item.read(value)
+        n = self._size(root)
+        if (isinstance(value, list) and n in (None, len(value))
+                and all(self.item.accepts(v) for v in value)):
+            return tuple(self.item.read(v) for v in value)
+        one = f"{self.item.expected} or " if self.per_axis else ""
+        size = "" if n is None else f"{n} "
+        raise InputError(f"'{label}' must be {one}a list of {size}{self.item.plural}, "
+                         f"got {json.dumps(value)}")
+
+
+def _one_of(noun: str, kinds: type) -> _Leaf:
+    """One of the values of an Enum, read as its member."""
+    names = [kind.value for kind in kinds]
+    return _Leaf("one of " + ", ".join(map(json.dumps, names)), lambda v: v in names, kinds,
+                 refusal=f"unknown {noun} {{value}} at '{{label}}': expected {{expected}}")
+
+
+_NUMBER = _Leaf("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+                float, plural="numbers")
+_INTEGER = _Leaf("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool),
+                 plural="integers")
+_BOOLEAN = _Leaf("true or false", lambda v: isinstance(v, bool))
+_STRING = _Leaf("a string", lambda v: isinstance(v, str))
+
+# Config defaults of the dimension keys: n space dimensions, N components.
+_DIM, _COMPONENTS = 3, 1
+
+
+def _validate(cfg: dict, table: dict, root: dict | None = None, where: str = "") -> dict:
+    """Check every key of cfg against the verb's key table before anything runs.
+
+    Returns a copy holding each value as the verbs read it: numbers as
+    floats, lists as tuples, kinds as their enum members.
+    """
+    root = cfg if root is None else root
+    out = {}
     for key, value in cfg.items():
         label = f"{where}{key}"
-        if key not in allowed:
+        if key not in table:
             raise InputError(f"unknown config key '{label}'")
-        sub = allowed[key]
+        sub = table[key]
         if isinstance(sub, dict):
             if not isinstance(value, dict):
-                raise InputError(f"config key '{label}' must be an object")
-            _reject_unknown(value, sub, where=f"{label}.")
+                raise InputError(f"'{label}' must be an object, got {json.dumps(value)}")
+            out[key] = _validate(value, sub, root, where=f"{label}.")
+        else:
+            out[key] = sub.check(value, label, root)
+    return out
 
 
 def _need(cfg: dict, key: str, where: str = "") -> object:
@@ -118,19 +196,16 @@ def _need(cfg: dict, key: str, where: str = "") -> object:
     return cfg[key]
 
 
-def _flag(cfg: dict, key: str, default: bool, where: str = "") -> bool:
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise InputError(f"'{where}{key}' must be true or false, got {value!r}")
-    return value
+def _build(cls, cfg: dict, **fields):
+    """cls from the given fields plus each of its fields that cfg sets.
 
-
-def _as_tuple(value, n: int, label: str) -> tuple:
-    if isinstance(value, (int, float)):
-        return (value,) * n
-    if isinstance(value, list) and len(value) == n:
-        return tuple(value)
-    raise InputError(f"'{label}' must be a number or a list of length {n}")
+    Keys cfg leaves out are not passed, so their defaults live on cls alone.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    try:
+        return cls(**({k: v for k, v in cfg.items() if k in names} | fields))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _resolve_outdir(cli_output: str | None, cfg: dict) -> Path | None:
@@ -166,7 +241,10 @@ def _emit(report: dict, outdir: Path | None) -> None:
 
 # --- regime classification shared by check and verify ----------------------------
 
-_PROBLEM_KEYS = {"n", "N", "p", "q", "w", "p_tilde", "s0", "lam", "Lam", "c2_zero"}
+_PROBLEM_KEYS = {
+    "n": _INTEGER, "N": _INTEGER, "p": _NUMBER, "q": _NUMBER, "w": _NUMBER,
+    "p_tilde": _NUMBER, "s0": _NUMBER, "lam": _NUMBER, "Lam": _NUMBER, "c2_zero": _BOOLEAN,
+}
 
 
 def _classify_config(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemParams | None]:
@@ -180,40 +258,27 @@ def _classify_config(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemP
     resurrected by an implicit fallback.  params is None only for tuples
     the classifier rejects outside the structural model (w > p).
     """
-    p = float(_need(cfg, "p", where))
-    n = cfg.get("n", 3)
-    N = cfg.get("N", 1)
-    w = float(cfg.get("w", 0.0))
-    q = float(cfg.get("q", p))
-    p_tilde = float(cfg.get("p_tilde", p))
-    lam = cfg.get("lam")
-    Lam = cfg.get("Lam")
-    c2_zero = _flag(cfg, "c2_zero", True, where)
-    derived = "s0" not in cfg
+    p = _need(cfg, "p", where)
+    n, N = cfg.get("n", _DIM), cfg.get("N", _COMPONENTS)
+    q = cfg.get("q", p)
 
-    def params_with(s0: float) -> ProblemParams:
+    params_with = functools.partial(_build, ProblemParams, cfg, n=n, N=N)
+    if "s0" in cfg:
+        params = params_with(s0=cfg["s0"])
+    elif n == 3 and q == p:
         try:
-            return ProblemParams(n=n, N=N, p=p, q=q, w=w, p_tilde=p_tilde,
-                                 s0=s0, lam=lam, Lam=Lam, c2_zero=c2_zero)
+            report = classify_thm1(p, cfg.get("w", 0.0), cfg.get("p_tilde", p))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-
-    if derived:
-        if n == 3 and q == p:
-            try:
-                report = classify_thm1(p, w, p_tilde)
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
-            if not report.covered:
-                return report, None
-            return report, params_with(report.s0_effective)
+        if not report.covered:
+            return report, None
+        return report, params_with(s0=report.s0_effective)
+    else:
         # derived s0 outside the classifier's scope: hand p_tilde - M to the
         # general checks and let their named conditions decide
-        probe = params_with(0.0)
+        probe = params_with(s0=0.0)
         probe_report = check_thm3(probe) if q == p else check_thm2(probe)
-        params = params_with(p_tilde - probe_report.M)
-    else:
-        params = params_with(float(cfg["s0"]))
+        params = params_with(s0=probe.p_tilde - probe_report.M)
 
     report = check_thm3(params) if q == p else check_thm2(params)
     return report, params
@@ -229,13 +294,12 @@ def _ladder_or_none(report: RegimeReport, params: ProblemParams | None, steps: i
 
 # --- check ------------------------------------------------------------------------
 
-_CHECK_KEYS = {k: None for k in _PROBLEM_KEYS} | {"ladder_steps": None}
+_CHECK_KEYS = _PROBLEM_KEYS | {"ladder_steps": _INTEGER, "output_dir": _STRING}
 
 
 def cmd_check(cfg: dict, outdir: Path | None) -> int:
-    _reject_unknown(cfg, _CHECK_KEYS)
     steps = cfg.get("ladder_steps", 8)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+    if steps < 1:
         raise InputError(f"'ladder_steps' must be a positive integer, got {steps}")
     report, params = _classify_config(cfg)
     ladder = _ladder_or_none(report, params, steps)
@@ -247,79 +311,50 @@ def cmd_check(cfg: dict, outdir: Path | None) -> int:
 
 # --- solve ------------------------------------------------------------------------
 
+
+def _grid_keys(n: tuple) -> dict:
+    return {"extent": _Vector(_NUMBER, n, per_axis=True),
+            "cells": _Vector(_INTEGER, n, per_axis=True),
+            "boundary": _one_of("boundary", Boundary)}
+
+
+_FLUX_KIND = _one_of("flux kind", FluxKind)
+_RHS_KIND = _one_of("rhs kind", RhsKind)
+
+# SolveConfig keys that solve and verify both take at the top level
+_RUN_KEYS = {"t_end": _NUMBER, "cfl": _NUMBER, "dt_max": _NUMBER,
+             "snapshot_count": _INTEGER, "blowup_threshold": _NUMBER, "output_dir": _STRING}
+
 _SOLVE_KEYS = {
-    "grid": {"n": None, "extent": None, "cells": None, "boundary": None},
-    "flux": {"kind": None, "p": None, "q": None, "eps": None},
-    "rhs": {"kind": None, "w": None, "c1": None, "c2": None, "direction": None},
-    "initial": {"kind": None, "seed": None, "amplitude": None, "modes": None},
-    "N": None,
-    "t_end": None,
-    "cfl": None,
-    "dt_max": None,
-    "snapshot_count": None,
-    "blowup_threshold": None,
-    "output_dir": None,
-}
+    "grid": {"n": _INTEGER} | _grid_keys(("grid", "n", None)),
+    "flux": {"kind": _FLUX_KIND, "p": _NUMBER, "q": _NUMBER, "eps": _NUMBER},
+    "rhs": {"kind": _RHS_KIND, "w": _NUMBER, "c1": _NUMBER, "c2": _NUMBER,
+            "direction": _Vector(_NUMBER, ("N", _COMPONENTS))},
+    "initial": {"kind": _Leaf('"random_smooth"', lambda v: v == "random_smooth"),
+                "seed": _INTEGER, "amplitude": _NUMBER, "modes": _INTEGER},
+    "N": _INTEGER,
+} | _RUN_KEYS
 
 
-def _grid_from(cfg: dict, n: int | None = None, where: str = "grid.") -> Grid:
-    if n is None:
-        n = _need(cfg, "n", where)
-    if not isinstance(n, int):
-        raise InputError(f"'{where}n' must be an integer")
-    extent = _as_tuple(_need(cfg, "extent", where), n, where + "extent")
-    cells = _as_tuple(_need(cfg, "cells", where), n, where + "cells")
-    kind = cfg.get("boundary", "periodic")
-    try:
-        return Grid(n, extent, cells, Boundary(kind))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _grid_from(cfg: dict) -> Grid:
+    for key in ("n", "extent", "cells"):
+        _need(cfg, key, "grid.")
+    return _build(Grid, cfg)
 
 
-def _flux_from(cfg: dict, p: float | None = None, q: float | None = None) -> FluxSpec:
-    if p is None:
-        p = _need(cfg, "p", "flux.")
-    kind = cfg.get("kind", "pure_p_laplace")
-    try:
-        fk = FluxKind(kind)
-    except ValueError as exc:
-        raise InputError(f"unknown flux kind '{kind}'") from exc
-    fq = cfg.get("q", q)
-    if fq is not None and fq == p and fk is not FluxKind.DOUBLE_POWER:
-        fq = None
-    try:
-        return FluxSpec(fk, float(p), q=fq, eps=float(cfg.get("eps", 0.0)))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _flux_from(cfg: dict) -> FluxSpec:
+    """A q equal to p is dropped unless the family has two powers."""
+    kind = cfg.get("kind", FluxKind.PURE_P_LAPLACE)
+    if cfg.get("q") == _need(cfg, "p", "flux.") and kind is not FluxKind.DOUBLE_POWER:
+        cfg = {k: v for k, v in cfg.items() if k != "q"}
+    return _build(FluxSpec, cfg, kind=kind)
 
 
-def _rhs_from(cfg: dict, w: float | None = None) -> RhsSpec:
-    kind = cfg.get("kind", "zero")
-    try:
-        rk = RhsKind(kind)
-    except ValueError as exc:
-        raise InputError(f"unknown rhs kind '{kind}'") from exc
-    if rk is RhsKind.MANUFACTURED:
+def _rhs_from(cfg: dict) -> RhsSpec:
+    kind = cfg.get("kind", RhsKind.ZERO)
+    if kind is RhsKind.MANUFACTURED:
         raise InputError("manufactured sources are built programmatically, not from configs")
-    if w is None:
-        w = float(cfg.get("w", 0.0))
-    direction = cfg.get("direction")
-    try:
-        return RhsSpec(rk, w=w, c1=float(cfg.get("c1", 0.0)), c2=float(cfg.get("c2", 0.0)),
-                       direction=tuple(direction) if direction else None)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _initial_from(cfg: dict) -> RandomSmooth:
-    kind = cfg.get("kind", "random_smooth")
-    if kind != "random_smooth":
-        raise InputError(
-            f"config initial data supports kind 'random_smooth' only, got '{kind}'"
-        )
-    return RandomSmooth(seed=int(cfg.get("seed", 0)),
-                        amplitude=float(cfg.get("amplitude", 1.0)),
-                        modes=int(cfg.get("modes", 2)))
+    return _build(RhsSpec, cfg, kind=kind)
 
 
 def _status_code(kind: StatusKind) -> int:
@@ -329,22 +364,12 @@ def _status_code(kind: StatusKind) -> int:
 
 
 def cmd_solve(cfg: dict, outdir: Path | None) -> int:
-    _reject_unknown(cfg, _SOLVE_KEYS)
-    grid = _grid_from(dict(_need(cfg, "grid")))
-    flux = _flux_from(dict(_need(cfg, "flux")))
-    rhs = _rhs_from(dict(cfg.get("rhs", {})))
-    initial = _initial_from(dict(cfg.get("initial", {})))
-    try:
-        config = SolveConfig(grid=grid, flux=flux, rhs=rhs, initial=initial,
-                             N=int(cfg.get("N", 1)),
-                             t_end=float(_need(cfg, "t_end")),
-                             cfl=float(cfg.get("cfl", 0.4)),
-                             dt_max=float(cfg.get("dt_max", 1e-2)),
-                             snapshot_count=int(cfg.get("snapshot_count", 64)),
-                             blowup_threshold=float(cfg.get("blowup_threshold", 1e8)))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
+    config = _build(SolveConfig, cfg,
+                    grid=_grid_from(_need(cfg, "grid")),
+                    flux=_flux_from(_need(cfg, "flux")),
+                    rhs=_rhs_from(cfg.get("rhs", {})),
+                    initial=_build(RandomSmooth, {"seed": 0} | cfg.get("initial", {})),
+                    N=cfg.get("N", _COMPONENTS), t_end=_need(cfg, "t_end"))
     record = run(config)
     saved = None
     if outdir is not None:
@@ -363,32 +388,29 @@ def cmd_solve(cfg: dict, outdir: Path | None) -> int:
 # --- verify -----------------------------------------------------------------------
 
 _VERIFY_KEYS = {
-    "problem": {k: None for k in _PROBLEM_KEYS},
-    "grid": {"extent": None, "cells": None, "boundary": None},
-    "flux": {"kind": None, "eps": None},
-    "rhs": {"kind": None, "c1": None, "c2": None, "direction": None},
-    "campaign": {"seeds": None, "amplitudes": None, "modes": None},
-    "cylinder": {"R0": None, "center": None, "t0": None, "time_exponent": None},
-    "t_end": None,
-    "cfl": None,
-    "dt_max": None,
-    "snapshot_count": None,
-    "blowup_threshold": None,
-    "energy_s": None,
-    "levels": None,
-    "max_spread": None,
-    "output_dir": None,
-}
+    "problem": _PROBLEM_KEYS,
+    "grid": _grid_keys(("problem", "n", _DIM)),
+    "flux": {"kind": _FLUX_KIND, "eps": _NUMBER},
+    "rhs": {"kind": _RHS_KIND, "c1": _NUMBER, "c2": _NUMBER,
+            "direction": _Vector(_NUMBER, ("problem", "N", _COMPONENTS))},
+    "campaign": {"seeds": _Vector(_INTEGER), "amplitudes": _Vector(_NUMBER),
+                 "modes": _INTEGER},
+    "cylinder": {"R0": _NUMBER, "center": _Vector(_NUMBER, ("problem", "n", _DIM)),
+                 "t0": _NUMBER,
+                 "time_exponent": _Leaf('a number or "p"', lambda v: v == "p" or _NUMBER.accepts(v),
+                                        lambda v: v if v == "p" else float(v))},
+    "energy_s": _Vector(_NUMBER),
+    "levels": _INTEGER,
+    "max_spread": _NUMBER,
+} | _RUN_KEYS
 
 
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:
-    _reject_unknown(cfg, _VERIFY_KEYS)
-    problem_cfg = dict(_need(cfg, "problem"))
-    rhs_cfg = dict(cfg.get("rhs", {}))
-    c2 = float(rhs_cfg.get("c2", 0.0))
+    problem_cfg = _need(cfg, "problem")
+    c2_nonzero = bool(cfg.get("rhs", {}).get("c2"))
     if "c2_zero" not in problem_cfg:
-        problem_cfg["c2_zero"] = c2 == 0.0
-    elif _flag(problem_cfg, "c2_zero", True, "problem.") and c2 != 0.0:
+        problem_cfg = problem_cfg | {"c2_zero": not c2_nonzero}
+    elif problem_cfg["c2_zero"] and c2_nonzero:
         raise InputError("problem.c2_zero is true but rhs.c2 is nonzero")
 
     report, params = _classify_config(problem_cfg, where="problem.")
@@ -410,30 +432,25 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         _emit(header | {"passed": False, "reason": "parameters not covered"}, outdir)
         return EXIT_NOT_COVERED
 
-    seeds = _need(dict(_need(cfg, "campaign")), "seeds", "campaign.")
-    amplitudes = _need(dict(cfg["campaign"]), "amplitudes", "campaign.")
-    modes = int(cfg["campaign"].get("modes", 2))
-    if not isinstance(seeds, list) or not isinstance(amplitudes, list):
-        raise InputError("'campaign.seeds' and 'campaign.amplitudes' must be lists")
+    campaign_cfg = _need(cfg, "campaign")
+    seeds = _need(campaign_cfg, "seeds", "campaign.")
+    amplitudes = _need(campaign_cfg, "amplitudes", "campaign.")
     if not seeds or not amplitudes:
         raise InputError("empty campaign: need at least one seed and one amplitude")
 
-    grid = _grid_from(dict(_need(cfg, "grid")), n=params.n)
-    default_kind = "double_power" if params.q != params.p else "pure_p_laplace"
-    flux_cfg = dict(cfg.get("flux", {}))
-    flux_cfg.setdefault("kind", default_kind)
-    flux = _flux_from(flux_cfg, p=params.p, q=params.q if params.q != params.p else None)
-    rhs = _rhs_from(rhs_cfg, w=params.w)
+    grid = _grid_from(_need(cfg, "grid") | {"n": params.n})
+    two_powers = {"kind": FluxKind.DOUBLE_POWER, "q": params.q} if params.q != params.p else {}
+    flux = _flux_from({"p": params.p} | two_powers | cfg.get("flux", {}))
+    rhs = _rhs_from(cfg.get("rhs", {}) | {"w": params.w})
 
-    cyl_cfg = dict(_need(cfg, "cylinder"))
-    R0 = float(_need(cyl_cfg, "R0", "cylinder."))
-    t_end = float(_need(cfg, "t_end"))
-    t0 = float(cyl_cfg.get("t0", t_end))
-    e_raw = cyl_cfg.get("time_exponent", 2.0)
-    time_exponent = params.p if e_raw == "p" else float(e_raw)
+    cyl_cfg = _need(cfg, "cylinder")
+    R0 = _need(cyl_cfg, "R0", "cylinder.")
+    t_end = _need(cfg, "t_end")
+    t0 = cyl_cfg.get("t0", t_end)
+    time_exponent = cyl_cfg.get("time_exponent", 2.0)
+    if time_exponent == "p":
+        time_exponent = params.p
     center = cyl_cfg.get("center")
-    if center is not None:
-        center = tuple(float(c) for c in center)
     if t0 - R0**time_exponent < -1e-12:
         raise InputError(
             f"cylinder reaches below t = 0: t0 - R0^e = {t0 - R0 ** time_exponent}"
@@ -442,9 +459,9 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         raise InputError(f"cylinder top t0 = {t0} is past t_end = {t_end}")
 
     levels = cfg.get("levels")
-    if levels is not None and (not isinstance(levels, int) or levels < 2):
+    if levels is not None and levels < 2:
         raise InputError(f"'levels' must be an integer >= 2, got {levels}")
-    max_spread = float(cfg.get("max_spread", 10.0))
+    max_spread = cfg.get("max_spread", 10.0)
     energy_s = cfg.get("energy_s")
     if energy_s is None:
         try:
@@ -453,22 +470,11 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
             energy_s = []
         else:
             energy_s = [params.s0]
-    elif not isinstance(energy_s, list):
-        raise InputError("'energy_s' must be a list of exponents")
 
     def make_config(seed: int, amplitude: float) -> SolveConfig:
-        try:
-            return SolveConfig(
-                grid=grid, flux=flux, rhs=rhs,
-                initial=RandomSmooth(int(seed), float(amplitude), modes),
-                N=params.N, t_end=t_end,
-                cfl=float(cfg.get("cfl", 0.4)),
-                dt_max=float(cfg.get("dt_max", 1e-2)),
-                snapshot_count=int(cfg.get("snapshot_count", 64)),
-                blowup_threshold=float(cfg.get("blowup_threshold", 1e8)),
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        initial = _build(RandomSmooth, campaign_cfg, seed=seed, amplitude=amplitude)
+        return _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs, initial=initial,
+                      N=params.N, t_end=t_end)
 
     run_rows: list[dict] = []
     sandwich_rows: list[dict] = []
@@ -497,7 +503,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
                 sandwich_rows.append({"seed": seed, "amplitude": amplitude}
                                      | sw.to_dict())
                 for s in energy_s:
-                    er = energy_inequality_check(record, float(s), R0 / 2.0, R0,
+                    er = energy_inequality_check(record, s, R0 / 2.0, R0,
                                                  params, center=center, t0=t0,
                                                  time_exponent=time_exponent)
                     energy_rows.append({"seed": seed, "amplitude": amplitude}
@@ -604,23 +610,18 @@ def cmd_oracles(outdir: Path | None) -> int:
 
 # --- counterexample ----------------------------------------------------------------
 
-_COUNTER_KEYS = {"n": None, "cells": None, "extent": None, "annulus": None,
-                 "output_dir": None}
+_COUNTER_KEYS = {"n": _INTEGER,
+                 "cells": _Vector(_INTEGER, ("n", _DIM), per_axis=True),
+                 "extent": _Vector(_NUMBER, ("n", _DIM), per_axis=True),
+                 "annulus": _Vector(_NUMBER, 2),
+                 "output_dir": _STRING}
 
 
 def cmd_counterexample(cfg: dict, outdir: Path | None) -> int:
-    _reject_unknown(cfg, _COUNTER_KEYS)
-    n = cfg.get("n", 3)
-    if not isinstance(n, int):
-        raise InputError("'n' must be an integer")
-    cells = _as_tuple(cfg.get("cells", 48), n, "cells")
-    extent = _as_tuple(cfg.get("extent", 4.0), n, "extent")
-    annulus = cfg.get("annulus", [0.5, 1.5])
-    if not (isinstance(annulus, list) and len(annulus) == 2):
-        raise InputError("'annulus' must be [r_min, r_max]")
     try:
-        grid = Grid(n, extent, cells, Boundary.DIRICHLET)
-        rep = struwe_residual(grid, (float(annulus[0]), float(annulus[1])))
+        grid = Grid(cfg.get("n", _DIM), cfg.get("extent", 4.0), cfg.get("cells", 48),
+                    Boundary.DIRICHLET)
+        rep = struwe_residual(grid, cfg.get("annulus", (0.5, 1.5)))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     ok = ORDER_WINDOW[0] <= rep.order_estimate <= ORDER_WINDOW[1]
@@ -656,15 +657,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_oracles(_resolve_outdir(args.output, {}))
         if args.config is None:
             raise InputError(f"'{args.command}' needs --config FILE")
-        cfg = _load_config(args.config)
-        outdir = _resolve_outdir(args.output, cfg)
-        if args.command == "check":
-            return cmd_check(cfg, outdir)
-        if args.command == "solve":
-            return cmd_solve(cfg, outdir)
-        if args.command == "verify":
-            return cmd_verify(cfg, outdir)
-        return cmd_counterexample(cfg, outdir)
+        table, verb = {"check": (_CHECK_KEYS, cmd_check),
+                       "solve": (_SOLVE_KEYS, cmd_solve),
+                       "verify": (_VERIFY_KEYS, cmd_verify),
+                       "counterexample": (_COUNTER_KEYS, cmd_counterexample)}[args.command]
+        cfg = _validate(_load_config(args.config), table)
+        return verb(cfg, _resolve_outdir(args.output, cfg))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -208,6 +208,10 @@ def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
             f"cylinder checks need a completed run, got status {record.status.kind.value}"
         )
     grid = record.config.grid
+    if len(cyl.center) != grid.n:
+        raise ValueError(
+            f"cylinder center has {len(cyl.center)} coordinates, the grid has n = {grid.n}"
+        )
     if not cyl.fits_grid(grid):
         raise ValueError("cylinder ball exits the spatial domain")
     times = record.times()

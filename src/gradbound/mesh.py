@@ -23,14 +23,13 @@ time, giving |grad eta| <= 1.5 / (R - rho) and
 
 from __future__ import annotations
 
-import csv
 import enum
 import functools
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "time_integral",
     "save_field",
     "load_field",
-    "save_field_csv",
 ]
 
 
@@ -62,18 +60,23 @@ class Boundary(enum.Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor-product grid on [0, extent_1] x ... x [0, extent_n], n in {2, 3}."""
+    """Tensor-product grid on [0, extent_1] x ... x [0, extent_n], n in {2, 3}.
+
+    extent and cells take one entry per axis, or one number for every axis.
+    """
 
     n: int
-    extent: tuple[float, ...]
-    cells: tuple[int, ...]
+    extent: tuple[float, ...] | float
+    cells: tuple[int, ...] | int
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         if self.n not in (2, 3):
             raise ValueError(f"spatial dimension must be 2 or 3, got {self.n}")
+        for name, read in (("extent", float), ("cells", int)):
+            value = getattr(self, name)
+            per_axis = (value,) * self.n if np.isscalar(value) else value
+            object.__setattr__(self, name, tuple(read(v) for v in per_axis))
         if len(self.extent) != self.n or len(self.cells) != self.n:
             raise ValueError("extent and cells must have length n")
         if any(e <= 0.0 for e in self.extent):
@@ -144,12 +147,6 @@ class Field:
     @classmethod
     def zeros(cls, grid: Grid, N: int, time: float = 0.0) -> "Field":
         return cls(grid, np.zeros(grid.node_shape + (N,)), time)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray],
-                      time: float = 0.0) -> "Field":
-        vals = np.asarray(fn(node_coords(grid)), dtype=np.float64)
-        return cls(grid, vals, time)
 
 
 def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary) -> np.ndarray:
@@ -226,9 +223,6 @@ class CylinderSpec:
 
     def time_window(self) -> tuple[float, float]:
         return self.t0 - self.depth, self.t0
-
-    def shrunk(self, R: float) -> "CylinderSpec":
-        return CylinderSpec(self.center, self.t0, R, self.time_exponent)
 
     def fits_grid(self, grid: Grid) -> bool:
         return all(
@@ -356,11 +350,6 @@ class CutoffFn:
         unit = d / rsafe[..., None]
         return (dq * self.time_profile(t))[..., None] * unit
 
-    def time_deriv(self, x: np.ndarray, t: float) -> np.ndarray:
-        a, b = self._time_window()
-        dq = float(_smoothstep_deriv(np.asarray((t - a) / (b - a)))) / (b - a)
-        return self.space_profile(self._radius(x)) * dq
-
 
 # --- serialization -----------------------------------------------------------
 
@@ -406,17 +395,3 @@ def load_field(path: str | Path) -> Field:
     grid = Grid(n, extent, cells, boundary)
     values = payload.reshape(grid.node_shape + (N,)).astype(np.float64)
     return Field(grid, values, time)
-
-
-def save_field_csv(field: Field, path: str | Path) -> None:
-    """Plain-text dump (x_1..x_n, u_1..u_N per row) for small grids."""
-    grid = field.grid
-    if math.prod(grid.node_shape) > tuple([64**2, 32**3])[grid.n - 2]:
-        raise ValueError("csv output is meant for small grids; use save_field")
-    x = node_coords(grid).reshape(-1, grid.n)
-    u = field.values.reshape(-1, field.N)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{a+1}" for a in range(grid.n)] + [f"u{i+1}" for i in range(field.N)])
-        for row_x, row_u in zip(x, u):
-            writer.writerow([repr(v) for v in row_x] + [repr(v) for v in row_u])

@@ -48,8 +48,6 @@ __all__ = [
     "RunStatus",
     "RunRecord",
     "initial_field",
-    "stable_dt",
-    "step",
     "run",
     "save_run",
     "load_run",
@@ -192,14 +190,6 @@ def _dt_from_eigen(grid: Grid, cfl: float, dt_max: float, d_max: float) -> float
     return min(cfl * h2 / (2.0 * grid.n * d_max), dt_max)
 
 
-def stable_dt(state: Field, config: SolveConfig) -> float:
-    """Diffusion-limited step size at the current state."""
-    fl = _resolve_flux(config.flux)
-    grad = gradient(state)
-    _, upper = flux_mod.flux_jacobian_bounds(fl, grad)
-    return _dt_from_eigen(state.grid, config.cfl, config.dt_max, float(upper.max()))
-
-
 def _advance(state: Field, config: SolveConfig, fl: FluxSpec, dt: float,
              grad: np.ndarray, mag: np.ndarray, x: np.ndarray) -> Field:
     div = divergence(state.grid, flux_eval(fl, grad, mag=mag))
@@ -213,14 +203,6 @@ def _advance(state: Field, config: SolveConfig, fl: FluxSpec, dt: float,
             new_vals[tuple(sl_lo)] = state.values[tuple(sl_lo)]
             new_vals[tuple(sl_hi)] = state.values[tuple(sl_hi)]
     return Field(state.grid, new_vals, state.time + dt)
-
-
-def step(state: Field, config: SolveConfig, dt: float) -> Field:
-    """One forward-Euler step; Dirichlet boundary samples stay frozen."""
-    fl = _resolve_flux(config.flux)
-    grad = gradient(state)
-    mag = grad_magnitude(grad)
-    return _advance(state, config, fl, dt, grad, mag, node_coords(state.grid))
 
 
 def run(config: SolveConfig) -> RunRecord:

@@ -4,7 +4,10 @@ Every JSON report printed by a verb must validate against the shipped
 schema; the exit codes are asserted as a contract, not observed.
 """
 
+import contextlib
+import copy
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -15,8 +18,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gradbound
+import gradbound.cli
 from gradbound import build_ladder, load_run
 from gradbound.cli import (
     EXIT_BLOWUP,
@@ -269,14 +275,16 @@ def _campaign_cfg(**extra):
     (lambda c: c["cylinder"].update(t0=0.2), "past t_end"),
     (lambda c: c.update(levels=1), "levels"),
     (lambda c: c["problem"].update(c2_zero="false"), "'problem.c2_zero' must be true or false"),
+    (lambda c: c["cylinder"].update(center=[0.5, 0.5]), "'cylinder.center' must be a list of 3"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, mutate, needle):
     cfg_obj = _campaign_cfg()
     mutate(cfg_obj)
     cfg = _write(tmp_path, cfg_obj)
-    code, _, err = _run(capsys, ["verify", "--config", cfg])
+    code, report, err = _run(capsys, ["verify", "--config", cfg])
     assert code == EXIT_INPUT
     assert needle in err
+    assert report is None  # refused before the first run: no report, no runs row
 
 
 def test_verify_campaign_passes(tmp_path, capsys):
@@ -362,6 +370,161 @@ def test_config_output_dir_used_without_flag(tmp_path, capsys, monkeypatch):
     code, _, _ = _run(capsys, ["solve", "--config", cfg])
     assert code == EXIT_OK
     assert (out / "report.json").exists()
+
+
+def test_check_writes_report_to_config_output_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
+    out = tmp_path / "from_config"
+    cfg = _write(tmp_path, {"p": 2.0, "w": 1.0, "output_dir": str(out)})
+    code, report, _ = _run(capsys, ["check", "--config", cfg])
+    assert code == EXIT_OK
+    assert json.loads((out / "report.json").read_text()) == report
+
+
+# --- config type checks ---------------------------------------------------------
+#
+# Every value is type-checked against the verb's key table before anything
+# runs, so a wrong type exits 1 with one error line that names the dotted key
+# and the value, prints no report, creates no output directory and starts no
+# solve.
+
+
+def _set(cfg: dict, path: str, value) -> dict:
+    cfg = copy.deepcopy(cfg)
+    *outer, key = path.split(".")
+    node = cfg
+    for part in outer:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return cfg
+
+
+def _no_solve(config):
+    raise AssertionError("a config with a wrong type reached the solver")
+
+
+def _refused(tmp_path, monkeypatch, verb, cfg_obj, path, value):
+    """Run verb on cfg_obj in-process and check the refusal contract."""
+    monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
+    monkeypatch.setattr(gradbound.cli, "run", _no_solve)
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, cfg_obj, name="probe.json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([verb, "--config", cfg, "--output", str(out_dir)])
+    err = err.getvalue()
+    assert code == EXIT_INPUT, err
+    assert out.getvalue() == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert f"'{path}'" in err and json.dumps(value) in err, err
+    assert not out_dir.exists()
+
+
+_PROBE_BASES = {"check": lambda: {"p": 2.0, "w": 1.0},
+                "solve": _heat_solve_cfg,
+                "verify": _campaign_cfg}
+
+
+@pytest.mark.parametrize("verb, path, value", [
+    # values that ended in an uncaught TypeError
+    ("solve", "t_end", None),
+    ("solve", "cfl", None),
+    ("solve", "initial.seed", None),
+    ("solve", "flux.eps", None),
+    ("solve", "rhs.direction", 5),
+    ("check", "w", None),
+    ("check", "lam", "a"),
+    ("check", "output_dir", 5),
+    ("verify", "cylinder.R0", None),
+    ("verify", "cylinder.center", 5),
+    ("verify", "max_spread", None),
+    # values that ran silently truncated or converted
+    ("solve", "N", 1.7),
+    ("solve", "snapshot_count", 64.9),
+    ("solve", "grid.cells", 8.5),
+    ("solve", "initial.seed", 1.5),
+    ("solve", "flux.p", "2"),
+    # integer keys take JSON integers only
+    ("solve", "grid.cells", 32.0),
+    ("check", "N", "2"),
+    # lists of the wrong length
+    ("solve", "grid.extent", [1.0, 1.0]),
+    ("solve", "rhs.direction", [1.0, 0.0]),
+    ("verify", "cylinder.center", [0.5, 0.5]),
+])
+def test_config_type_probes(tmp_path, monkeypatch, verb, path, value):
+    _refused(tmp_path, monkeypatch, verb, _set(_PROBE_BASES[verb](), path, value), path, value)
+
+
+# Each verb's shipped config with more of its keys set, each to a value of
+# the right type, so that the fuzz reaches every kind of key.
+_FUZZ_BASES = {
+    "check": ("check_fast_growth.json", {
+        "n": 3, "N": 1, "q": 2.0, "p_tilde": 2.0, "s0": 0.0, "lam": 1.0, "Lam": 1.0,
+        "c2_zero": True}),
+    "solve": ("solve_heat.json", {
+        "grid.boundary": "periodic", "flux.q": 2.0, "flux.eps": 0.0, "rhs.w": 1.0,
+        "rhs.c1": 0.0, "rhs.c2": 0.0, "rhs.direction": [1.0], "cfl": 0.4, "dt_max": 0.01,
+        "blowup_threshold": 1e8}),
+    "verify": ("verify_campaign.json", {
+        "problem.n": 3, "problem.c2_zero": True, "problem.s0": 0.0,
+        "flux.kind": "pure_p_laplace", "flux.eps": 0.0, "rhs.c2": 0.0,
+        "rhs.direction": [1.0, 0.0], "campaign.modes": 2, "cylinder.center": [0.5, 0.5, 0.5],
+        "cylinder.t0": 0.06, "cylinder.time_exponent": 2.0, "energy_s": [0.0], "cfl": 0.4,
+        "dt_max": 0.01, "blowup_threshold": 1e8}),
+    "counterexample": ("counterexample.json", {}),
+}
+
+
+def _fuzz_base(verb: str, tmp_path) -> dict:
+    name, extra = _FUZZ_BASES[verb]
+    cfg = json.loads(Path(_repo_config(name)).read_text())
+    for path, value in extra.items():
+        cfg = _set(cfg, path, value)
+    return cfg | {"output_dir": str(tmp_path / "out")}
+
+
+def _paths(cfg: dict, where: str = ""):
+    for key, value in cfg.items():
+        yield f"{where}{key}", value
+        if isinstance(value, dict):
+            yield from _paths(value, f"{where}{key}.")
+
+
+_NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_OBJECTS = st.dictionaries(st.text(max_size=4), st.none() | _NUMBERS, max_size=2)
+# every base config has n = 3, so no list of another length fits a per-axis key;
+# "p" is left out because cylinder.time_exponent takes it
+_TEXT = st.text(max_size=6).filter(lambda t: t != "p")
+_NUMBER_LISTS = st.lists(_NUMBERS, max_size=5).filter(lambda xs: len(xs) != 3)
+
+
+def _wrong_type(base):
+    """Values of a JSON type that the key holding `base` never takes."""
+    junk = st.none() | _OBJECTS
+    if isinstance(base, bool):
+        return junk | _NUMBERS | _TEXT | st.lists(_NUMBERS)
+    if isinstance(base, int):
+        return junk | st.booleans() | st.floats(allow_nan=False) | _TEXT | _NUMBER_LISTS
+    if isinstance(base, float):
+        return junk | st.booleans() | _TEXT | _NUMBER_LISTS
+    if isinstance(base, str):
+        return junk | st.booleans() | _NUMBERS | st.lists(_NUMBERS)
+    if isinstance(base, list):  # a number list of any length may be valid
+        return junk | st.booleans() | _NUMBERS | _TEXT | st.lists(junk | _TEXT, min_size=1)
+    return st.none() | st.booleans() | _NUMBERS | _TEXT | st.lists(_NUMBERS)  # an object
+
+
+@pytest.mark.parametrize("verb", sorted(_FUZZ_BASES))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_wrong_type_is_refused(tmp_path, monkeypatch, verb, data):
+    base = _fuzz_base(verb, tmp_path)
+    path, old = data.draw(st.sampled_from(sorted(_paths(base))), label="key")
+    value = data.draw(_wrong_type(old), label="value")
+    _refused(tmp_path, monkeypatch, verb, _set(base, path, value), path, value)
 
 
 # --- shipped example configs ----------------------------------------------

@@ -93,6 +93,9 @@ def test_psi_preconditions(heat_run_32, heat_params):
         psi(heat_run_32, CylinderSpec((0.9, 0.5, 0.5), 0.1, 0.3), 2.0)
     with pytest.raises(ValueError, match="span"):
         psi(heat_run_32, CylinderSpec(CENTER, 0.5, 0.3), 2.0)
+    # a 2-D center on a 3-D grid is refused, not broadcast against the nodes
+    with pytest.raises(ValueError, match="2 coordinates, the grid has n = 3"):
+        psi(heat_run_32, CylinderSpec((0.5, 0.5), 0.1, 0.3), 2.0)
     # every check shares psi's window: same refusal past the last snapshot
     with pytest.raises(ValueError, match="does not span the cylinder time window"):
         energy_inequality_check(heat_run_32, 0.0, 0.15, 0.3, heat_params, t0=0.5)

@@ -23,8 +23,6 @@ from gradbound import (
     node_coords,
     run,
     save_run,
-    stable_dt,
-    step,
 )
 
 UNIT = lambda cells, boundary=Boundary.PERIODIC: Grid(
@@ -45,10 +43,11 @@ def _config(grid, flux, rhs=None, initial=None, N=1, t_end=0.01, **kw):
 
 
 def test_stable_dt_heat():
-    # p = 2, D = 1, h = 0.05: dt = 0.4 * 0.0025 / 6
+    # p = 2, D = 1, h = 0.05: dt = 0.4 * 0.0025 / 6; the first snapshot at
+    # t_end / 63 lies past one step, so the first step is not clipped
     grid = UNIT(20)
-    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0))
-    dt = stable_dt(initial_field(cfg), cfg)
+    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.02)
+    dt = run(cfg).dt_history[0]
     assert dt == pytest.approx(0.4 * 0.05**2 / 6.0, rel=1e-12)
     assert dt == pytest.approx(1.667e-4, rel=1e-3)
 
@@ -57,8 +56,8 @@ def test_stable_dt_zero_field_regularized():
     grid = UNIT(8)
     cfg = _config(grid, FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 3.0, eps=0.1),
                   initial=Prescribed(np.zeros(grid.node_shape + (1,))),
-                  dt_max=1.0)
-    dt = stable_dt(initial_field(cfg), cfg)
+                  dt_max=1.0, t_end=1.0)
+    dt = run(cfg).dt_history[0]
     # jacobian at Q = 0 is eps^(p-2) I
     assert dt == pytest.approx(0.4 * 0.125**2 / (6.0 * 0.1), rel=1e-12)
     assert math.isfinite(dt) and dt > 0.0
@@ -73,8 +72,8 @@ def test_stable_dt_steep_gradient_scaling():
     for slope in (1.0, 2.0):
         vals = (slope * x[..., 0])[..., None]
         cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, p),
-                      initial=Prescribed(vals))
-        dts.append(stable_dt(initial_field(cfg), cfg))
+                      initial=Prescribed(vals), t_end=0.05)
+        dts.append(run(cfg).dt_history[0])
     assert dts[1] / dts[0] == pytest.approx(2.0 ** (2.0 - p), rel=1e-12)
 
 
@@ -83,9 +82,10 @@ def test_step_constant_steady_state():
     vals = np.full(grid.node_shape + (2,), 1.3)
     cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5),
                   initial=Prescribed(vals), N=2)
-    out = step(initial_field(cfg), cfg, 1e-4)
-    assert np.array_equal(out.values, vals)
-    assert out.time == pytest.approx(1e-4)
+    rec = run(cfg)
+    assert rec.completed
+    assert all(np.array_equal(snap.values, vals) for snap in rec.snapshots)
+    assert rec.snapshots[-1].time == pytest.approx(cfg.t_end)
 
 
 def test_heat_eigenfunction_decay():
