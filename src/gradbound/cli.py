@@ -45,7 +45,7 @@ from .energy import (
     verify_bound,
 )
 from .flux import FluxKind, FluxSpec, RhsKind, RhsSpec
-from .mesh import Boundary, Grid, grad_magnitude, gradient, node_coords
+from .mesh import Boundary, CylinderSpec, Grid, grad_magnitude, gradient, node_coords
 from .regimes import (
     ProblemParams,
     RegimeReport,
@@ -451,10 +451,11 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     if time_exponent == "p":
         time_exponent = params.p
     center = cyl_cfg.get("center")
-    if t0 - R0**time_exponent < -1e-12:
-        raise InputError(
-            f"cylinder reaches below t = 0: t0 - R0^e = {t0 - R0 ** time_exponent}"
-        )
+    # the spec holds the radius and exponent rules; build it before any solve
+    cyl = CylinderSpec(grid.center() if center is None else center, t0, R0, time_exponent)
+    bottom = cyl.time_window()[0]
+    if bottom < -1e-12:
+        raise InputError(f"cylinder reaches below t = 0: t0 - R0^e = {bottom}")
     if t0 > t_end:
         raise InputError(f"cylinder top t0 = {t0} is past t_end = {t_end}")
 

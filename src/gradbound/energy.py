@@ -63,7 +63,6 @@ from .regimes import ProblemParams, RegimeReport, bound_exponent, check_thm2, ch
 from .solver import RunRecord, StatusKind
 
 __all__ = [
-    "DELTA_G",
     "EnergyReport",
     "SandwichReport",
     "MoserChainReport",

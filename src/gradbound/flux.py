@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .mesh import _root_sum_squares, grad_magnitude
+
 __all__ = [
     "FluxKind",
     "FluxSpec",
@@ -72,10 +74,6 @@ class FluxSpec:
             raise ValueError(f"{self.kind.value} takes no eps (eps={self.eps})")
 
 
-def _magnitude(Q: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(Q * Q, axis=(-2, -1)))
-
-
 def _check_singular(kind: FluxKind, p: float, mag: np.ndarray) -> None:
     if p < 2.0 and np.any(mag == 0.0):
         raise ValueError(
@@ -87,17 +85,21 @@ def _check_singular(kind: FluxKind, p: float, mag: np.ndarray) -> None:
 def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
     """Evaluate A(Q) on samples of shape (..., N, n).
 
-    mag, when given, must be the precomputed Frobenius magnitude of Q.
+    mag, when given, must be the precomputed Frobenius magnitude of Q.  For
+    pure p = 2 the flux is Q itself, and the returned array may be Q.
     """
     Q = np.asarray(Q, dtype=np.float64)
+    if spec.kind is FluxKind.PURE_P_LAPLACE and spec.p == 2.0:
+        return Q  # |Q|^0 Q == Q for every sample, non-finite ones included
     if mag is None:
-        mag = _magnitude(Q)
+        mag = grad_magnitude(Q)
     if spec.kind is FluxKind.PURE_P_LAPLACE:
         _check_singular(spec.kind, spec.p, mag)
         coeff = mag ** (spec.p - 2.0)
     elif spec.kind is FluxKind.DOUBLE_POWER:
         _check_singular(spec.kind, spec.p, mag)
-        coeff = mag ** (spec.p - 2.0) + mag ** (spec.q - 2.0)
+        coeff = mag ** (spec.p - 2.0)
+        coeff += mag ** (spec.q - 2.0)
     elif spec.kind is FluxKind.REGULARIZED_P_LAPLACE:
         coeff = (spec.eps**2 + mag**2) ** ((spec.p - 2.0) / 2.0)
     else:  # pragma: no cover
@@ -110,12 +112,13 @@ def _eigen_pair(spec: FluxSpec, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray
     t = mag
     if spec.kind is FluxKind.PURE_P_LAPLACE:
         _check_singular(spec.kind, spec.p, t)
-        radial = (spec.p - 1.0) * t ** (spec.p - 2.0)
         tangential = t ** (spec.p - 2.0)
+        radial = (spec.p - 1.0) * tangential
     elif spec.kind is FluxKind.DOUBLE_POWER:
         _check_singular(spec.kind, spec.p, t)
-        radial = (spec.p - 1.0) * t ** (spec.p - 2.0) + (spec.q - 1.0) * t ** (spec.q - 2.0)
-        tangential = t ** (spec.p - 2.0) + t ** (spec.q - 2.0)
+        tp, tq = t ** (spec.p - 2.0), t ** (spec.q - 2.0)
+        radial = (spec.p - 1.0) * tp + (spec.q - 1.0) * tq
+        tangential = tp + tq
     elif spec.kind is FluxKind.REGULARIZED_P_LAPLACE:
         base = spec.eps**2 + t**2
         radial = base ** ((spec.p - 4.0) / 2.0) * (spec.eps**2 + (spec.p - 1.0) * t**2)
@@ -132,7 +135,7 @@ def flux_jacobian_bounds(spec: FluxSpec, Q: np.ndarray,
     These are min/max of the two eigenvalues F''(|Q|) and F'(|Q|)/|Q|.
     """
     if mag is None:
-        mag = _magnitude(np.asarray(Q, dtype=np.float64))
+        mag = grad_magnitude(np.asarray(Q, dtype=np.float64))
     radial, tangential = _eigen_pair(spec, mag)
     return np.minimum(radial, tangential), np.maximum(radial, tangential)
 
@@ -193,14 +196,17 @@ def rhs_eval(spec: RhsSpec, u: np.ndarray, grad: np.ndarray,
         return np.zeros_like(u)
     if spec.kind is RhsKind.MANUFACTURED:
         return np.asarray(spec.source(x, t), dtype=np.float64)
-    g = _magnitude(np.asarray(grad, dtype=np.float64)) if mag is None else mag
+    g = grad_magnitude(np.asarray(grad, dtype=np.float64)) if mag is None else mag
     if spec.kind is RhsKind.STRUWE_COUPLING:
         return u * (g * g)[..., None]
     gw = g**spec.w
     if spec.kind is RhsKind.POWER_ALIGNED:
-        norm = np.sqrt(np.sum(u * u, axis=-1))
-        unit = u / np.maximum(norm, spec.delta_u)[..., None]
-        return spec.c1 * gw[..., None] * unit + spec.c2
+        # c1 |grad u|^w u / max(|u|, delta_u) + c2, built in one buffer
+        norm = _root_sum_squares([u[..., i] for i in range(u.shape[-1])])
+        out = np.divide(u, np.maximum(norm, spec.delta_u)[..., None])
+        out *= (spec.c1 * gw)[..., None]
+        out += spec.c2
+        return out
     if spec.kind is RhsKind.POWER_FIXED_DIR:
         d = np.asarray(spec.direction, dtype=np.float64)
         return (spec.c1 * gw + spec.c2)[..., None] * d

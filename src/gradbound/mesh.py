@@ -58,6 +58,13 @@ class Boundary(enum.Enum):
     DIRICHLET = "dirichlet"
 
 
+def _cell_count(value) -> int:
+    count = int(value)
+    if count != value:
+        raise ValueError(f"cell counts must be integers, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class Grid:
     """Tensor-product grid on [0, extent_1] x ... x [0, extent_n], n in {2, 3}.
@@ -73,7 +80,7 @@ class Grid:
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ValueError(f"spatial dimension must be 2 or 3, got {self.n}")
-        for name, read in (("extent", float), ("cells", int)):
+        for name, read in (("extent", float), ("cells", _cell_count)):
             value = getattr(self, name)
             per_axis = (value,) * self.n if np.isscalar(value) else value
             object.__setattr__(self, name, tuple(read(v) for v in per_axis))
@@ -149,9 +156,15 @@ class Field:
         return cls(grid, np.zeros(grid.node_shape + (N,)), time)
 
 
-def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary) -> np.ndarray:
-    """Second-order first derivative along one spatial axis of an arbitrary array."""
-    out = np.empty_like(values)
+def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order first derivative along one spatial axis of an arbitrary array.
+
+    The differences are written into out (a fresh array when omitted) and
+    divided by 2h in place.
+    """
+    if out is None:
+        out = np.empty_like(values)
     mid = [slice(None)] * values.ndim
 
     def sl(idx):
@@ -159,23 +172,25 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary) -> 
         s[axis] = idx
         return tuple(s)
 
+    np.subtract(values[sl(slice(2, None))], values[sl(slice(None, -2))], out=out[sl(slice(1, -1))])
     if boundary is Boundary.PERIODIC:
-        # the central difference with its two wrap planes, written into one array
-        np.subtract(values[sl(slice(2, None))], values[sl(slice(None, -2))], out=out[sl(slice(1, -1))])
+        # the two wrap planes of the central difference
         np.subtract(values[sl(1)], values[sl(-1)], out=out[sl(0)])
         np.subtract(values[sl(0)], values[sl(-2)], out=out[sl(-1)])
-        out /= 2.0 * h
-        return out
-    out[sl(slice(1, -1))] = (values[sl(slice(2, None))] - values[sl(slice(None, -2))]) / (2.0 * h)
-    out[sl(0)] = (-3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]) / (2.0 * h)
-    out[sl(-1)] = (3.0 * values[sl(-1)] - 4.0 * values[sl(-2)] + values[sl(-3)]) / (2.0 * h)
+    else:
+        # one-sided second-order closures on the boundary planes
+        out[sl(0)] = -3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]
+        out[sl(-1)] = 3.0 * values[sl(-1)] - 4.0 * values[sl(-2)] + values[sl(-3)]
+    out /= 2.0 * h
     return out
 
 
 def gradient_of(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Gradient of node samples with arbitrary trailing shape: appends an axis of length n."""
-    parts = [_diff_along(values, a, grid.h[a], grid.boundary) for a in range(grid.n)]
-    return np.stack(parts, axis=-1)
+    out = np.empty(values.shape + (grid.n,), dtype=values.dtype)
+    for a in range(grid.n):
+        _diff_along(values, a, grid.h[a], grid.boundary, out=out[..., a])
+    return out
 
 
 def gradient(field: Field) -> np.ndarray:
@@ -188,14 +203,31 @@ def divergence(grid: Grid, flux_values: np.ndarray) -> np.ndarray:
     if flux_values.shape[-1] != grid.n:
         raise ValueError("last axis of flux samples must have length n")
     out = _diff_along(flux_values[..., 0], 0, grid.h[0], grid.boundary)
+    part = np.empty_like(out)
     for a in range(1, grid.n):
-        out = out + _diff_along(flux_values[..., a], a, grid.h[a], grid.boundary)
+        out += _diff_along(flux_values[..., a], a, grid.h[a], grid.boundary, out=part)
     return out
 
 
+def _root_sum_squares(parts: list[np.ndarray]) -> np.ndarray:
+    """sqrt(parts[0]**2 + parts[1]**2 + ...), summed left to right in one buffer.
+
+    Below 8 terms this is the order of numpy's pairwise summation, so the result
+    equals np.sqrt(np.sum(stack * stack, axis=-1)) bitwise; from 8 terms on it
+    differs by round-off.  Scalar parts give a numpy scalar, as np.sum does:
+    numpy's array and scalar powers can differ in the last bit.
+    """
+    out = np.multiply(parts[0], parts[0], out=np.empty(np.shape(parts[0])))
+    square = np.empty_like(out)
+    for part in parts[1:]:
+        out += np.multiply(part, part, out=square)
+    return np.sqrt(out, out=out)[()]
+
+
 def grad_magnitude(grad: np.ndarray) -> np.ndarray:
-    """Frobenius magnitude over the trailing (N, n) axes."""
-    return np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
+    """Frobenius magnitude over the trailing (N, n) axes, summed in C order."""
+    N, n = grad.shape[-2:]
+    return _root_sum_squares([grad[..., i, a] for i in range(N) for a in range(n)])
 
 
 # --- space-time cylinders ---------------------------------------------------

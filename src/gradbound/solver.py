@@ -51,8 +51,6 @@ __all__ = [
     "run",
     "save_run",
     "load_run",
-    "DT_FLOOR",
-    "REGULARIZATION_DEFAULT",
 ]
 
 DT_FLOOR = 1e-12
@@ -190,19 +188,24 @@ def _dt_from_eigen(grid: Grid, cfl: float, dt_max: float, d_max: float) -> float
     return min(cfl * h2 / (2.0 * grid.n * d_max), dt_max)
 
 
-def _advance(state: Field, config: SolveConfig, fl: FluxSpec, dt: float,
-             grad: np.ndarray, mag: np.ndarray, x: np.ndarray) -> Field:
-    div = divergence(state.grid, flux_eval(fl, grad, mag=mag))
-    f = rhs_eval(config.rhs, state.values, grad, x, state.time, mag=mag)
-    new_vals = state.values + dt * (div + f)
+def _rate(state: Field, config: SolveConfig, x: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-hand side div A(grad u) + f of the semi-discrete system at state.
+
+    Returns the rate with the gradient and its magnitude it was built from.
+    On Dirichlet grids the rate is -0.0 on the boundary planes: adding it
+    leaves every boundary sample bit-equal, signed zeros included.
+    """
+    grad = gradient(state)
+    mag = grad_magnitude(grad)
+    rate = divergence(state.grid, flux_eval(config.flux, grad, mag=mag))
+    rate += rhs_eval(config.rhs, state.values, grad, x, state.time, mag=mag)
     if state.grid.boundary is Boundary.DIRICHLET:
         for a in range(state.grid.n):
-            sl_lo = [slice(None)] * new_vals.ndim
-            sl_hi = [slice(None)] * new_vals.ndim
-            sl_lo[a], sl_hi[a] = 0, -1
-            new_vals[tuple(sl_lo)] = state.values[tuple(sl_lo)]
-            new_vals[tuple(sl_hi)] = state.values[tuple(sl_hi)]
-    return Field(state.grid, new_vals, state.time + dt)
+            planes = [slice(None)] * rate.ndim
+            planes[a] = [0, -1]
+            rate[tuple(planes)] = -0.0
+    return rate, grad, mag
 
 
 def run(config: SolveConfig) -> RunRecord:
@@ -227,8 +230,7 @@ def run(config: SolveConfig) -> RunRecord:
 
     for target in targets[1:]:
         while state.time < target:
-            grad = gradient(state)
-            mag = grad_magnitude(grad)
+            rate, grad, mag = _rate(state, eff, x)
             if float(mag.max()) > thr:
                 status = RunStatus(StatusKind.BLOWUP, state.time)
                 break
@@ -239,9 +241,14 @@ def run(config: SolveConfig) -> RunRecord:
                 break
             clipped = dt_stab >= target - state.time
             dt = target - state.time if clipped else dt_stab
-            state = _advance(state, eff, fl, dt, grad, mag, x)
-            if clipped:
-                state.time = target  # avoid accumulation drift at snapshot times
+            rate *= dt
+            state.values += rate
+            # free this step's arrays before the next _rate allocates its own;
+            # holding them across that call made malloc hand heap pages back to
+            # the OS and fault them in again every step (10x the page faults)
+            del rate, grad, mag
+            # a clipped step lands on the target exactly: no drift at snapshot times
+            state.time = target if clipped else state.time + dt
             dt_history.append(dt)
             if not state.is_finite():
                 status = RunStatus(StatusKind.DIVERGED, state.time)

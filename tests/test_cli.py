@@ -276,15 +276,19 @@ def _campaign_cfg(**extra):
     (lambda c: c.update(levels=1), "levels"),
     (lambda c: c["problem"].update(c2_zero="false"), "'problem.c2_zero' must be true or false"),
     (lambda c: c["cylinder"].update(center=[0.5, 0.5]), "'cylinder.center' must be a list of 3"),
+    (lambda c: c["cylinder"].update(R0=-0.24, time_exponent=2.5), "radius must be positive"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, mutate, needle):
     cfg_obj = _campaign_cfg()
     mutate(cfg_obj)
     cfg = _write(tmp_path, cfg_obj)
-    code, report, err = _run(capsys, ["verify", "--config", cfg])
+    out = tmp_path / "out"
+    code, report, err = _run(capsys, ["verify", "--config", cfg, "--output", str(out)])
     assert code == EXIT_INPUT
     assert needle in err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert report is None  # refused before the first run: no report, no runs row
+    assert not out.exists()
 
 
 def test_verify_campaign_passes(tmp_path, capsys):

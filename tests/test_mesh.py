@@ -39,6 +39,9 @@ def test_grid_validation():
         Grid(4, (1.0,) * 4, (8,) * 4)
     with pytest.raises(ValueError):
         Grid(3, (1.0, 1.0), (8, 8, 8))
+    with pytest.raises(ValueError, match="integers"):
+        Grid(3, 1.0, 8.5)  # refused, not truncated to 8 cells
+    assert Grid(3, 1.0, 8.0).cells == (8, 8, 8)
     g = Grid(2, (2.0, 1.0), (8, 4), Boundary.DIRICHLET)
     assert g.h == (0.25, 0.25)
     assert g.node_shape == (9, 5)  # Dirichlet keeps both boundary nodes

@@ -183,6 +183,26 @@ def test_dirichlet_boundary_frozen():
     assert not np.array_equal(last[1:-1, 1:-1, 1:-1], vals[1:-1, 1:-1, 1:-1])
 
 
+def test_dirichlet_planes_bit_equal_through_run():
+    # a forced, nonlinear run: the rate is nonzero on the planes before it is
+    # cleared, and signed zeros on the planes must survive every step
+    grid = Grid(3, (1.0, 0.8, 0.6), (8, 6, 5), Boundary.DIRICHLET)
+    vals = np.random.default_rng(4).standard_normal(grid.node_shape + (2,))
+    vals[0, :3] = -0.0
+    vals[:, -1, :2] = 0.0
+    cfg = _config(grid, FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.5),
+                  rhs=RhsSpec(RhsKind.POWER_ALIGNED, w=1.5, c1=1.0, c2=0.5),
+                  initial=Prescribed(vals), N=2, t_end=0.05)
+    rec = run(cfg)
+    assert rec.completed and rec.dt_history.size > len(rec.snapshots)
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    for snap in rec.snapshots:
+        for a in range(grid.n):
+            for side in (0, -1):
+                assert np.array_equal(bits(np.take(snap.values, side, axis=a)),
+                                      bits(np.take(vals, side, axis=a)))
+
+
 def test_blowup_detection():
     # strong gradient-coupled forcing past the (lowered) threshold
     cfg = SolveConfig(
