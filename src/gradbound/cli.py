@@ -463,6 +463,8 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     if levels is not None and levels < 2:
         raise InputError(f"'levels' must be an integer >= 2, got {levels}")
     max_spread = cfg.get("max_spread", 10.0)
+    if not max_spread >= 0.0:
+        raise InputError(f"'max_spread' must be >= 0, got {max_spread}")
     energy_s = cfg.get("energy_s")
     if energy_s is None:
         try:

@@ -9,13 +9,18 @@ span [t0 - R^e, t0] to within 1e-12, and at least 3 of them fall inside.
 The window also fixes the cylinder's spatial box: per axis, the index range
 of the ball's nodes widened by a 2-node halo, wrapped on periodic axes and
 clipped at Dirichlet planes (a box that reaches the whole grid on every axis
-is the grid).  Every sweep differentiates values[box] with the grid's own
+is the grid; one that wraps nowhere is a view of the snapshot).  The box only
+feeds the stencil: a sweep differentiates values[box] with the grid's own
 spacing and one-sided closures at the box faces, which spoil only the two
-halo planes: |grad u| is exact one node beyond the ball, enough for the
-energy check's gradient of |grad u| on the ball.  The ball's nodes keep
-their row-major order inside the box and every stencil value comes from the
-same arithmetic on the same neighbours, so each check returns bit for bit
-what the whole grid would.
+halo planes, so |grad u| is exact one node beyond the ball, enough for the
+energy check's gradient of |grad u|.  Every power, cutoff and product then
+runs on the ball's own nodes, taken from the box as 1-D arrays in row-major
+order, and the cutoff's space factors are built once per check.  Every
+stencil value comes from the same arithmetic on the same neighbours and the
+ball sums add the same numbers in the same order, so each check returns bit
+for bit what the whole grid would.  A sweep differentiates only the
+snapshots the time quadrature reads: those in the window and one neighbour
+on each side.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
@@ -103,18 +108,19 @@ def _powered(mag: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _sweep_series(record: RunRecord, win: "_Window",
-                  fns: Sequence[Callable[[Field, np.ndarray], float]]) -> list[np.ndarray]:
-    """Evaluate several per-snapshot functionals in one pass over the record.
+                  fn: Callable[[Field, np.ndarray], Sequence[float]], width: int) -> np.ndarray:
+    """Evaluate width per-snapshot functionals in one pass over the record.
 
-    Each fn receives (snapshot, |grad u| on the window's box) and returns a
-    scalar; the gradient magnitude is computed once per snapshot.
+    fn receives (snapshot, |grad u| on the window's box) and returns width
+    scalars; the gradient magnitude is computed once per snapshot, and only
+    for the snapshots win.integrate reads.  Returns one series per functional,
+    0.0 at the snapshots left unread.
     """
-    out = [np.empty(len(record.snapshots)) for _ in fns]
-    for k, snap in enumerate(record.snapshots):
-        mag = win.magnitude(snap)
-        for j, fn in enumerate(fns):
-            out[j][k] = fn(snap, mag)
-    return out
+    rows = np.zeros((len(record.snapshots), width))
+    for k in win.read:
+        snap = record.snapshots[k]
+        rows[k] = fn(snap, win.magnitude(snap))
+    return rows.T
 
 
 # Box halo in nodes: the energy check differentiates |grad u|, so its ball
@@ -127,11 +133,13 @@ class _Window:
     """A validated cylinder over one completed record.
 
     lo and b are the time window clipped to the stored snapshots, inside
-    holds the indices of the snapshots in [lo, b], and mask the closed ball
-    on the full grid.  Every sweep works on the box, values[box]: the ball's
-    bounding box widened by HALO nodes, differentiated on box_grid.  core
-    locates the ball's own bounding box inside the box, and box_mask is the
-    ball cut to the box.
+    holds the indices of the snapshots in [lo, b], read those plus one
+    neighbour on each side (every snapshot integrate reads), and mask the
+    closed ball on the full grid.  Every sweep differentiates the box,
+    values[box]: the ball's bounding box widened by HALO nodes, on box_grid.
+    core locates the ball's own bounding box inside the box, and box_mask is
+    the ball cut to the box: mag[box_mask] lists the ball's nodes in the same
+    row-major order as mask does on the grid.
     """
 
     times: np.ndarray
@@ -139,6 +147,7 @@ class _Window:
     lo: float
     b: float
     inside: np.ndarray
+    read: range
     box: tuple
     box_grid: Grid
     core: tuple
@@ -151,19 +160,16 @@ class _Window:
         """|grad u| on the box; exact at the ball's nodes and one node beyond."""
         return grad_magnitude(gradient_of(self.box_grid, snap.values[self.box]))
 
-    def cut(self, mask: np.ndarray) -> np.ndarray:
-        """Cut a full-grid mask that lies inside the ball's bounding box to the box.
+    @functools.cached_property
+    def box_mask(self) -> np.ndarray:
+        """The ball cut to the box.
 
         Halo positions are cleared: a periodic halo may repeat nodes of the core.
         """
-        boxed = mask[self.box]
+        boxed = self.mask[self.box]
         out = np.zeros_like(boxed)
         out[self.core] = boxed[self.core]
         return out
-
-    @functools.cached_property
-    def box_mask(self) -> np.ndarray:
-        return self.cut(self.mask)
 
 
 def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, Grid, tuple]:
@@ -172,32 +178,39 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, Grid, tuple]:
     The halo wraps on periodic axes and is clipped at Dirichlet planes, where
     the box keeps the grid's one-sided closure.  Every other box face gets a
     one-sided closure too, which only spoils the two halo planes.  When the
-    box reaches the whole grid on every axis, the grid itself is the box;
-    otherwise a periodic axis the halo overruns repeats some nodes, which
-    cut() leaves out.  box_grid is the grid with one-sided closures: it keeps
-    the grid's extent and cells, so gradient_of, which reads only the spacing
-    and the boundary kind, sees the same h.  Returns (box, box_grid, core).
+    box reaches the whole grid on every axis, the grid itself is the box.  A
+    box that wraps on no axis is a tuple of slices, so values[box] is a view;
+    otherwise it is an np.ix_ index, and a periodic axis the halo overruns
+    repeats some nodes, which box_mask leaves out.  box_grid is the grid with
+    one-sided closures: it keeps the grid's extent and cells, so gradient_of,
+    which reads only the spacing and the boundary kind, sees the same h.
+    Returns (box, box_grid, core).
     """
     whole = (slice(None),) * grid.n
     if not mask.any():
         return whole, grid, whole
-    idx, core = [], []
-    covers = True
+    spans, core = [], []
+    covers, wraps = True, False
     for a, count in enumerate(grid.node_shape):
         hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(grid.n) if b != a)))
         first, last = int(hit[0]), int(hit[-1])
         start, stop = first - HALO, last + HALO + 1
         if grid.boundary is Boundary.PERIODIC:
-            idx.append(np.arange(start, stop) % count)
             covers = covers and stop - start >= count
+            wraps = wraps or start < 0 or stop > count
         else:
             start, stop = max(start, 0), min(stop, count)
-            idx.append(np.arange(start, stop))
             covers = covers and stop - start == count
+        spans.append((start, stop))
         core.append(slice(first - start, last + 1 - start))
     if covers:
         return whole, grid, whole
-    return np.ix_(*idx), replace(grid, boundary=Boundary.DIRICHLET), tuple(core)
+    if wraps:
+        box = np.ix_(*(np.arange(start, stop) % count
+                       for (start, stop), count in zip(spans, grid.node_shape)))
+    else:
+        box = tuple(slice(start, stop) for start, stop in spans)
+    return box, replace(grid, boundary=Boundary.DIRICHLET), tuple(core)
 
 
 def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
@@ -223,8 +236,9 @@ def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
         raise ValueError(
             f"only {inside.size} snapshots inside the cylinder window; need >= 3"
         )
+    read = range(max(int(inside[0]) - 1, 0), min(int(inside[-1]) + 2, times.size))
     mask = ball_mask(grid, cyl.center, cyl.R)
-    return _Window(times, mask, lo, b, inside, *_box(grid, mask))
+    return _Window(times, mask, lo, b, inside, read, *_box(grid, mask))
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
@@ -232,7 +246,7 @@ def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     grid = record.config.grid
     win = _window(record, cyl)
     (series,) = _sweep_series(
-        record, win, [lambda s, m: spatial_integral(grid, _powered(m, exponent), win.box_mask)]
+        record, win, lambda s, m: (spatial_integral(grid, _powered(m[win.box_mask], exponent)),), 1
     )
     return win.integrate(series)
 
@@ -306,28 +320,24 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     p = params.p
     M = compute_M_general(p, params.q, params.w)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
-    x = node_coords(grid)[win.box]
-    mask = win.box_mask
+    profile, dq, unit = cut._space_parts(node_coords(grid)[win.mask])
+    ball = win.box_mask
     half = (p + s) / 2.0
 
-    def sup_term(snap: Field, mag: np.ndarray) -> float:
-        eta = cut.values(x, snap.time)
-        return spatial_integral(grid, mag ** (s + 2.0) * eta * eta, mask)
+    def terms(snap: Field, mag: np.ndarray) -> tuple[float, float, float]:
+        m = mag[ball]
+        tp = cut.time_profile(snap.time)
+        eta = profile * tp
+        sup = spatial_integral(grid, m ** (s + 2.0) * eta * eta)
+        raw = spatial_integral(grid, 1.0 + m ** (s + M))
+        if tp == 0.0:  # eta and its gradient vanish: so does the grad term
+            return sup, 0.0, raw
+        gm = gradient_of(win.box_grid, mag)[ball]
+        vec = (half * _powered(m, half - 1.0) * eta)[:, None] * gm \
+            + (m**half)[:, None] * ((dq * tp)[:, None] * unit)
+        return sup, spatial_integral(grid, np.sum(vec * vec, axis=-1)), raw
 
-    def grad_term(snap: Field, mag: np.ndarray) -> float:
-        eta = cut.values(x, snap.time)
-        geta = cut.space_grad(x, snap.time)
-        gm = gradient_of(win.box_grid, mag)
-        vec = (half * _powered(mag, half - 1.0) * eta)[..., None] * gm \
-            + (mag**half)[..., None] * geta
-        return spatial_integral(grid, np.sum(vec * vec, axis=-1), mask)
-
-    def raw_term(snap: Field, mag: np.ndarray) -> float:
-        return spatial_integral(grid, 1.0 + mag ** (s + M), mask)
-
-    sup_series, grad_series, raw_series = _sweep_series(
-        record, win, [sup_term, grad_term, raw_term]
-    )
+    sup_series, grad_series, raw_series = _sweep_series(record, win, terms, 3)
     lhs_sup = float(sup_series[win.inside].max())
     lhs_grad = win.integrate(grad_series)
     rhs_raw = win.integrate(raw_series)
@@ -387,25 +397,22 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     weights = trapezoid_weights(win.times[idx])
     a_rho = t0 - rho**time_exponent
 
-    x = node_coords(grid)[win.box]
-    mask_R = win.box_mask
-    mask_rho = win.cut(ball_mask(grid, center, rho))
+    profile = cut._space_parts(node_coords(grid)[win.mask])[0]
+    ball = win.box_mask
+    in_rho = ball_mask(grid, center, rho)[win.mask]
     e_lhs = p + s + (s + 2.0) * 2.0 / n
     e_B = 2.0 * n / (n - 2.0)
-
-    def terms(snap: Field, mag: np.ndarray) -> float:
-        eta = cut.values(x, snap.time)
-        L = spatial_integral(grid, mag**e_lhs, mask_rho) if snap.time >= a_rho else 0.0
-        A = spatial_integral(grid, mag ** (s + 2.0) * eta * eta, mask_R)
-        B = spatial_integral(grid, (mag ** ((p + s) / 2.0) * eta) ** e_B, mask_R)
-        return L, A, B
 
     L = np.empty(idx.size)
     A = np.empty(idx.size)
     B = np.empty(idx.size)
     for j, k in enumerate(idx):
         snap = record.snapshots[k]
-        L[j], A[j], B[j] = terms(snap, win.magnitude(snap))
+        m = win.magnitude(snap)[ball]
+        eta = profile * cut.time_profile(snap.time)
+        L[j] = spatial_integral(grid, m[in_rho] ** e_lhs) if snap.time >= a_rho else 0.0
+        A[j] = spatial_integral(grid, m ** (s + 2.0) * eta * eta)
+        B[j] = spatial_integral(grid, (m ** ((p + s) / 2.0) * eta) ** e_B)
 
     lhs = float(np.sum(weights * L))
     mid = float(np.sum(weights * A ** (2.0 / n) * B ** ((n - 2.0) / n)))
@@ -467,14 +474,16 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     radii = [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
     exponents = [si + report.M for si in ladder.s]
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
-    outer = windows[0]  # R_0 = R0 is the largest radius: every ball lies in its box
-    masks = [outer.cut(win.mask) for win in windows]
+    # R_0 = R0 is the largest radius: every ball lies inside the outer ball,
+    # and every window (so every snapshot it reads) inside the outer window
+    outer = windows[0]
+    subsets = [win.mask[outer.mask] for win in windows]
 
-    series = [np.empty(len(record.snapshots)) for _ in radii]
-    for k, snap in enumerate(record.snapshots):
-        mag = outer.magnitude(snap)
-        for i, mask in enumerate(masks):
-            series[i][k] = spatial_integral(grid, _powered(mag, exponents[i]), mask)
+    def powered_sums(snap: Field, mag: np.ndarray) -> list[float]:
+        m = mag[outer.box_mask]
+        return [spatial_integral(grid, _powered(m[sub], e)) for sub, e in zip(subsets, exponents)]
+
+    series = _sweep_series(record, outer, powered_sums, len(radii))
     psis = [win.integrate(ser) for win, ser in zip(windows, series)]
 
     beta = 1.0 + 2.0 / params.n

@@ -374,13 +374,21 @@ class CutoffFn:
 
     def space_grad(self, x: np.ndarray, t: float) -> np.ndarray:
         """Analytic spatial gradient, shape (*batch, n)."""
+        _, dq, unit = self._space_parts(x)
+        return (dq * self.time_profile(t))[..., None] * unit
+
+    def _space_parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The time-free factors at x: (space profile, its r-derivative, unit radial vector).
+
+        values(x, t) is profile * time_profile(t) and space_grad(x, t) is
+        (dq * time_profile(t))[..., None] * unit, elementwise the same numbers.
+        """
         d = x - np.asarray(self.center)
         r = np.sqrt(np.sum(d * d, axis=-1))
         tau = (self.R - r) / (self.R - self.rho)
         dq = -_smoothstep_deriv(tau) / (self.R - self.rho)
         rsafe = np.where(r > 0.0, r, 1.0)
-        unit = d / rsafe[..., None]
-        return (dq * self.time_profile(t))[..., None] * unit
+        return _smoothstep(tau), dq, d / rsafe[..., None]
 
 
 # --- serialization -----------------------------------------------------------

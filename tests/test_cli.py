@@ -277,6 +277,7 @@ def _campaign_cfg(**extra):
     (lambda c: c["problem"].update(c2_zero="false"), "'problem.c2_zero' must be true or false"),
     (lambda c: c["cylinder"].update(center=[0.5, 0.5]), "'cylinder.center' must be a list of 3"),
     (lambda c: c["cylinder"].update(R0=-0.24, time_exponent=2.5), "radius must be positive"),
+    (lambda c: c.update(max_spread=-1.0), "'max_spread' must be >= 0, got -1.0"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, mutate, needle):
     cfg_obj = _campaign_cfg()
@@ -456,6 +457,9 @@ _PROBE_BASES = {"check": lambda: {"p": 2.0, "w": 1.0},
     ("solve", "grid.extent", [1.0, 1.0]),
     ("solve", "rhs.direction", [1.0, 0.0]),
     ("verify", "cylinder.center", [0.5, 0.5]),
+    # right-typed values out of range
+    ("solve", "blowup_threshold", -1.0),
+    ("solve", "blowup_threshold", 0.0),
 ])
 def test_config_type_probes(tmp_path, monkeypatch, verb, path, value):
     _refused(tmp_path, monkeypatch, verb, _set(_PROBE_BASES[verb](), path, value), path, value)

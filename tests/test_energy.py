@@ -35,6 +35,7 @@ from gradbound.mesh import (
     node_coords,
     spatial_integral,
     time_integral,
+    trapezoid_weights,
 )
 
 CENTER = (0.5, 0.5, 0.5)
@@ -267,18 +268,25 @@ def test_verify_bound_exponent_single_source(heat_run_16):
     assert rep.kappa == pytest.approx(0.5 + 2.0 + 3.0 * (2.0 - M) / 2.0)
 
 
-# Each check differentiates only the ball's bounding box plus a 2-node halo.
-# Cases: (grid, ball center, R, verify_bound center, R0).  The periodic ball
+# Each check differentiates only the ball's bounding box plus a 2-node halo
+# and evaluates its powers and cutoffs on the ball's nodes alone.  Cases:
+# (grid, ball center, R, verify_bound center, R0); the chain runs at R0 = R,
+# so every grid resolves B_{R/2} with >= 8 nodes per axis.  The periodic ball
 # touches x = 0, so its halo wraps, and it spans the whole short z axis, so
 # the halo repeats ball nodes; the inner bound ball there also wraps.  The
-# centred R = 0.5 ball on 12^3 needs every axis whole.  The Dirichlet balls
-# touch the planes x = 0 and y = 1, or come within one node of them.
+# centred R = 0.5 ball on 16^3 needs every axis whole.  The interior ball's
+# box is cut on every axis but wraps on none, so it is a view of the grid.
+# The Dirichlet balls touch the planes x = 0 and y = 1, or come within two
+# nodes of them.  t0 lies between snapshots, so every window edge is
+# interpolated from the snapshots on both sides of it.
 BOX_CASES = {
-    "periodic-wrap": (Grid(3, (1.0, 1.0, 0.6), (16, 16, 8)),
-                      (0.3, 0.5, 0.3), 0.3, (0.12, 0.5, 0.3), 0.12),
-    "periodic-whole": (Grid(3, (1.0, 1.0, 1.0), (12,) * 3),
+    "periodic-wrap": (Grid(3, (1.0, 1.0, 0.6), (24, 24, 16)),
+                      (0.3, 0.5, 0.3), 0.3, (0.08, 0.5, 0.3), 0.08),
+    "periodic-whole": (Grid(3, (1.0, 1.0, 1.0), (16,) * 3),
                        CENTER, 0.5, CENTER, 0.5),
-    "dirichlet-planes": (Grid(3, (1.0, 1.0, 1.0), (16,) * 3, Boundary.DIRICHLET),
+    "periodic-interior": (Grid(3, (1.0, 1.0, 1.0), (24,) * 3),
+                          CENTER, 0.3, (0.45, 0.55, 0.5), 0.2),
+    "dirichlet-planes": (Grid(3, (1.0, 1.0, 1.0), (24,) * 3, Boundary.DIRICHLET),
                          (0.3, 0.7, 0.5), 0.3, (0.1, 0.9, 0.5), 0.1),
 }
 
@@ -291,15 +299,15 @@ def test_box_matches_full_grid(case):
     times = np.linspace(0.0, 0.6, 61)
     rec = prescribed_record(grid, noise, times, N=2)
     params = ProblemParams(n=3, N=2, p=2.0, w=1.0, s0=0.0)
-    s, rho, t0 = 0.5, R / 2.0, 0.6
+    s, rho, t0 = 0.5, R / 2.0, 0.555
 
     # full-grid reference: every snapshot differentiated on the whole grid
     mags = [grad_magnitude(gradient(snap)) for snap in rec.snapshots]
     mask = ball_mask(grid, center, R)
     a = t0 - R**2
-    inside = np.nonzero(times >= a)[0]
+    inside = np.nonzero((times >= a) & (times <= t0))[0]
 
-    def integrate(series):
+    def integrate(series, a=a):
         return time_integral(times, np.asarray(series), a, t0)
 
     assert psi(rec, CylinderSpec(center, t0, R), 3.0) == integrate(
@@ -316,13 +324,36 @@ def test_box_matches_full_grid(case):
             + (m**half)[..., None] * cut.space_grad(x, snap.time)
         grad.append(spatial_integral(grid, np.sum(vec * vec, axis=-1), mask))
         raw.append(spatial_integral(grid, 1.0 + m ** (s + 2.0), mask))
-    rep = energy_inequality_check(rec, s, rho, R, params, center=center)
+    rep = energy_inequality_check(rec, s, rho, R, params, center=center, t0=t0)
     assert rep.lhs_sup == max(sup[k] for k in inside)
     assert rep.lhs_grad == integrate(grad)
     assert rep.rhs_raw == integrate(raw)
 
+    # the sandwich's three Holder sums over the snapshots in the Q_R window
+    n = grid.n
+    e_lhs = 2.0 + s + (s + 2.0) * 2.0 / n
+    e_B = 2.0 * n / (n - 2.0)
+    mask_rho = ball_mask(grid, center, rho)
+    weights = trapezoid_weights(times[inside])
+    L = np.array([spatial_integral(grid, mags[k] ** e_lhs, mask_rho)
+                  if times[k] >= t0 - rho**2 else 0.0 for k in inside])
+    A = np.array([sup[k] for k in inside])
+    B = np.array([spatial_integral(grid, (mags[k] ** half * cut.values(x, times[k])) ** e_B, mask)
+                  for k in inside])
+    sandwich = holder_sandwich_check(rec, s, rho, R, 2.0, center=center, t0=t0)
+    assert sandwich.lhs == float(np.sum(weights * L))
+    assert sandwich.mid == float(np.sum(weights * A ** (2.0 / n) * B ** ((n - 2.0) / n)))
+    assert sandwich.rhs == float(A.max() ** (2.0 / n) * np.sum(weights * B ** ((n - 2.0) / n)))
+
+    # the chain's psi_i on its shrinking cylinders
+    chain = moser_chain_check(rec, params, R, 3, center=center, t0=t0)
+    assert chain.psis == tuple(
+        integrate([spatial_integral(grid, m**e, ball_mask(grid, center, r)) for m in mags],
+                  a=t0 - r**2)
+        for r, e in zip(chain.radii, chain.exponents))
+
     # time exponent 1 keeps >= 3 snapshots in the small inner windows
     inner = ball_mask(grid, bound_center, R0 / 2.0)
-    first = np.nonzero(times >= t0 - R0 / 2.0)[0]
-    bound = verify_bound([rec], params, R0, center=bound_center, time_exponent=1.0)
+    first = np.nonzero((times >= t0 - R0 / 2.0) & (times <= t0))[0]
+    bound = verify_bound([rec], params, R0, center=bound_center, t0=t0, time_exponent=1.0)
     assert bound.per_run[0][0] == max(float(mags[k][inner].max()) for k in first)
