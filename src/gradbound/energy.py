@@ -9,18 +9,17 @@ span [t0 - R^e, t0] to within 1e-12, and at least 3 of them fall inside.
 The window also fixes the cylinder's spatial box: per axis, the index range
 of the ball's nodes widened by a 2-node halo, wrapped on periodic axes and
 clipped at Dirichlet planes (a box that reaches the whole grid on every axis
-is the grid; one that wraps nowhere is a view of the snapshot).  The box only
-feeds the stencil: a sweep differentiates values[box] with the grid's own
-spacing and one-sided closures at the box faces, which spoil only the two
-halo planes, so |grad u| is exact one node beyond the ball, enough for the
-energy check's gradient of |grad u|.  Every power, cutoff and product then
+is the grid).  The box only feeds the stencil: a sweep differentiates
+values[box] with the grid's own spacing and one-sided closures at the box
+faces, which spoil only the two halo planes, so |grad u| is exact one node
+beyond the ball, enough for the energy check's gradient of |grad u|.  Every power, cutoff and product then
 runs on the ball's own nodes, taken from the box as 1-D arrays in row-major
 order, and the cutoff's space factors are built once per check.  Every
 stencil value comes from the same arithmetic on the same neighbours and the
 ball sums add the same numbers in the same order, so each check returns bit
 for bit what the whole grid would.  A sweep differentiates only the
-snapshots the time quadrature reads: those in the window and one neighbour
-on each side.
+snapshots the time quadrature reads (mesh._time_support): those in the
+window and, where an end falls between two snapshots, the one beyond it.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
@@ -60,6 +59,7 @@ from .mesh import (
     grad_magnitude,
     gradient_of,
     node_coords,
+    _time_support,
     spatial_integral,
     time_integral,
     trapezoid_weights,
@@ -108,19 +108,18 @@ def _powered(mag: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _sweep_series(record: RunRecord, win: "_Window",
-                  fn: Callable[[Field, np.ndarray], Sequence[float]], width: int) -> np.ndarray:
-    """Evaluate width per-snapshot functionals in one pass over the record.
+                  fn: Callable[[Field, np.ndarray], Sequence[float]]) -> np.ndarray:
+    """Evaluate several per-snapshot functionals in one pass over the record.
 
-    fn receives (snapshot, |grad u| on the window's box) and returns width
-    scalars; the gradient magnitude is computed once per snapshot, and only
-    for the snapshots win.integrate reads.  Returns one series per functional,
-    0.0 at the snapshots left unread.
+    fn receives (snapshot, |grad u| on the window's box) and returns one
+    scalar per functional; the gradient magnitude is computed once per
+    snapshot, and only for the snapshots win.integrate reads.  Returns one
+    series per functional, 0.0 at the snapshots left unread.
     """
-    rows = np.zeros((len(record.snapshots), width))
-    for k in win.read:
-        snap = record.snapshots[k]
-        rows[k] = fn(snap, win.magnitude(snap))
-    return rows.T
+    rows = [fn(snap, win.magnitude(snap)) for snap in record.snapshots[win.read]]
+    series = np.zeros((len(record.snapshots), len(rows[0])))
+    series[win.read] = rows
+    return series.T
 
 
 # Box halo in nodes: the energy check differentiates |grad u|, so its ball
@@ -133,9 +132,9 @@ class _Window:
     """A validated cylinder over one completed record.
 
     lo and b are the time window clipped to the stored snapshots, inside
-    holds the indices of the snapshots in [lo, b], read those plus one
-    neighbour on each side (every snapshot integrate reads), and mask the
-    closed ball on the full grid.  Every sweep differentiates the box,
+    holds the indices of the snapshots in [lo, b], read slices out the
+    snapshots integrate reads (mesh._time_support), and mask the closed ball
+    on the full grid.  Every sweep differentiates the box,
     values[box]: the ball's bounding box widened by HALO nodes, on box_grid.
     core locates the ball's own bounding box inside the box, and box_mask is
     the ball cut to the box: mag[box_mask] lists the ball's nodes in the same
@@ -147,7 +146,7 @@ class _Window:
     lo: float
     b: float
     inside: np.ndarray
-    read: range
+    read: slice
     box: tuple
     box_grid: Grid
     core: tuple
@@ -178,39 +177,33 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, Grid, tuple]:
     The halo wraps on periodic axes and is clipped at Dirichlet planes, where
     the box keeps the grid's one-sided closure.  Every other box face gets a
     one-sided closure too, which only spoils the two halo planes.  When the
-    box reaches the whole grid on every axis, the grid itself is the box.  A
-    box that wraps on no axis is a tuple of slices, so values[box] is a view;
-    otherwise it is an np.ix_ index, and a periodic axis the halo overruns
-    repeats some nodes, which box_mask leaves out.  box_grid is the grid with
-    one-sided closures: it keeps the grid's extent and cells, so gradient_of,
-    which reads only the spacing and the boundary kind, sees the same h.
-    Returns (box, box_grid, core).
+    box reaches the whole grid on every axis, the grid itself is the box;
+    otherwise a periodic axis the halo overruns repeats some nodes, which
+    box_mask leaves out.  box_grid is the grid with one-sided closures: it
+    keeps the grid's extent and cells, so gradient_of, which reads only the
+    spacing and the boundary kind, sees the same h.  Returns (box, box_grid,
+    core).
     """
     whole = (slice(None),) * grid.n
     if not mask.any():
         return whole, grid, whole
-    spans, core = [], []
-    covers, wraps = True, False
+    idx, core = [], []
+    covers = True
     for a, count in enumerate(grid.node_shape):
         hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(grid.n) if b != a)))
         first, last = int(hit[0]), int(hit[-1])
         start, stop = first - HALO, last + HALO + 1
         if grid.boundary is Boundary.PERIODIC:
+            idx.append(np.arange(start, stop) % count)
             covers = covers and stop - start >= count
-            wraps = wraps or start < 0 or stop > count
         else:
             start, stop = max(start, 0), min(stop, count)
+            idx.append(np.arange(start, stop))
             covers = covers and stop - start == count
-        spans.append((start, stop))
         core.append(slice(first - start, last + 1 - start))
     if covers:
         return whole, grid, whole
-    if wraps:
-        box = np.ix_(*(np.arange(start, stop) % count
-                       for (start, stop), count in zip(spans, grid.node_shape)))
-    else:
-        box = tuple(slice(start, stop) for start, stop in spans)
-    return box, replace(grid, boundary=Boundary.DIRICHLET), tuple(core)
+    return np.ix_(*idx), replace(grid, boundary=Boundary.DIRICHLET), tuple(core)
 
 
 def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
@@ -236,9 +229,8 @@ def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
         raise ValueError(
             f"only {inside.size} snapshots inside the cylinder window; need >= 3"
         )
-    read = range(max(int(inside[0]) - 1, 0), min(int(inside[-1]) + 2, times.size))
     mask = ball_mask(grid, cyl.center, cyl.R)
-    return _Window(times, mask, lo, b, inside, read, *_box(grid, mask))
+    return _Window(times, mask, lo, b, inside, _time_support(times, lo, b), *_box(grid, mask))
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
@@ -246,7 +238,7 @@ def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     grid = record.config.grid
     win = _window(record, cyl)
     (series,) = _sweep_series(
-        record, win, lambda s, m: (spatial_integral(grid, _powered(m[win.box_mask], exponent)),), 1
+        record, win, lambda s, m: (spatial_integral(grid, _powered(m[win.box_mask], exponent)),)
     )
     return win.integrate(series)
 
@@ -337,7 +329,7 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
             + (m**half)[:, None] * ((dq * tp)[:, None] * unit)
         return sup, spatial_integral(grid, np.sum(vec * vec, axis=-1)), raw
 
-    sup_series, grad_series, raw_series = _sweep_series(record, win, terms, 3)
+    sup_series, grad_series, raw_series = _sweep_series(record, win, terms)
     lhs_sup = float(sup_series[win.inside].max())
     lhs_grad = win.integrate(grad_series)
     rhs_raw = win.integrate(raw_series)
@@ -483,7 +475,7 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
         m = mag[outer.box_mask]
         return [spatial_integral(grid, _powered(m[sub], e)) for sub, e in zip(subsets, exponents)]
 
-    series = _sweep_series(record, outer, powered_sums, len(radii))
+    series = _sweep_series(record, outer, powered_sums)
     psis = [win.integrate(ser) for win, ser in zip(windows, series)]
 
     beta = 1.0 + 2.0 / params.n

@@ -301,12 +301,27 @@ def _interp_value(times: np.ndarray, series: np.ndarray, t: float) -> float:
     return float(np.interp(t, times, series))
 
 
+def _time_support(times: np.ndarray, a: float, b: float) -> slice:
+    """The samples time_integral reads over [a, b] inside the sampled range.
+
+    Those strictly inside (a, b) plus, at each end, the sample at or before
+    it and the one after, which the endpoint interpolation brackets it with.
+    """
+    return slice(int(np.searchsorted(times, a, side="right")) - 1,
+                 int(np.searchsorted(times, b, side="left")) + 1)
+
+
 def time_integral(times: np.ndarray, series: np.ndarray, a: float, b: float) -> float:
-    """Trapezoid over [a, b] of a sampled time series, interpolating the endpoints."""
+    """Trapezoid over [a, b] of a sampled time series, interpolating the endpoints.
+
+    Reads only the samples _time_support names; the rest of series may hold anything.
+    """
     if b < times[0] or a > times[-1]:
         raise ValueError("time window lies outside the sampled range")
     if a < times[0] or b > times[-1]:
         raise ValueError("snapshots do not span the requested time window")
+    read = _time_support(times, a, b)
+    times, series = times[read], series[read]
     inner = np.nonzero((times > a) & (times < b))[0]
     ts = np.concatenate(([a], times[inner], [b]))
     vs = np.concatenate((
@@ -354,10 +369,6 @@ class CutoffFn:
         if not self.time_exponent > 0.0:
             raise ValueError("time exponent must be positive")
 
-    def _radius(self, x: np.ndarray) -> np.ndarray:
-        d = x - np.asarray(self.center)
-        return np.sqrt(np.sum(d * d, axis=-1))
-
     def _time_window(self) -> tuple[float, float]:
         e = self.time_exponent
         return self.t0 - self.R**e, self.t0 - self.rho**e
@@ -370,7 +381,7 @@ class CutoffFn:
         return float(_smoothstep(np.asarray((t - a) / (b - a))))
 
     def values(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.space_profile(self._radius(x)) * self.time_profile(t)
+        return self._space_parts(x)[0] * self.time_profile(t)
 
     def space_grad(self, x: np.ndarray, t: float) -> np.ndarray:
         """Analytic spatial gradient, shape (*batch, n)."""
@@ -385,10 +396,9 @@ class CutoffFn:
         """
         d = x - np.asarray(self.center)
         r = np.sqrt(np.sum(d * d, axis=-1))
-        tau = (self.R - r) / (self.R - self.rho)
-        dq = -_smoothstep_deriv(tau) / (self.R - self.rho)
+        dq = -_smoothstep_deriv((self.R - r) / (self.R - self.rho)) / (self.R - self.rho)
         rsafe = np.where(r > 0.0, r, 1.0)
-        return _smoothstep(tau), dq, d / rsafe[..., None]
+        return self.space_profile(r), dq, d / rsafe[..., None]
 
 
 # --- serialization -----------------------------------------------------------

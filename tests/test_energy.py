@@ -275,9 +275,9 @@ def test_verify_bound_exponent_single_source(heat_run_16):
 # touches x = 0, so its halo wraps, and it spans the whole short z axis, so
 # the halo repeats ball nodes; the inner bound ball there also wraps.  The
 # centred R = 0.5 ball on 16^3 needs every axis whole.  The interior ball's
-# box is cut on every axis but wraps on none, so it is a view of the grid.
-# The Dirichlet balls touch the planes x = 0 and y = 1, or come within two
-# nodes of them.  t0 lies between snapshots, so every window edge is
+# box is cut on every axis but wraps on none.
+# The Dirichlet balls touch the planes x = 0 and y = 1, or come within one
+# node of them, so both boxes are clipped there.  t0 lies between snapshots, so every window edge is
 # interpolated from the snapshots on both sides of it.
 BOX_CASES = {
     "periodic-wrap": (Grid(3, (1.0, 1.0, 0.6), (24, 24, 16)),
@@ -287,7 +287,7 @@ BOX_CASES = {
     "periodic-interior": (Grid(3, (1.0, 1.0, 1.0), (24,) * 3),
                           CENTER, 0.3, (0.45, 0.55, 0.5), 0.2),
     "dirichlet-planes": (Grid(3, (1.0, 1.0, 1.0), (24,) * 3, Boundary.DIRICHLET),
-                         (0.3, 0.7, 0.5), 0.3, (0.1, 0.9, 0.5), 0.1),
+                         (0.3, 0.7, 0.5), 0.3, (0.08, 0.92, 0.5), 0.08),
 }
 
 
