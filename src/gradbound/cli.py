@@ -196,16 +196,21 @@ def _need(cfg: dict, key: str, where: str = "") -> object:
     return cfg[key]
 
 
-def _build(cls, cfg: dict, **fields):
+def _build(cls, cfg: dict, keys: dict[str, str] | None = None, **fields):
     """cls from the given fields plus each of its fields that cfg sets.
 
     Keys cfg leaves out are not passed, so their defaults live on cls alone.
+    A refusal that quotes a field, as 'seed', quotes its config key from
+    keys instead, as 'initial.seed'.
     """
     names = {f.name for f in dataclasses.fields(cls)}
     try:
         return cls(**({k: v for k, v in cfg.items() if k in names} | fields))
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        message = str(exc)
+        for name, key in (keys or {}).items():
+            message = message.replace(f"'{name}'", f"'{key}'")
+        raise InputError(message) from exc
 
 
 def _resolve_outdir(cli_output: str | None, cfg: dict) -> Path | None:
@@ -368,7 +373,8 @@ def cmd_solve(cfg: dict, outdir: Path | None) -> int:
                     grid=_grid_from(_need(cfg, "grid")),
                     flux=_flux_from(_need(cfg, "flux")),
                     rhs=_rhs_from(cfg.get("rhs", {})),
-                    initial=_build(RandomSmooth, {"seed": 0} | cfg.get("initial", {})),
+                    initial=_build(RandomSmooth, {"seed": 0} | cfg.get("initial", {}),
+                                   {"seed": "initial.seed", "modes": "initial.modes"}),
                     N=cfg.get("N", _COMPONENTS), t_end=_need(cfg, "t_end"))
     record = run(config)
     saved = None
@@ -459,6 +465,12 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     if t0 > t_end:
         raise InputError(f"cylinder top t0 = {t0} is past t_end = {t_end}")
 
+    # and every run's initial data, so a bad seed or modes names its key before any solve
+    initials = {(seed, amplitude): _build(RandomSmooth, campaign_cfg,
+                                          {"seed": "campaign.seeds", "modes": "campaign.modes"},
+                                          seed=seed, amplitude=amplitude)
+                for seed in seeds for amplitude in amplitudes}
+
     levels = cfg.get("levels")
     if levels is not None and levels < 2:
         raise InputError(f"'levels' must be an integer >= 2, got {levels}")
@@ -475,9 +487,8 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
             energy_s = [params.s0]
 
     def make_config(seed: int, amplitude: float) -> SolveConfig:
-        initial = _build(RandomSmooth, campaign_cfg, seed=seed, amplitude=amplitude)
-        return _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs, initial=initial,
-                      N=params.N, t_end=t_end)
+        return _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs,
+                      initial=initials[seed, amplitude], N=params.N, t_end=t_end)
 
     run_rows: list[dict] = []
     sandwich_rows: list[dict] = []

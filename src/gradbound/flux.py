@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,47 +82,82 @@ def _check_singular(kind: FluxKind, p: float, mag: np.ndarray) -> None:
         )
 
 
-def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
+def _pow(x, exponent: float, out: np.ndarray | None):
+    """x ** exponent, written into out when given.
+
+    Without out this is the operator itself: numpy's scalar and array powers
+    can differ in the last bit, so a scalar x keeps the scalar one.
+    """
+    return x**exponent if out is None else np.power(x, exponent, out=out)
+
+
+def _is_identity(spec: FluxSpec) -> bool:
+    """Pure p = 2: A(Q) = |Q|^0 Q == Q for every sample, non-finite ones included."""
+    return spec.kind is FluxKind.PURE_P_LAPLACE and spec.p == 2.0
+
+
+def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
+              out: np.ndarray | None = None,
+              scratch: Sequence[np.ndarray | None] = (None, None)) -> np.ndarray:
     """Evaluate A(Q) on samples of shape (..., N, n).
 
     mag, when given, must be the precomputed Frobenius magnitude of Q.  For
     pure p = 2 the flux is Q itself, and the returned array may be Q.
+    Otherwise out receives A(Q) and scratch[0], scratch[1] (shaped like mag)
+    the coefficient |A(Q)| / |Q|; each is fresh when omitted.
     """
     Q = np.asarray(Q, dtype=np.float64)
-    if spec.kind is FluxKind.PURE_P_LAPLACE and spec.p == 2.0:
-        return Q  # |Q|^0 Q == Q for every sample, non-finite ones included
+    if _is_identity(spec):
+        return Q
     if mag is None:
         mag = grad_magnitude(Q)
     if spec.kind is FluxKind.PURE_P_LAPLACE:
         _check_singular(spec.kind, spec.p, mag)
-        coeff = mag ** (spec.p - 2.0)
+        coeff = _pow(mag, spec.p - 2.0, scratch[0])
     elif spec.kind is FluxKind.DOUBLE_POWER:
         _check_singular(spec.kind, spec.p, mag)
-        coeff = mag ** (spec.p - 2.0)
-        coeff += mag ** (spec.q - 2.0)
+        coeff = _pow(mag, spec.p - 2.0, scratch[0])
+        coeff += _pow(mag, spec.q - 2.0, scratch[1])
     elif spec.kind is FluxKind.REGULARIZED_P_LAPLACE:
-        coeff = (spec.eps**2 + mag**2) ** ((spec.p - 2.0) / 2.0)
+        coeff = _pow(mag, 2, scratch[0])
+        coeff += spec.eps**2
+        coeff **= (spec.p - 2.0) / 2.0
     else:  # pragma: no cover
         raise ValueError(f"unknown flux kind {spec.kind}")
-    return coeff[..., None, None] * Q
+    return np.multiply(coeff[..., None, None], Q, out=out)
 
 
-def _eigen_pair(spec: FluxSpec, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radial eigenvalue F''(t) and tangential eigenvalue F'(t)/t at t = |Q|."""
+def _eigen_pair(spec: FluxSpec, mag: np.ndarray,
+                out: Sequence[np.ndarray | None] = (None, None, None)
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Radial eigenvalue F''(t) and tangential eigenvalue F'(t)/t at t = |Q|.
+
+    out[0] and out[1] (shaped like mag) receive the pair and out[2] is
+    scratch; each is fresh when omitted.
+    """
     t = mag
+    radial, tangential, work = out
     if spec.kind is FluxKind.PURE_P_LAPLACE:
         _check_singular(spec.kind, spec.p, t)
-        tangential = t ** (spec.p - 2.0)
-        radial = (spec.p - 1.0) * tangential
+        tangential = _pow(t, spec.p - 2.0, tangential)
+        radial = np.multiply(spec.p - 1.0, tangential, out=radial)
     elif spec.kind is FluxKind.DOUBLE_POWER:
         _check_singular(spec.kind, spec.p, t)
-        tp, tq = t ** (spec.p - 2.0), t ** (spec.q - 2.0)
-        radial = (spec.p - 1.0) * tp + (spec.q - 1.0) * tq
-        tangential = tp + tq
+        tangential = _pow(t, spec.p - 2.0, tangential)  # t^(p-2) until tq joins
+        tq = _pow(t, spec.q - 2.0, work)
+        radial = np.multiply(spec.p - 1.0, tangential, out=radial)
+        tangential += tq
+        tq *= spec.q - 1.0
+        radial += tq
     elif spec.kind is FluxKind.REGULARIZED_P_LAPLACE:
-        base = spec.eps**2 + t**2
-        radial = base ** ((spec.p - 4.0) / 2.0) * (spec.eps**2 + (spec.p - 1.0) * t**2)
-        tangential = base ** ((spec.p - 2.0) / 2.0)
+        base = _pow(t, 2, work)
+        base += spec.eps**2
+        tangential = _pow(base, (spec.p - 2.0) / 2.0, tangential)
+        radial = _pow(base, (spec.p - 4.0) / 2.0, radial)
+        lower = _pow(t, 2, work)  # eps^2 + (p - 1) t^2, where base was
+        lower *= spec.p - 1.0
+        lower += spec.eps**2
+        radial *= lower
     else:  # pragma: no cover
         raise ValueError(f"unknown flux kind {spec.kind}")
     return radial, tangential
@@ -189,25 +224,44 @@ class RhsSpec:
 
 def rhs_eval(spec: RhsSpec, u: np.ndarray, grad: np.ndarray,
              x: np.ndarray | None = None, t: float = 0.0,
-             mag: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate f(x, t, u, grad u) on node samples; returns shape (..., N)."""
+             mag: np.ndarray | None = None, out: np.ndarray | None = None,
+             scratch: Sequence[np.ndarray | None] = (None, None)) -> np.ndarray:
+    """Evaluate f(x, t, u, grad u) on node samples; returns shape (..., N).
+
+    out (shaped like u) receives f and scratch[0], scratch[1] (node-shaped)
+    its per-node factors; each is fresh when omitted.
+    """
     u = np.asarray(u, dtype=np.float64)
     if spec.kind is RhsKind.ZERO:
-        return np.zeros_like(u)
+        if out is None:
+            return np.zeros_like(u)
+        out.fill(0.0)
+        return out
     if spec.kind is RhsKind.MANUFACTURED:
-        return np.asarray(spec.source(x, t), dtype=np.float64)
+        values = np.asarray(spec.source(x, t), dtype=np.float64)
+        if out is None:
+            return values
+        out[...] = values
+        return out
     g = grad_magnitude(np.asarray(grad, dtype=np.float64)) if mag is None else mag
     if spec.kind is RhsKind.STRUWE_COUPLING:
-        return u * (g * g)[..., None]
-    gw = g**spec.w
+        g2 = np.multiply(g, g, out=scratch[0])
+        return np.multiply(u, g2[..., None], out=out)
     if spec.kind is RhsKind.POWER_ALIGNED:
         # c1 |grad u|^w u / max(|u|, delta_u) + c2, built in one buffer
-        norm = _root_sum_squares([u[..., i] for i in range(u.shape[-1])])
-        out = np.divide(u, np.maximum(norm, spec.delta_u)[..., None])
-        out *= (spec.c1 * gw)[..., None]
+        norm = _root_sum_squares([u[..., i] for i in range(u.shape[-1])],
+                                 out=scratch[0], square=scratch[1])
+        norm = np.maximum(norm, spec.delta_u, out=scratch[0])
+        out = np.divide(u, norm[..., None], out=out)
+        gw = _pow(g, spec.w, scratch[1])
+        gw *= spec.c1
+        out *= gw[..., None]
         out += spec.c2
         return out
     if spec.kind is RhsKind.POWER_FIXED_DIR:
         d = np.asarray(spec.direction, dtype=np.float64)
-        return (spec.c1 * gw + spec.c2)[..., None] * d
+        gw = _pow(g, spec.w, scratch[0])
+        gw *= spec.c1
+        gw += spec.c2
+        return np.multiply(gw[..., None], d, out=out)
     raise ValueError(f"unknown rhs kind {spec.kind}")  # pragma: no cover

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,9 +186,14 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     return out
 
 
-def gradient_of(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Gradient of node samples with arbitrary trailing shape: appends an axis of length n."""
-    out = np.empty(values.shape + (grid.n,), dtype=values.dtype)
+def gradient_of(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of node samples with arbitrary trailing shape: appends an axis of length n.
+
+    out, when given, is an array of the result's shape to write into, in any
+    memory layout; the derivative along axis a goes to out[..., a].
+    """
+    if out is None:
+        out = np.empty(values.shape + (grid.n,), dtype=values.dtype)
     for a in range(grid.n):
         _diff_along(values, a, grid.h[a], grid.boundary, out=out[..., a])
     return out
@@ -198,36 +204,53 @@ def gradient(field: Field) -> np.ndarray:
     return gradient_of(field.grid, field.values)
 
 
-def divergence(grid: Grid, flux_values: np.ndarray) -> np.ndarray:
-    """Adjoint central-difference divergence of (*node_shape, N, n) samples."""
+def divergence(grid: Grid, flux_values: np.ndarray, out: np.ndarray | None = None,
+               part: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint central-difference divergence of (*node_shape, N, n) samples.
+
+    out receives the result and part holds each further axis's difference
+    before it is added; both are (*node_shape, N) arrays, fresh when omitted.
+    """
     if flux_values.shape[-1] != grid.n:
         raise ValueError("last axis of flux samples must have length n")
-    out = _diff_along(flux_values[..., 0], 0, grid.h[0], grid.boundary)
-    part = np.empty_like(out)
+    out = _diff_along(flux_values[..., 0], 0, grid.h[0], grid.boundary, out=out)
+    if part is None:
+        part = np.empty_like(out)
     for a in range(1, grid.n):
         out += _diff_along(flux_values[..., a], a, grid.h[a], grid.boundary, out=part)
     return out
 
 
-def _root_sum_squares(parts: list[np.ndarray]) -> np.ndarray:
+def _root_sum_squares(parts: list[np.ndarray], out: np.ndarray | None = None,
+                      square: np.ndarray | None = None) -> np.ndarray:
     """sqrt(parts[0]**2 + parts[1]**2 + ...), summed left to right in one buffer.
 
     Below 8 terms this is the order of numpy's pairwise summation, so the result
     equals np.sqrt(np.sum(stack * stack, axis=-1)) bitwise; from 8 terms on it
     differs by round-off.  Scalar parts give a numpy scalar, as np.sum does:
-    numpy's array and scalar powers can differ in the last bit.
+    numpy's array and scalar powers can differ in the last bit.  out receives
+    the sum and square each further term; both are fresh when omitted.
     """
-    out = np.multiply(parts[0], parts[0], out=np.empty(np.shape(parts[0])))
-    square = np.empty_like(out)
+    if out is None:
+        out = np.empty(np.shape(parts[0]))
+    np.multiply(parts[0], parts[0], out=out)
+    if square is None:
+        square = np.empty_like(out)
     for part in parts[1:]:
         out += np.multiply(part, part, out=square)
     return np.sqrt(out, out=out)[()]
 
 
-def grad_magnitude(grad: np.ndarray) -> np.ndarray:
-    """Frobenius magnitude over the trailing (N, n) axes, summed in C order."""
+def grad_magnitude(grad: np.ndarray, out: np.ndarray | None = None,
+                   scratch: Sequence[np.ndarray | None] = (None,)) -> np.ndarray:
+    """Frobenius magnitude over the trailing (N, n) axes, summed in C order.
+
+    out receives the magnitude and scratch[0] each further squared term;
+    both are node-shaped and fresh when omitted.
+    """
     N, n = grad.shape[-2:]
-    return _root_sum_squares([grad[..., i, a] for i in range(N) for a in range(n)])
+    return _root_sum_squares([grad[..., i, a] for i in range(N) for a in range(n)],
+                             out=out, square=scratch[0])
 
 
 # --- space-time cylinders ---------------------------------------------------
@@ -422,26 +445,25 @@ def save_field(field: Field, path: str | Path) -> None:
 
 
 def load_field(path: str | Path) -> Field:
-    """Inverse of save_field; the boundary kind is inferred from the payload size."""
-    raw = Path(path).read_bytes()
-    n = struct.unpack_from(_HDR, raw, 0)[0]
-    N = struct.unpack_from(_HDR, raw, 8)[0]
-    if n not in (2, 3) or N < 1:
-        raise ValueError(f"corrupt field header: n={n}, N={N}")
-    off = 16
-    cells = tuple(struct.unpack_from(_HDR, raw, off + 8 * i)[0] for i in range(n))
-    off += 8 * n
-    extent = tuple(struct.unpack_from("<d", raw, off + 8 * i)[0] for i in range(n))
-    off += 8 * n
-    time = struct.unpack_from("<d", raw, off)[0]
-    off += 8
-    payload = np.frombuffer(raw, dtype="<f8", offset=off)
-    if payload.size == math.prod(cells) * N:
-        boundary = Boundary.PERIODIC
-    elif payload.size == math.prod(c + 1 for c in cells) * N:
-        boundary = Boundary.DIRICHLET
-    else:
-        raise ValueError(f"payload size {payload.size} matches no boundary layout")
-    grid = Grid(n, extent, cells, boundary)
-    values = payload.reshape(grid.node_shape + (N,)).astype(np.float64)
+    """Inverse of save_field; the boundary kind is inferred from the payload size.
+
+    The payload is read once, straight into the field's writable '<f8' array.
+    """
+    with open(path, "rb") as fh:
+        n, N = struct.unpack("<2q", fh.read(16))
+        if n not in (2, 3) or N < 1:
+            raise ValueError(f"corrupt field header: n={n}, N={N}")
+        head = struct.unpack(f"<{n}q{n}dd", fh.read(8 * (2 * n + 1)))
+        cells, extent, time = head[:n], head[n:2 * n], head[-1]
+        size, odd = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), 8)
+        if odd == 0 and size == math.prod(cells) * N:
+            boundary = Boundary.PERIODIC
+        elif odd == 0 and size == math.prod(c + 1 for c in cells) * N:
+            boundary = Boundary.DIRICHLET
+        else:
+            raise ValueError(f"payload of {8 * size + odd} bytes matches no boundary layout")
+        grid = Grid(n, extent, cells, boundary)
+        values = np.empty(grid.node_shape + (N,), dtype="<f8")
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError(f"field file {path} was truncated while reading")
     return Field(grid, values, time)

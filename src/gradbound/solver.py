@@ -13,6 +13,22 @@ Diverged rather than stalling.  A run stores snapshot_count evenly spaced
 snapshots and reports Completed, BlowupDetected (any |u| or |grad u| sample
 beyond the threshold), or Diverged (non-finite samples or floored dt).
 Identical configs, including the seed, reproduce bitwise-identical records.
+
+Each step evaluates one stage, _rate, into a workspace allocated once per
+run and rewritten every step, through the kernels' out= arguments: the same
+arithmetic as their fresh-array calls, so records are bit-identical to
+them.  The gradient buffer is axis-major, (n, *node_shape, N) seen as
+(*node_shape, N, n), so each axis's derivative is written, and each flux
+slot read by the divergence, contiguously; the flux gets a buffer of the
+same layout unless it is the identity (pure p = 2).  D_max reads the two
+Jacobian eigenvalues at every node into the workspace's scratch.  Both are
+monotone in |Q| for p >= 2, and for double power with p < 2 their sum has
+one interior minimum, so in real arithmetic the max sits at the smallest or
+largest |Q|; in floating point a node one ulp inside an extreme can round
+one ulp above it (regularized p = 2.5, double power p = 1.2), so the
+two-extremes shortcut would move dt and is not taken.  The status check
+reads one min and one max of u: a non-finite extreme is Diverged, and
+max(max, -min) past the threshold is BlowupDetected.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from .mesh import (
     Grid,
     divergence,
     grad_magnitude,
-    gradient,
+    gradient_of,
     node_coords,
     save_field,
     load_field,
@@ -64,6 +80,12 @@ class RandomSmooth:
     seed: int
     amplitude: float = 1.0
     modes: int = 2
+
+    def __post_init__(self):
+        if not self.seed >= 0:
+            raise ValueError(f"'seed' must be >= 0, got {self.seed}")
+        if not self.modes >= 1:
+            raise ValueError(f"'modes' must be >= 1, got {self.modes}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,24 +212,74 @@ def _dt_from_eigen(grid: Grid, cfl: float, dt_max: float, d_max: float) -> float
     return min(cfl * h2 / (2.0 * grid.n * d_max), dt_max)
 
 
-def _rate(state: Field, config: SolveConfig, x: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Stage:
+    """The arrays one _rate evaluation writes, allocated once per run.
+
+    grad is an (*node_shape, N, n) view of an axis-major (n, *node_shape, N)
+    buffer, so each axis's derivative and each flux slot the divergence reads
+    is contiguous.  flux is None for the identity flux, whose flux_eval
+    returns grad itself.  term holds each divergence part, then f; scratch
+    holds three node-shaped arrays for the kernels' per-node factors.
+    """
+
+    __slots__ = ("grad", "mag", "flux", "rate", "term", "scratch")
+
+    def __init__(self, grid: Grid, N: int, flux: FluxSpec):
+        nodes = grid.node_shape
+        self.grad = np.moveaxis(np.empty((grid.n,) + nodes + (N,)), 0, -1)
+        self.mag = np.empty(nodes)
+        self.flux = None if flux_mod._is_identity(flux) else np.empty_like(self.grad)
+        self.rate = np.empty(nodes + (N,))
+        self.term = np.empty_like(self.rate)
+        self.scratch = np.empty((3,) + nodes)
+
+
+def _rate(state: Field, config: SolveConfig, x: np.ndarray, stage: _Stage
+          ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side div A(grad u) + f of the semi-discrete system at state.
 
-    Returns the rate with the gradient and its magnitude it was built from.
-    On Dirichlet grids the rate is -0.0 on the boundary planes: adding it
-    leaves every boundary sample bit-equal, signed zeros included.
+    Returns the rate and the gradient magnitude it was built from, both
+    arrays of stage.  On Dirichlet grids the rate is -0.0 on the boundary
+    planes: adding it leaves every boundary sample bit-equal, signed zeros
+    included.
     """
-    grad = gradient(state)
-    mag = grad_magnitude(grad)
-    rate = divergence(state.grid, flux_eval(config.flux, grad, mag=mag))
-    rate += rhs_eval(config.rhs, state.values, grad, x, state.time, mag=mag)
-    if state.grid.boundary is Boundary.DIRICHLET:
-        for a in range(state.grid.n):
+    grid, scratch = state.grid, stage.scratch
+    grad = gradient_of(grid, state.values, out=stage.grad)
+    mag = grad_magnitude(grad, out=stage.mag, scratch=scratch)
+    flux = flux_eval(config.flux, grad, mag=mag, out=stage.flux, scratch=scratch)
+    rate = divergence(grid, flux, out=stage.rate, part=stage.term)
+    rate += rhs_eval(config.rhs, state.values, grad, x, state.time, mag=mag,
+                     out=stage.term, scratch=scratch)
+    if grid.boundary is Boundary.DIRICHLET:
+        for a in range(grid.n):
             planes = [slice(None)] * rate.ndim
             planes[a] = [0, -1]
             rate[tuple(planes)] = -0.0
-    return rate, grad, mag
+    return rate, mag
+
+
+def _d_max(flux: FluxSpec, mag: np.ndarray, scratch: np.ndarray) -> float:
+    """Largest eigenvalue of dA/dQ over the samples: flux_jacobian_bounds' upper max.
+
+    Evaluated at every node, not only at the extremes of mag (see the module
+    docstring); scratch holds three arrays shaped like mag.
+    """
+    radial, tangential = flux_mod._eigen_pair(flux, mag, out=scratch)
+    return float(np.maximum(radial.max(), tangential.max()))
+
+
+def _screen(values: np.ndarray, threshold: float) -> StatusKind | None:
+    """DIVERGED for a non-finite sample, BLOWUP for one past the threshold, else None.
+
+    A NaN or an infinity shows in the min or the max; for finite samples
+    max |u| is max(hi, -lo).
+    """
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return StatusKind.DIVERGED
+    if max(hi, -lo) > threshold:
+        return StatusKind.BLOWUP
+    return None
 
 
 def run(config: SolveConfig) -> RunRecord:
@@ -219,30 +291,25 @@ def run(config: SolveConfig) -> RunRecord:
     thr = eff.blowup_threshold
     dt_history: list[float] = []
 
-    if not state.is_finite():
-        return RunRecord(eff, [state], np.array([]), RunStatus(StatusKind.DIVERGED, 0.0))
-    if float(np.abs(state.values).max()) > thr:
-        return RunRecord(eff, [state], np.array([]), RunStatus(StatusKind.BLOWUP, 0.0))
+    stopped = _screen(state.values, thr)
+    if stopped is not None:
+        return RunRecord(eff, [state], np.array([]), RunStatus(stopped, 0.0))
     if eff.t_end == 0.0:
         return RunRecord(eff, [state], np.array([]), RunStatus(StatusKind.COMPLETED))
 
     targets = np.linspace(0.0, eff.t_end, eff.snapshot_count)
     snapshots = [state.copy()]
     status = RunStatus(StatusKind.COMPLETED)
+    stage = _Stage(eff.grid, eff.N, fl)
 
     for target in targets[1:]:
         while state.time < target:
-            rate, grad, mag = _rate(state, eff, x)
+            rate, mag = _rate(state, eff, x, stage)
             if float(mag.max()) > thr:
                 status = RunStatus(StatusKind.BLOWUP, state.time)
                 break
-            # both bounds stay alive until the next step's replace them: held
-            # across the next _rate, they keep the top of malloc's heap in use,
-            # so freeing the step's arrays below does not trim it.  Freed here
-            # instead, they made the march fault its heap pages in every step
-            # (14x the page faults, ~1.5x the march time on 32^3).
-            _, upper = flux_mod.flux_jacobian_bounds(fl, grad, mag=mag)
-            dt_stab = _dt_from_eigen(eff.grid, eff.cfl, eff.dt_max, float(upper.max()))
+            dt_stab = _dt_from_eigen(eff.grid, eff.cfl, eff.dt_max,
+                                     _d_max(fl, mag, stage.scratch))
             if dt_stab < DT_FLOOR:
                 status = RunStatus(StatusKind.DIVERGED, state.time)
                 break
@@ -250,18 +317,12 @@ def run(config: SolveConfig) -> RunRecord:
             dt = target - state.time if clipped else dt_stab
             rate *= dt
             state.values += rate
-            # free this step's arrays before the next _rate allocates its own;
-            # holding them across that call made malloc hand heap pages back to
-            # the OS and fault them in again every step (10x the page faults)
-            del rate, grad, mag
             # a clipped step lands on the target exactly: no drift at snapshot times
             state.time = target if clipped else state.time + dt
             dt_history.append(dt)
-            if not state.is_finite():
-                status = RunStatus(StatusKind.DIVERGED, state.time)
-                break
-            if float(np.abs(state.values).max()) > thr:
-                status = RunStatus(StatusKind.BLOWUP, state.time)
+            stopped = _screen(state.values, thr)
+            if stopped is not None:
+                status = RunStatus(stopped, state.time)
                 break
         if status.kind is not StatusKind.COMPLETED:
             break

@@ -278,6 +278,9 @@ def _campaign_cfg(**extra):
     (lambda c: c["cylinder"].update(center=[0.5, 0.5]), "'cylinder.center' must be a list of 3"),
     (lambda c: c["cylinder"].update(R0=-0.24, time_exponent=2.5), "radius must be positive"),
     (lambda c: c.update(max_spread=-1.0), "'max_spread' must be >= 0, got -1.0"),
+    # refused before the seed-0 run, not after it with numpy's unnamed range error
+    (lambda c: c["campaign"].update(seeds=[0, -1]), "'campaign.seeds' must be >= 0, got -1"),
+    (lambda c: c["campaign"].update(modes=0), "'campaign.modes' must be >= 1, got 0"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, mutate, needle):
     cfg_obj = _campaign_cfg()
@@ -460,6 +463,10 @@ _PROBE_BASES = {"check": lambda: {"p": 2.0, "w": 1.0},
     # right-typed values out of range
     ("solve", "blowup_threshold", -1.0),
     ("solve", "blowup_threshold", 0.0),
+    ("solve", "initial.seed", -1),
+    ("solve", "initial.modes", 0),
+    ("solve", "initial.modes", -1),
+    ("verify", "campaign.modes", -1),
 ])
 def test_config_type_probes(tmp_path, monkeypatch, verb, path, value):
     _refused(tmp_path, monkeypatch, verb, _set(_PROBE_BASES[verb](), path, value), path, value)

@@ -6,10 +6,18 @@ eigenvalues of dA/dQ, and c1 |grad u|^w u/|u| + c2.  The kernels compute the
 same arithmetic in the same order without temporaries, so they must agree
 exactly.  The one exception is grad_magnitude from 8 terms on, where numpy's
 pairwise summation and the kernel's running sum group the squares differently.
+
+The march itself is checked the same way: `run`, which writes every kernel
+into one stage of reused axis-major buffers, against the plain forward-Euler
+loop over fresh kernel results.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradbound import (
@@ -17,15 +25,25 @@ from gradbound import (
     FluxKind,
     FluxSpec,
     Grid,
+    Prescribed,
+    RandomSmooth,
     RhsKind,
     RhsSpec,
+    RunStatus,
+    SolveConfig,
+    StatusKind,
     divergence,
     flux_eval,
     flux_jacobian_bounds,
     grad_magnitude,
+    gradient,
+    initial_field,
+    node_coords,
     rhs_eval,
+    run,
 )
 from gradbound.mesh import gradient_of
+from gradbound.solver import _d_max, _resolve_flux
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -161,3 +179,192 @@ def test_rhs_eval_aligned_is_the_unit_vector_formula(case, w, c1, c2, delta_u):
     reference = c1 * gw[..., None] * unit + c2
     assert _same_bits(rhs_eval(spec, u, grad, mag=mag), reference)
     assert _same_bits(rhs_eval(spec, u, grad), rhs_eval(spec, u, grad, mag=mag))
+
+
+# --- the march ------------------------------------------------------------------
+
+
+def _reference_run(config):
+    """Forward Euler as the plain loop: fresh kernel results every step, D_max
+    from flux_jacobian_bounds, and is_finite plus max |u| for the status.
+
+    Returns (snapshots, dt history, status) as run's record holds them.
+    """
+    flux, grid, thr = _resolve_flux(config.flux), config.grid, config.blowup_threshold
+    state = initial_field(config)
+    x = node_coords(grid)
+    h2 = min(h * h for h in grid.h)
+    steps = []
+
+    def stopped():
+        if not state.is_finite():
+            return StatusKind.DIVERGED
+        if float(np.abs(state.values).max()) > thr:
+            return StatusKind.BLOWUP
+        return None
+
+    kind = stopped()
+    if kind is not None:
+        return [state], steps, RunStatus(kind, 0.0)
+    snapshots = [state.copy()]
+    for target in np.linspace(0.0, config.t_end, config.snapshot_count)[1:]:
+        while state.time < target:
+            grad = gradient(state)
+            mag = grad_magnitude(grad)
+            rate = divergence(grid, flux_eval(flux, grad, mag=mag))
+            rate += rhs_eval(config.rhs, state.values, grad, x, state.time, mag=mag)
+            if grid.boundary is Boundary.DIRICHLET:
+                for a in range(grid.n):
+                    planes = [slice(None)] * rate.ndim
+                    planes[a] = [0, -1]
+                    rate[tuple(planes)] = -0.0
+            if float(mag.max()) > thr:
+                return snapshots, steps, RunStatus(StatusKind.BLOWUP, state.time)
+            d_max = float(flux_jacobian_bounds(flux, grad, mag=mag)[1].max())
+            dt_stab = config.dt_max if d_max <= 0.0 else min(
+                config.cfl * h2 / (2.0 * grid.n * d_max), config.dt_max)
+            if dt_stab < 1e-12:
+                return snapshots, steps, RunStatus(StatusKind.DIVERGED, state.time)
+            clipped = dt_stab >= target - state.time
+            dt = target - state.time if clipped else dt_stab
+            state.values += rate * dt
+            state.time = target if clipped else state.time + dt
+            steps.append(dt)
+            kind = stopped()
+            if kind is not None:
+                return snapshots, steps, RunStatus(kind, state.time)
+        snapshots.append(state.copy())
+    return snapshots, steps, RunStatus(StatusKind.COMPLETED)
+
+
+def _assert_same_march(config):
+    record = run(config)
+    snapshots, steps, status = _reference_run(config)
+    assert record.status == status
+    assert _same_bits(record.dt_history, np.array(steps))
+    assert len(record.snapshots) == len(snapshots)
+    for got, want in zip(record.snapshots, snapshots):
+        assert got.time == want.time
+        assert _same_bits(got.values, want.values)
+    return record
+
+
+MARCH_FLUXES = {
+    "pure_2": FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0),
+    "pure_2.5": FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5),
+    "pure_1.5": FluxSpec(FluxKind.PURE_P_LAPLACE, 1.5),  # run routes it to regularized
+    "double": FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.6),
+    "regularized": FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 1.6, eps=0.05),
+}
+
+
+def _march_rhs(kind, N):
+    if kind is RhsKind.MANUFACTURED:
+        weights = np.arange(1.0, N + 1.0)
+        return RhsSpec(kind, source=lambda x, t: np.cos(3.0 * x.sum(axis=-1, keepdims=True)
+                                                        + 20.0 * t) * weights)
+    return RhsSpec(kind, w=1.3, c1=0.7, c2=0.2,
+                   direction=tuple(range(1, N + 1)) if kind is RhsKind.POWER_FIXED_DIR else None)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("rhs_kind", list(RhsKind))
+@pytest.mark.parametrize("flux_name", list(MARCH_FLUXES))
+def test_run_matches_the_plain_march(flux_name, rhs_kind, boundary):
+    # n and N cycle with the case, so every (n, N) pair meets every kernel
+    index = list(MARCH_FLUXES).index(flux_name) * 10 + list(RhsKind).index(rhs_kind) * 2 \
+        + list(Boundary).index(boundary)
+    n, N = 2 + index % 2, 1 + index % 3
+    grid = Grid(n, tuple(0.8 + 0.1 * a for a in range(n)), tuple(5 + a for a in range(n)),
+                boundary)
+    flux = MARCH_FLUXES[flux_name]
+    config = SolveConfig(grid=grid, flux=flux, rhs=_march_rhs(rhs_kind, N),
+                         initial=RandomSmooth(seed=index), N=N, t_end=1.0)
+    # snapshots about three stable steps of the initial field apart, so that
+    # D_max, not the snapshot grid, sets the steps.  Periodic p = 1.5 (eps =
+    # 1e-6) is fast diffusion: its D_max grows by orders of magnitude as the
+    # field flattens, so there they sit half a step apart.
+    spacing = 0.5 if flux_name == "pure_1.5" and boundary is Boundary.PERIODIC else 3.0
+    mag = grad_magnitude(gradient(initial_field(config)))
+    d_max = flux_jacobian_bounds(_resolve_flux(flux), None, mag=mag)[1].max()
+    dt = config.cfl * min(h * h for h in grid.h) / (2.0 * n * d_max)
+    record = _assert_same_march(replace(config, t_end=spacing * 63 * dt))
+    assert record.dt_history.size > len(record.snapshots)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (math.nan, StatusKind.DIVERGED),
+    (math.inf, StatusKind.DIVERGED),
+    (-math.inf, StatusKind.DIVERGED),  # only the min is non-finite
+    (1e3, StatusKind.BLOWUP),   # finite, past the threshold through the max
+    (-1e3, StatusKind.BLOWUP),  # and through the min
+])
+def test_run_status_matches_the_plain_march(value, kind):
+    # from t = 4e-3 the source puts a non-finite value on one node, or a
+    # finite one on every node, which leaves the gradient alone: either way
+    # the status comes from u itself, mid-run
+    grid = Grid(3, 1.0, 6)
+    where = np.zeros(grid.node_shape + (2,), dtype=bool)
+    where[(0,) * 4 if not math.isfinite(value) else ...] = True
+    source = lambda x, t: np.where(where & (t >= 4e-3), value, 0.0)
+    config = SolveConfig(grid=grid, flux=FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5),
+                         rhs=RhsSpec(RhsKind.MANUFACTURED, source=source),
+                         initial=RandomSmooth(seed=1), N=2, t_end=0.01, blowup_threshold=5.0)
+    record = _assert_same_march(config)
+    assert record.status.kind is kind
+    assert 4e-3 < record.status.time < 0.01
+
+
+def test_run_on_a_singular_flux_still_raises():
+    # double power with p < 2 at a zero gradient: refused, not marched
+    grid = Grid(2, 1.0, 6)
+    config = SolveConfig(grid=grid, flux=FluxSpec(FluxKind.DOUBLE_POWER, 1.5, q=2.5),
+                         rhs=RhsSpec(RhsKind.ZERO), initial=Prescribed(np.ones((6, 6, 1))),
+                         N=1, t_end=0.01)
+    with pytest.raises(ValueError, match="singular"):
+        run(config)
+
+
+D_MAX_FLUXES = st.one_of(
+    st.builds(FluxSpec, st.just(FluxKind.PURE_P_LAPLACE), st.floats(1.2, 4.0)),
+    st.builds(lambda p, dq: FluxSpec(FluxKind.DOUBLE_POWER, p, q=p + dq),
+              st.floats(1.2, 3.0), st.floats(0.0, 1.5)),
+    st.builds(lambda p, eps: FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, p, eps=eps),
+              st.floats(1.2, 4.0), st.floats(1e-6, 1.0)),
+)
+
+
+@st.composite
+def magnitudes(draw):
+    """|Q| samples: generic ones, runs a few ulps inside the extremes, zeros and NaNs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.exponential(draw(st.floats(1e-3, 10.0)), size=draw(st.integers(2, 60)))
+    for end, side in ((t.max(), -1.0), (t.min(), 1.0)):
+        if draw(st.booleans()):
+            t = np.append(t, end + side * np.spacing(end) * np.arange(1, 40))
+    if draw(st.booleans()):
+        t[rng.integers(t.size)] = 0.0
+    if draw(st.booleans()):
+        t[rng.integers(t.size)] = math.nan
+    return t
+
+
+# Each counterexample holds a node one ulp inside an extreme whose larger
+# eigenvalue rounds one ulp above the value at either extreme: D_max read
+# from the two extremes alone would be 1 ulp low there.
+@settings(max_examples=300, deadline=None)
+@given(spec=D_MAX_FLUXES, mag=magnitudes())
+@example(spec=FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 2.5, eps=1e-6),
+         mag=np.array([1.051864898082741, 12.750092045563337, 12.750092045563338]))
+@example(spec=FluxSpec(FluxKind.DOUBLE_POWER, 1.2, q=2.7),
+         mag=np.array([0.04214858106349269, 0.042148581063492695, 0.0949524476683027]))
+def test_d_max_is_the_upper_jacobian_bound_max(spec, mag):
+    work = np.empty((3,) + mag.shape)
+    try:
+        want = flux_jacobian_bounds(spec, None, mag=mag)[1].max()
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            _d_max(spec, mag, work)
+        return
+    got = _d_max(spec, mag, work)
+    assert _same_bits(got, want)  # NaN samples propagate as NaN

@@ -283,11 +283,16 @@ def test_cutoff_analytic_gradient_matches_fd():
 
 def test_field_file_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
-    grid = Grid(3, (2.0, 1.0, 1.0), (8, 4, 4), Boundary.DIRICHLET)
-    f = Field(grid, rng.standard_normal(grid.node_shape + (2,)), time=0.375)
-    path = tmp_path / "snap.bin"
-    save_field(f, path)
-    g = load_field(path)
-    assert g.grid == grid
-    assert g.time == 0.375
-    assert np.array_equal(g.values, f.values)  # bitwise
+    for boundary in Boundary:
+        grid = Grid(3, (2.0, 1.0, 1.0), (8, 4, 4), boundary)
+        f = Field(grid, rng.standard_normal(grid.node_shape + (2,)), time=0.375)
+        f.values[0, 0, 0] = -0.0
+        path = tmp_path / f"snap_{boundary.value}.bin"
+        save_field(f, path)
+        g = load_field(path)
+        assert g.grid == grid
+        assert g.time == 0.375
+        # the loaded payload is the field's own writable native float64 array, bit for bit
+        assert g.values.dtype == np.float64 and g.values.dtype.isnative
+        assert g.values.flags.writeable and g.values.flags.c_contiguous
+        assert np.array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
