@@ -24,9 +24,11 @@ as report.json plus CSV tables and, for solve, the binary snapshot record.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -37,12 +39,14 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .energy import (
+    _bound_exponents,
+    _bound_fit,
+    _bound_pair,
     _energy_s_floor,
     _require_s_admissible,
     energy_inequality_check,
     holder_sandwich_check,
     moser_chain_check,
-    verify_bound,
 )
 from .flux import FluxKind, FluxSpec, RhsKind, RhsSpec
 from .mesh import Boundary, CylinderSpec, Grid, grad_magnitude, gradient, node_coords
@@ -56,7 +60,7 @@ from .regimes import (
     classify_thm1,
     kappa,
 )
-from .solver import RandomSmooth, RunRecord, SolveConfig, StatusKind, run, save_run
+from .solver import RandomSmooth, SolveConfig, StatusKind, run, save_run
 from .verify import (
     SeparableTarget,
     ladder_oracle,
@@ -411,6 +415,51 @@ _VERIFY_KEYS = {
 } | _RUN_KEYS
 
 
+def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequence[float],
+                  exponents: tuple[float, float], where: dict) -> dict:
+    """Solve one campaign run and check it; only its rows and bound pair come back.
+
+    job is (seed, amplitude, config, levels), with levels None on every run
+    but the first, the one the Moser chain checks.  A run that does not
+    complete returns its exit code and stop message under "stopped" instead
+    of raising, so the caller stops at the first such run in campaign order.
+    """
+    seed, amplitude, config, levels = job
+    record = run(config)
+    kind = record.status.kind
+    tag = {"seed": seed, "amplitude": amplitude}
+    if kind is not StatusKind.COMPLETED:
+        return {"stopped": (_status_code(kind), f"run (seed={seed}, amplitude={amplitude}) "
+                                                f"ended in {kind.value} at t = {record.status.time}")}
+    sandwich = holder_sandwich_check(record, params.s0, R0 / 2.0, R0, params.p, **where)
+    energy = [tag | energy_inequality_check(record, s, R0 / 2.0, R0, params, **where).to_dict()
+              for s in energy_s]
+    chain = None if levels is None else moser_chain_check(record, params, R0, levels, **where)
+    return {"run": tag | {"status": kind.value, "steps": int(record.dt_history.size)},
+            "sandwich": tag | sandwich.to_dict(),
+            "energy": energy,
+            "chain": None if chain is None else chain.to_dict(),
+            "pair": _bound_pair(record, R0, exponents, **where)}
+
+
+@contextlib.contextmanager
+def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
+    """fn over jobs, results in job order, on min(len(jobs), cores) forked workers.
+
+    With one worker fn runs inline through map and no pool is made.  Leaving
+    the block terminates and joins the workers, also when the caller stops
+    at a result before the last.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        yield map(fn, jobs)
+        return
+    import multiprocessing  # here: the verbs that never fork do not pay for it
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield pool.imap(fn, jobs)
+
+
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     problem_cfg = _need(cfg, "problem")
     c2_nonzero = bool(cfg.get("rhs", {}).get("c2"))
@@ -486,50 +535,27 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         else:
             energy_s = [params.s0]
 
-    def make_config(seed: int, amplitude: float) -> SolveConfig:
-        return _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs,
-                      initial=initials[seed, amplitude], N=params.N, t_end=t_end)
-
-    run_rows: list[dict] = []
-    sandwich_rows: list[dict] = []
-    energy_rows: list[dict] = []
-    chain_out: dict | None = None
-    chain_requested = levels is not None
-
-    def campaign() -> Iterator[RunRecord]:
-        nonlocal chain_out
-        for seed in seeds:
-            for amplitude in amplitudes:
-                record = run(make_config(seed, amplitude))
-                kind = record.status.kind
-                run_rows.append({"seed": seed, "amplitude": amplitude,
-                                 "status": kind.value,
-                                 "steps": int(record.dt_history.size)})
-                if kind is not StatusKind.COMPLETED:
-                    raise _StatusExit(
-                        _status_code(kind),
-                        f"run (seed={seed}, amplitude={amplitude}) ended in "
-                        f"{kind.value} at t = {record.status.time}",
-                    )
-                sw = holder_sandwich_check(record, params.s0, R0 / 2.0, R0,
-                                           params.p, center=center, t0=t0,
-                                           time_exponent=time_exponent)
-                sandwich_rows.append({"seed": seed, "amplitude": amplitude}
-                                     | sw.to_dict())
-                for s in energy_s:
-                    er = energy_inequality_check(record, s, R0 / 2.0, R0,
-                                                 params, center=center, t0=t0,
-                                                 time_exponent=time_exponent)
-                    energy_rows.append({"seed": seed, "amplitude": amplitude}
-                                       | er.to_dict())
-                if chain_requested and chain_out is None:
-                    chain_out = moser_chain_check(record, params, R0, levels,
-                                                  center=center, t0=t0,
-                                                  time_exponent=time_exponent).to_dict()
-                yield record
-
-    bound = verify_bound(campaign(), params, R0, center=center, t0=t0,
-                         time_exponent=time_exponent)
+    # the estimate's own refusals come before any solve, as every config error does
+    exponents = _bound_exponents(params, R0)
+    jobs = [(seed, amplitude,
+             _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs,
+                    initial=initials[seed, amplitude], N=params.N, t_end=t_end),
+             levels if k == 0 else None)
+            for k, (seed, amplitude) in enumerate(itertools.product(seeds, amplitudes))]
+    worker = functools.partial(_campaign_run, params=params, R0=R0, energy_s=energy_s,
+                               exponents=exponents,
+                               where={"center": center, "t0": t0, "time_exponent": time_exponent})
+    done = []
+    with _ordered_map(worker, jobs) as results:
+        for result in results:
+            if "stopped" in result:
+                raise _StatusExit(*result["stopped"])
+            done.append(result)
+    run_rows = [result["run"] for result in done]
+    sandwich_rows = [result["sandwich"] for result in done]
+    energy_rows = [row for result in done for row in result["energy"]]
+    chain_out = done[0]["chain"]
+    bound = _bound_fit(params, exponents[0], [result["pair"] for result in done])
 
     ratios = [lhs / (rhs_base + 1.0) for lhs, rhs_base in bound.per_run]
     r_max, r_min = max(ratios), min(ratios)
@@ -540,7 +566,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         "sandwich_ok": all(row["satisfied"] for row in sandwich_rows),
         "energy_ok": all(row["satisfied"] for row in energy_rows),
     }
-    if chain_requested:
+    if levels is not None:
         checks["chain_ok"] = bool(chain_out and chain_out["satisfied"])
     passed = all(checks.values())
 

@@ -521,32 +521,31 @@ class BoundReport:
         }
 
 
-def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float,
-                 center=None, t0=None, time_exponent: float = 2.0) -> BoundReport:
-    """Fit the smallest C with sup |grad u| <= C psi^(1/kappa) + C over all runs.
-
-    The left side is the max of |grad u| over Q_{R0/2}; the right side raises
-    psi = iint_{Q_{R0}} |grad u|^(s0+M) to the bound exponent 1/kappa from the
-    regime arithmetic (single source of truth).  Campaigns stream: any
-    iterable of completed runs works, one record in memory at a time.
-    """
+def _bound_exponents(params: ProblemParams, R0: float) -> tuple[float, float]:
+    """(1/kappa, s0 + M) of the sup-gradient estimate, once its inputs are admissible."""
     report = _admissibility(params)
     if not (0.0 < R0 < 1.0):
         raise ValueError(f"the estimate needs 0 < R0 < 1, got R0={R0}")
-    exponent = bound_exponent(params.s0, params.p, report.M, params.n)
-    psi_exp = params.s0 + report.M
+    return bound_exponent(params.s0, params.p, report.M, params.n), params.s0 + report.M
 
-    per_run: list[tuple[float, float]] = []
-    for record in campaign:
-        c, t_top = _default_center_t0(record, center, t0)
-        rhs = psi(record, CylinderSpec(c, t_top, R0, time_exponent), psi_exp) ** exponent
-        inner = _window(record, CylinderSpec(c, t_top, R0 / 2.0, time_exponent))
-        lhs = 0.0
-        for k in inner.inside:
-            mag = inner.magnitude(record.snapshots[k])
-            lhs = max(lhs, float(mag[inner.box_mask].max()))
-        per_run.append((lhs, rhs))
 
+def _bound_pair(record: RunRecord, R0: float, exponents: tuple[float, float],
+                center=None, t0=None, time_exponent: float = 2.0) -> tuple[float, float]:
+    """One run's (max of |grad u| over Q_{R0/2}, psi over Q_{R0} to the bound exponent)."""
+    exponent, psi_exp = exponents
+    c, t_top = _default_center_t0(record, center, t0)
+    rhs = psi(record, CylinderSpec(c, t_top, R0, time_exponent), psi_exp) ** exponent
+    inner = _window(record, CylinderSpec(c, t_top, R0 / 2.0, time_exponent))
+    lhs = 0.0
+    for k in inner.inside:
+        mag = inner.magnitude(record.snapshots[k])
+        lhs = max(lhs, float(mag[inner.box_mask].max()))
+    return lhs, rhs
+
+
+def _bound_fit(params: ProblemParams, exponent: float,
+               per_run: Sequence[tuple[float, float]]) -> BoundReport:
+    """The smallest C over the runs' (lhs, rhs) pairs: the largest lhs / (rhs + 1)."""
     if not per_run:
         raise ValueError("campaign is empty")
     ratios = [l / (r + 1.0) for l, r in per_run]
@@ -559,3 +558,18 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
         fitted_C=ratios[k_best],
         per_run=tuple(per_run),
     )
+
+
+def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float,
+                 center=None, t0=None, time_exponent: float = 2.0) -> BoundReport:
+    """Fit the smallest C with sup |grad u| <= C psi^(1/kappa) + C over all runs.
+
+    The left side is the max of |grad u| over Q_{R0/2}; the right side raises
+    psi = iint_{Q_{R0}} |grad u|^(s0+M) to the bound exponent 1/kappa from the
+    regime arithmetic (single source of truth).  Campaigns stream: any
+    iterable of completed runs works, one record in memory at a time.
+    """
+    exponents = _bound_exponents(params, R0)
+    per_run = [_bound_pair(record, R0, exponents, center, t0, time_exponent)
+               for record in campaign]
+    return _bound_fit(params, exponents[0], per_run)

@@ -124,7 +124,13 @@ def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
         coeff **= (spec.p - 2.0) / 2.0
     else:  # pragma: no cover
         raise ValueError(f"unknown flux kind {spec.kind}")
-    return np.multiply(coeff[..., None, None], Q, out=out)
+    if out is None:
+        return coeff[..., None, None] * Q
+    # one node-shaped (component, axis) slot at a time: the broadcast runs ~1.3x
+    # slower over the march's axis-major views, whose last axis is the strided one
+    for i, a in np.ndindex(Q.shape[-2:]):
+        np.multiply(coeff, Q[..., i, a], out=out[..., i, a])
+    return out
 
 
 def _eigen_pair(spec: FluxSpec, mag: np.ndarray,

@@ -287,10 +287,26 @@ class CylinderSpec:
 
 
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
-    """Boolean node mask of the closed ball |x - center| <= radius."""
-    x = node_coords(grid)
-    d = x - np.asarray(center, dtype=np.float64)
-    return np.sum(d * d, axis=-1) <= radius * radius
+    """Boolean node mask of the closed ball |x - center| <= radius.
+
+    Distances are summed only over the ball's index range: per axis, the
+    nodes with (x_a - c_a)^2 <= radius^2.  Outside it one term of the sum
+    already exceeds radius^2, and a rounded sum of nonnegative terms is never
+    below one of them, so the mask is the one the whole grid gives.
+    """
+    c = np.asarray(center, dtype=np.float64)
+    r2 = radius * radius
+    mask = np.zeros(grid.node_shape, dtype=bool)
+    box = []
+    for a in range(grid.n):
+        d = grid.axis_coords(a) - c[a]
+        hit = np.flatnonzero(d * d <= r2)
+        if hit.size == 0:
+            return mask
+        box.append(slice(hit[0], hit[-1] + 1))
+    d = node_coords(grid)[tuple(box)] - c
+    mask[tuple(box)] = np.sum(d * d, axis=-1) <= r2
+    return mask
 
 
 def ball_volume(n: int, radius: float) -> float:

@@ -315,6 +315,181 @@ def test_verify_campaign_passes(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+# --- the campaign pool --------------------------------------------------------
+#
+# verify solves and checks each run in a worker of a fork pool sized
+# min(runs, cores), or inline on one core; the report, the exit code and the
+# stop line must be those of the runs taken one after another in campaign order.
+
+_POOL_PROBLEM = {"p": 2.0, "w": 1.3}
+_POOL_T_END, _POOL_R0, _POOL_LEVELS, _POOL_ENERGY_S = 0.21, 0.45, 3, (0.0, 0.5)
+
+
+def _pool_cfg(amplitudes=(1.0, 2.0, 4.0), **extra):
+    """A 16^3 campaign whose R0 resolves the chain's 8 nodes per axis."""
+    return _campaign_cfg(campaign={"seeds": [0], "amplitudes": list(amplitudes)},
+                         cylinder={"R0": _POOL_R0}, t_end=_POOL_T_END, snapshot_count=64,
+                         levels=_POOL_LEVELS, energy_s=list(_POOL_ENERGY_S)) | extra
+
+
+def _pool_config(amplitude: float, **extra) -> gradbound.SolveConfig:
+    """The SolveConfig verify builds for one run of _pool_cfg."""
+    return gradbound.SolveConfig(**{
+        "grid": gradbound.Grid(3, 1.0, 16),
+        "flux": gradbound.FluxSpec(gradbound.FluxKind.PURE_P_LAPLACE, 2.0),
+        "rhs": gradbound.RhsSpec(gradbound.RhsKind.POWER_ALIGNED, w=1.3, c1=1.0),
+        "initial": gradbound.RandomSmooth(seed=0, amplitude=amplitude),
+        "N": 1, "t_end": _POOL_T_END, "snapshot_count": 64} | extra)
+
+
+def _json(obj):
+    return json.loads(json.dumps(obj))
+
+
+def _serial_reference(amplitudes) -> dict:
+    """The campaign's rows, chain and bound from the library, one run after another."""
+    s0 = gradbound.classify_thm1(2.0, 1.3, 2.0).s0_effective
+    params = gradbound.ProblemParams(n=3, N=1, p=2.0, w=1.3, s0=s0)
+    where = {"t0": _POOL_T_END, "time_exponent": 2.0}
+    records = [gradbound.run(_pool_config(a)) for a in amplitudes]
+    tags = [{"seed": 0, "amplitude": a} for a in amplitudes]
+    rho = _POOL_R0 / 2.0
+    return _json({
+        "runs": [tag | {"status": "completed", "steps": int(r.dt_history.size)}
+                 for tag, r in zip(tags, records)],
+        "sandwich": [tag | gradbound.holder_sandwich_check(r, s0, rho, _POOL_R0, 2.0,
+                                                           **where).to_dict()
+                     for tag, r in zip(tags, records)],
+        "energy": [tag | gradbound.energy_inequality_check(r, s, rho, _POOL_R0, params,
+                                                           **where).to_dict()
+                   for tag, r in zip(tags, records) for s in _POOL_ENERGY_S],
+        "chain": gradbound.moser_chain_check(records[0], params, _POOL_R0, _POOL_LEVELS,
+                                             **where).to_dict(),
+        "bound": gradbound.verify_bound(records, params, _POOL_R0, **where).to_dict(),
+    })
+
+
+def _cores(monkeypatch, count: int) -> list:
+    """Pretend the process may run on count cores; returns the pool contexts made."""
+    import multiprocessing
+
+    made = []
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        made.append(method)
+        return real(method)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return made
+
+
+def test_verify_pool_matches_serial_reference(tmp_path, capsys, monkeypatch):
+    made = _cores(monkeypatch, 3)
+    amplitudes = (1.0, 2.0, 4.0)
+    out = tmp_path / "out"
+    code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, _pool_cfg(amplitudes)),
+                                      "--output", str(out)])
+    assert code == EXIT_OK, err
+    assert made == ["fork"]
+    reference = _serial_reference(amplitudes)
+    assert {key: report[key] for key in reference} == reference
+    rows = (out / "per_run.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:4] for row in rows] == [
+        [repr(lhs), repr(rhs)] for lhs, rhs in reference["bound"]["per_run"]]
+
+
+def test_verify_one_core_runs_inline(tmp_path, capsys, monkeypatch):
+    amplitudes = (1.0, 2.0, 4.0)
+    cfg = _write(tmp_path, _pool_cfg(amplitudes))
+    _cores(monkeypatch, 2)
+    code, pooled, _ = _run(capsys, ["verify", "--config", cfg])
+    assert code == EXIT_OK
+    made = _cores(monkeypatch, 1)
+    code, inline, _ = _run(capsys, ["verify", "--config", cfg])
+    assert code == EXIT_OK
+    assert made == []  # no pool on one core
+    assert inline == pooled
+    reference = _serial_reference(amplitudes)
+    assert {key: inline[key] for key in reference} == reference
+
+
+# Under the struwe coupling f = u |grad u|^2 and a threshold of 1e4, amplitude 2
+# blows up at t ~ 0.0098 and amplitude 20 within two steps; amplitude 1 completes.
+_BLOWUP = {"problem": {"p": 2.0, "w": 1.3, "N": 3}, "rhs": {"kind": "struwe_coupling"},
+           "blowup_threshold": 1e4}
+
+
+@pytest.mark.parametrize("amplitudes, stopped", [
+    ((2.0, 1.0), 2.0),
+    ((1.0, 2.0), 2.0),
+    ((2.0, 20.0), 2.0),  # the later run stops sooner, but campaign order decides
+], ids=["first", "second", "both"])
+def test_verify_pool_stops_at_first_stopped_run(tmp_path, capsys, monkeypatch,
+                                                amplitudes, stopped):
+    _cores(monkeypatch, 2)
+    cfg = _pool_cfg(amplitudes) | _BLOWUP
+    cfg.pop("levels")
+    cfg.pop("energy_s")
+    out = tmp_path / "out"
+    code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, cfg),
+                                      "--output", str(out)])
+    status = gradbound.run(_pool_config(
+        stopped, N=3, rhs=gradbound.RhsSpec(gradbound.RhsKind.STRUWE_COUPLING, w=1.3),
+        blowup_threshold=1e4)).status
+    assert status.kind is gradbound.StatusKind.BLOWUP
+    assert code == EXIT_BLOWUP
+    assert err == f"stopped: run (seed=0, amplitude={stopped}) ended in blowup at t = {status.time}\n"
+    assert report is None
+    assert not out.exists()
+
+
+def _raise_on_amplitude(amplitude, check):
+    def patched(record, *args, **kwargs):
+        if record.config.initial.amplitude == amplitude:
+            raise ValueError(f"check refused amplitude {amplitude}")
+        return check(record, *args, **kwargs)
+    return patched
+
+
+@pytest.mark.parametrize("cells, patch, needle", [
+    # the chain runs on the first run and refuses R0 = 0.45 at 8 cells per unit
+    (8, None, "resolves < 8 nodes per axis"),
+    (16, ("energy_inequality_check", 2.0), "check refused amplitude 2.0"),
+    (16, ("holder_sandwich_check", 4.0), "check refused amplitude 4.0"),
+], ids=["chain-first-run", "energy-second-run", "sandwich-last-run"])
+def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, cells, patch, needle):
+    _cores(monkeypatch, 3)
+    if patch is not None:
+        name, amplitude = patch
+        monkeypatch.setattr(gradbound.cli, name,
+                            _raise_on_amplitude(amplitude, getattr(gradbound.cli, name)))
+    cfg = _pool_cfg() | {"grid": {"extent": 1.0, "cells": cells}}
+    out = tmp_path / "out"
+    code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, cfg),
+                                      "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and err.count("\n") == 1 and needle in err, err
+    assert "Traceback" not in err
+    assert report is None
+    assert not out.exists()
+
+
+def test_check_imports_no_process_pool(tmp_path):
+    """`gradbound check`, the benchmark campaign's set-up probe, never loads a pool."""
+    probe = ("import sys; from gradbound.cli import main; code = main(sys.argv[1:]); "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)), "
+             "file=sys.stderr); sys.exit(code)")
+    pythonpath = [str(IMPORT_ROOT), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    proc = subprocess.run([sys.executable, "-c", probe, "check", "--config",
+                           _write(tmp_path, {"p": 2.0, "w": 1.3})],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
 def test_verify_oracles(capsys):
     code, report, _ = _run(capsys, ["verify", "oracles"])
     assert code == EXIT_OK

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import prescribed_record
 from gradbound import (
@@ -124,6 +126,35 @@ def _unit_record(cells: int, sample, steps: int = 40, t_end: float = 0.2, N: int
 # Cylinder quadrature runs through psi = iint |grad u|^e: fields with a known
 # exact discrete gradient turn each oracle into a choice of u and e.
 
+
+
+@st.composite
+def _balls(draw):
+    """A grid, a center on a node, between nodes or outside, and a radius that
+    is often exactly a node distance, so nodes sit on the sphere."""
+    n = draw(st.sampled_from((2, 3)))
+    cells = tuple(draw(st.integers(4, 12)) for _ in range(n))
+    extent = tuple(draw(st.floats(0.3, 3.0)) for _ in range(n))
+    grid = Grid(n, extent, cells, draw(st.sampled_from(Boundary)))
+    h = grid.h
+    center = tuple(draw(st.one_of(st.integers(-2, c + 2).map(lambda k, hh=hh: k * hh),
+                                  st.floats(-0.5 * e, 1.5 * e)))
+                   for c, hh, e in zip(cells, h, extent))
+    steps = [draw(st.integers(0, 6)) for _ in range(n)]
+    radius = draw(st.one_of(st.just(math.sqrt(sum((k * hh) ** 2 for k, hh in zip(steps, h)))),
+                            st.floats(0.0, 2.0 * max(extent))))
+    return grid, center, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(_balls())
+def test_ball_mask_matches_whole_grid(ball):
+    # ball_mask sums distances over the ball's index range only; every node
+    # must get the verdict the whole grid's sums give, bit for bit
+    grid, center, radius = ball
+    d = node_coords(grid) - np.asarray(center, dtype=np.float64)
+    assert np.array_equal(ball_mask(grid, center, radius),
+                          np.sum(d * d, axis=-1) <= radius * radius)
 
 def test_cylinder_measure():
     # e = 0 integrates 1 whatever the field
