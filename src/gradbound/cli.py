@@ -446,11 +446,13 @@ def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequen
 def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
     """fn over jobs, results in job order, on min(len(jobs), cores) forked workers.
 
-    With one worker fn runs inline through map and no pool is made.  Leaving
-    the block terminates and joins the workers, also when the caller stops
-    at a result before the last.
+    With one worker fn runs inline through map and no pool is made; so it
+    does where the platform has no affinity mask (os.sched_getaffinity is
+    Linux's).  Leaving the block terminates and joins the workers, also when
+    the caller stops at a result before the last.
     """
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cores)
     if workers == 1:
         yield map(fn, jobs)
         return

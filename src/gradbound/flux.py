@@ -104,7 +104,8 @@ def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
     mag, when given, must be the precomputed Frobenius magnitude of Q.  For
     pure p = 2 the flux is Q itself, and the returned array may be Q.
     Otherwise out receives A(Q) and scratch[0], scratch[1] (shaped like mag)
-    the coefficient |A(Q)| / |Q|; each is fresh when omitted.
+    the coefficient |A(Q)| / |Q|; each is fresh when omitted.  out must not
+    share memory with Q.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if _is_identity(spec):
@@ -126,10 +127,15 @@ def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
         raise ValueError(f"unknown flux kind {spec.kind}")
     if out is None:
         return coeff[..., None, None] * Q
-    # one node-shaped (component, axis) slot at a time: the broadcast runs ~1.3x
-    # slower over the march's axis-major views, whose last axis is the strided one
-    for i, a in np.ndindex(Q.shape[-2:]):
-        np.multiply(coeff, Q[..., i, a], out=out[..., i, a])
+    # One multiply per axis slot, contiguous in the march's axis-major buffers,
+    # where the broadcast over the strided last axis runs ~1.5x slower.  The
+    # coefficient, spread over the components, waits in the last slot, which
+    # is multiplied in place last: c * q and q * c are the same bits.
+    last = out[..., -1]
+    last[...] = coeff[..., None]
+    for a in range(Q.shape[-1] - 1):
+        np.multiply(last, Q[..., a], out=out[..., a])
+    last *= Q[..., -1]
     return out
 
 

@@ -406,13 +406,18 @@ def test_verify_one_core_runs_inline(tmp_path, capsys, monkeypatch):
     _cores(monkeypatch, 2)
     code, pooled, _ = _run(capsys, ["verify", "--config", cfg])
     assert code == EXIT_OK
+    reference = _serial_reference(amplitudes)
+    assert {key: pooled[key] for key in reference} == reference
     made = _cores(monkeypatch, 1)
     code, inline, _ = _run(capsys, ["verify", "--config", cfg])
     assert code == EXIT_OK
-    assert made == []  # no pool on one core
     assert inline == pooled
-    reference = _serial_reference(amplitudes)
-    assert {key: inline[key] for key in reference} == reference
+    # a platform without an affinity mask runs inline too
+    monkeypatch.delattr(os, "sched_getaffinity")
+    code, no_mask, _ = _run(capsys, ["verify", "--config", cfg])
+    assert code == EXIT_OK
+    assert no_mask == pooled
+    assert made == []  # no pool either way
 
 
 # Under the struwe coupling f = u |grad u|^2 and a threshold of 1e4, amplitude 2
