@@ -438,7 +438,7 @@ def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequen
     return {"run": tag | {"status": kind.value, "steps": int(record.dt_history.size)},
             "sandwich": tag | sandwich.to_dict(),
             "energy": energy,
-            "chain": None if chain is None else chain.to_dict(),
+            "chain": chain and chain.to_dict(),
             "pair": _bound_pair(record, R0, exponents, **where)}
 
 
