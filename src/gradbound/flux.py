@@ -129,10 +129,12 @@ def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
         return coeff[..., None, None] * Q
     # One multiply per axis slot, contiguous in the march's axis-major buffers,
     # where the broadcast over the strided last axis runs ~1.5x slower.  The
-    # coefficient, spread over the components, waits in the last slot, which
-    # is multiplied in place last: c * q and q * c are the same bits.
+    # coefficient, spread over the components one assignment each, waits in
+    # the last slot, which is multiplied in place last: c * q and q * c are
+    # the same bits.
     last = out[..., -1]
-    last[...] = coeff[..., None]
+    for i in range(Q.shape[-2]):
+        last[..., i] = coeff
     for a in range(Q.shape[-1] - 1):
         np.multiply(last, Q[..., a], out=out[..., a])
     last *= Q[..., -1]
@@ -256,18 +258,26 @@ def rhs_eval(spec: RhsSpec, u: np.ndarray, grad: np.ndarray,
         out[...] = values
         return out
     g = grad_magnitude(np.asarray(grad, dtype=np.float64)) if mag is None else mag
+    # the per-node factor first, then one call per component: a broadcast
+    # over the trailing component axis would run N-element inner loops
+    if out is None:
+        out = np.empty_like(u)
+    comps = range(u.shape[-1])
     if spec.kind is RhsKind.STRUWE_COUPLING:
         g2 = np.multiply(g, g, out=scratch[0])
-        return np.multiply(u, g2[..., None], out=out)
+        for i in comps:
+            np.multiply(u[..., i], g2, out=out[..., i])
+        return out
     if spec.kind is RhsKind.POWER_ALIGNED:
         # c1 |grad u|^w u / max(|u|, delta_u) + c2, built in one buffer
-        norm = _root_sum_squares([u[..., i] for i in range(u.shape[-1])],
+        norm = _root_sum_squares([u[..., i] for i in comps],
                                  out=scratch[0], square=scratch[1])
         norm = np.maximum(norm, spec.delta_u, out=scratch[0])
-        out = np.divide(u, norm[..., None], out=out)
         gw = _pow(g, spec.w, scratch[1])
         gw *= spec.c1
-        out *= gw[..., None]
+        for i in comps:
+            np.divide(u[..., i], norm, out=out[..., i])
+            out[..., i] *= gw
         out += spec.c2
         return out
     if spec.kind is RhsKind.POWER_FIXED_DIR:
@@ -275,5 +285,7 @@ def rhs_eval(spec: RhsSpec, u: np.ndarray, grad: np.ndarray,
         gw = _pow(g, spec.w, scratch[0])
         gw *= spec.c1
         gw += spec.c2
-        return np.multiply(gw[..., None], d, out=out)
+        for i in comps:
+            np.multiply(gw, d[i], out=out[..., i])
+        return out
     raise ValueError(f"unknown rhs kind {spec.kind}")  # pragma: no cover

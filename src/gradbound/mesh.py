@@ -162,10 +162,23 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     """Second-order first derivative along one spatial axis of an arbitrary array.
 
     The differences are written into out (a fresh array when omitted) and
-    divided by 2h in place.
+    divided by 2h in place.  The interior central difference is one subtract
+    over the flattened arrays, shifted by the axis's element stride k:
+    flat[2k:] - flat[:-2k] into out's flat[k:-k], one long inner loop where
+    per-plane slices of the last axis run short ones.  On plane 0 and the
+    last plane of the axis that pair straddles two rows, so those two planes
+    hold wrong values (or none) until the wrap or one-sided closure below
+    rewrites exactly them.  The shift needs C-contiguous arrays: values is
+    taken through np.ascontiguousarray, and an out of another layout gets
+    the result copied in from a contiguous buffer.
     """
-    if out is None:
+    values = np.ascontiguousarray(values)
+    target = out
+    if out is None or not out.flags.c_contiguous:
         out = np.empty_like(values)
+    k = math.prod(values.shape[axis + 1:])
+    flat, oflat = values.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * k:], flat[:-2 * k], out=oflat[k:-k])
     mid = [slice(None)] * values.ndim
 
     def sl(idx):
@@ -173,7 +186,6 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
         s[axis] = idx
         return tuple(s)
 
-    np.subtract(values[sl(slice(2, None))], values[sl(slice(None, -2))], out=out[sl(slice(1, -1))])
     if boundary is Boundary.PERIODIC:
         # the two wrap planes of the central difference
         np.subtract(values[sl(1)], values[sl(-1)], out=out[sl(0)])
@@ -183,7 +195,10 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
         out[sl(0)] = -3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]
         out[sl(-1)] = 3.0 * values[sl(-1)] - 4.0 * values[sl(-2)] + values[sl(-3)]
     out /= 2.0 * h
-    return out
+    if target is None or target is out:
+        return out
+    target[...] = out
+    return target
 
 
 def gradient_of(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -29,6 +29,14 @@ one ulp above it (regularized p = 2.5, double power p = 1.2), so the
 two-extremes shortcut would move dt and is not taken.  The status check
 reads one min and one max of u: a non-finite extreme is Diverged, and
 max(max, -min) past the threshold is BlowupDetected.
+
+Every kernel on the step's path runs long inner loops: one numpy call per
+component or per axis slot, and the stencil interior as one flat shifted
+subtract.  A broadcast over the trailing component axis (N = 1 to 3) or a
+slice of the last spatial axis makes numpy run one short inner loop per
+node or per row, and its per-loop overhead then costs more than the
+arithmetic.  The arithmetic and its order are those of the broadcast, so
+the bits are the same.
 """
 
 from __future__ import annotations
@@ -262,8 +270,12 @@ def _d_max(flux: FluxSpec, mag: np.ndarray, scratch: np.ndarray) -> float:
     """Largest eigenvalue of dA/dQ over the samples: flux_jacobian_bounds' upper max.
 
     Evaluated at every node, not only at the extremes of mag (see the module
-    docstring); scratch holds three arrays shaped like mag.
+    docstring); scratch holds three arrays shaped like mag.  The identity
+    flux needs no pass: its pair is (p - 1) * t^0 and t^0 with p = 2, and
+    t^0 is 1.0 for every double, NaN and infinities included.
     """
+    if flux_mod._is_identity(flux):
+        return 1.0
     radial, tangential = flux_mod._eigen_pair(flux, mag, out=scratch)
     return float(np.maximum(radial.max(), tangential.max()))
 

@@ -181,6 +181,77 @@ def test_rhs_eval_aligned_is_the_unit_vector_formula(case, w, c1, c2, delta_u):
     assert _same_bits(rhs_eval(spec, u, grad), rhs_eval(spec, u, grad, mag=mag))
 
 
+@SETTINGS
+@given(case=grid_and_values(), w=st.floats(0.0, 3.0), c1=st.floats(-2.0, 2.0),
+       c2=st.floats(-2.0, 2.0), direction=st.lists(st.floats(-2.0, 2.0), min_size=3,
+                                                   max_size=3).filter(any))
+def test_rhs_eval_fixed_dir_is_the_direction_formula(case, w, c1, c2, direction):
+    grid, u = case
+    grad = gradient_of(grid, u)
+    mag = grad_magnitude(grad)
+    N = u.shape[-1]
+    spec = RhsSpec(RhsKind.POWER_FIXED_DIR, w=w, c1=c1, c2=c2, direction=tuple(direction[:N]))
+    reference = (c1 * mag**w + c2)[..., None] * np.asarray(spec.direction)
+    assert _same_bits(rhs_eval(spec, u, grad, mag=mag), reference)
+    assert _same_bits(rhs_eval(spec, u, grad), rhs_eval(spec, u, grad, mag=mag))
+
+
+@SETTINGS
+@given(case=grid_and_values())
+def test_rhs_eval_struwe_is_u_times_the_squared_magnitude(case):
+    grid, u = case
+    grad = gradient_of(grid, u)
+    mag = grad_magnitude(grad)
+    spec = RhsSpec(RhsKind.STRUWE_COUPLING)
+    assert _same_bits(rhs_eval(spec, u, grad, mag=mag), u * (mag * mag)[..., None])
+    assert _same_bits(rhs_eval(spec, u, grad), rhs_eval(spec, u, grad, mag=mag))
+
+
+def _layouts(shape):
+    """Buffers of one shape in three layouts: C order, the last axis first in
+    memory (the march's axis-major stage layout), and a non-contiguous view."""
+    last_first = np.moveaxis(np.empty(shape[-1:] + shape[:-1]), 0, -1)
+    strided = np.empty(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    return {"c_order": np.empty(shape), "axis_major": last_first, "strided": strided}
+
+
+def _in_layout(values, layout):
+    buf = _layouts(values.shape)[layout]
+    buf[...] = values
+    return buf
+
+
+@SETTINGS
+@given(case=grid_and_values(), spec=FLUXES, layout=st.sampled_from(("c_order", "axis_major",
+                                                                       "strided")))
+def test_out_buffers_of_any_layout_hold_the_fresh_result(case, spec, layout):
+    # every kernel the march calls with out= writes the bits of its fresh call,
+    # whatever the layout of its inputs and outputs; np.empty buffers start
+    # with garbage, so a position no write reaches shows
+    grid, u = case
+    N, nodes = u.shape[-1], grid.node_shape
+    u = _in_layout(u, layout)
+    grad = gradient_of(grid, u)
+    got = gradient_of(grid, u, out=_layouts(grad.shape)[layout])
+    assert _same_bits(got, grad)
+    Q = _in_layout(grad, layout)
+    mag = grad_magnitude(Q)
+    fresh = divergence(grid, Q)
+    bufs = _layouts(fresh.shape)
+    assert _same_bits(divergence(grid, Q, out=bufs[layout],
+                                 part=_layouts(fresh.shape)[layout]), fresh)
+    scratch = (np.empty(nodes), np.empty(nodes))
+    out = _layouts(grad.shape)[layout]
+    got = flux_eval(spec, Q, mag=mag, out=out, scratch=scratch)
+    assert _same_bits(got, flux_eval(spec, grad, mag=mag))
+    x = node_coords(grid)
+    for kind in RhsKind:
+        rhs = _march_rhs(kind, N)
+        got = rhs_eval(rhs, u, Q, x, 0.3, mag=mag, out=_layouts(u.shape)[layout],
+                       scratch=scratch)
+        assert _same_bits(got, rhs_eval(rhs, u, grad, x, 0.3)), kind
+
+
 # --- the march ------------------------------------------------------------------
 
 
@@ -337,8 +408,9 @@ D_MAX_FLUXES = st.one_of(
 
 
 @st.composite
-def magnitudes(draw):
-    """|Q| samples: generic ones, runs a few ulps inside the extremes, zeros and NaNs."""
+def magnitudes(draw, specials=()):
+    """|Q| samples: generic ones, runs a few ulps inside the extremes, zeros and NaNs,
+    and at least one of specials at random positions when it is given."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = rng.exponential(draw(st.floats(1e-3, 10.0)), size=draw(st.integers(2, 60)))
     for end, side in ((t.max(), -1.0), (t.min(), 1.0)):
@@ -348,19 +420,32 @@ def magnitudes(draw):
         t[rng.integers(t.size)] = 0.0
     if draw(st.booleans()):
         t[rng.integers(t.size)] = math.nan
+    if specials:
+        picks = draw(st.lists(st.sampled_from(specials), min_size=1, max_size=8))
+        t[rng.integers(t.size, size=len(picks))] = picks
     return t
+
+
+# The identity flux (pure p = 2) skips the eigen pass: its pair is (p - 1) t^0
+# and t^0, and t^0 is 1.0 for every double, whatever the sample.
+IDENTITY_SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, -1e-310)
+D_MAX_CASES = (st.tuples(D_MAX_FLUXES, magnitudes())
+               | st.tuples(st.just(FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0)),
+                           magnitudes(IDENTITY_SPECIALS)))
 
 
 # Each counterexample holds a node one ulp inside an extreme whose larger
 # eigenvalue rounds one ulp above the value at either extreme: D_max read
 # from the two extremes alone would be 1 ulp low there.
 @settings(max_examples=300, deadline=None)
-@given(spec=D_MAX_FLUXES, mag=magnitudes())
-@example(spec=FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 2.5, eps=1e-6),
-         mag=np.array([1.051864898082741, 12.750092045563337, 12.750092045563338]))
-@example(spec=FluxSpec(FluxKind.DOUBLE_POWER, 1.2, q=2.7),
-         mag=np.array([0.04214858106349269, 0.042148581063492695, 0.0949524476683027]))
-def test_d_max_is_the_upper_jacobian_bound_max(spec, mag):
+@given(case=D_MAX_CASES)
+@example(case=(FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 2.5, eps=1e-6),
+               np.array([1.051864898082741, 12.750092045563337, 12.750092045563338])))
+@example(case=(FluxSpec(FluxKind.DOUBLE_POWER, 1.2, q=2.7),
+               np.array([0.04214858106349269, 0.042148581063492695, 0.0949524476683027])))
+@example(case=(FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), np.array(IDENTITY_SPECIALS)))
+def test_d_max_is_the_upper_jacobian_bound_max(case):
+    spec, mag = case
     work = np.empty((3,) + mag.shape)
     try:
         want = flux_jacobian_bounds(spec, None, mag=mag)[1].max()
