@@ -170,7 +170,11 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     hold wrong values (or none) until the wrap or one-sided closure below
     rewrites exactly them.  The shift needs C-contiguous arrays: values is
     taken through np.ascontiguousarray, and an out of another layout gets
-    the result copied in from a contiguous buffer.
+    the result copied in from a contiguous buffer.  The closures see the
+    arrays as (rows, axis, entries); where the rows outnumber the entries (the
+    last spatial axis of (*node_shape, N) samples) they run on the reversed
+    view with order="C", one inner loop across the rows per entry, where
+    numpy's memory order would run one N-element loop per row.
     """
     values = np.ascontiguousarray(values)
     target = out
@@ -179,21 +183,23 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     k = math.prod(values.shape[axis + 1:])
     flat, oflat = values.reshape(-1), out.reshape(-1)
     np.subtract(flat[2 * k:], flat[:-2 * k], out=oflat[k:-k])
-    mid = [slice(None)] * values.ndim
-
-    def sl(idx):
-        s = list(mid)
-        s[axis] = idx
-        return tuple(s)
-
+    rows = math.prod(values.shape[:axis])
+    v, o = values.reshape(rows, -1, k), out.reshape(rows, -1, k)
+    if k < rows:
+        v, o = v.T, o.T
     if boundary is Boundary.PERIODIC:
         # the two wrap planes of the central difference
-        np.subtract(values[sl(1)], values[sl(-1)], out=out[sl(0)])
-        np.subtract(values[sl(0)], values[sl(-2)], out=out[sl(-1)])
+        np.subtract(v[:, 1], v[:, -1], out=o[:, 0], order="C")
+        np.subtract(v[:, 0], v[:, -2], out=o[:, -1], order="C")
     else:
-        # one-sided second-order closures on the boundary planes
-        out[sl(0)] = -3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]
-        out[sl(-1)] = 3.0 * values[sl(-1)] - 4.0 * values[sl(-2)] + values[sl(-3)]
+        # one-sided second-order closures on the boundary planes, built in
+        # contiguous temporaries: (-3 v0 + 4 v1) - v2 and (3 v[-1] - 4 v[-2]) + v[-3]
+        near = np.multiply(v[:, 0], -3.0, order="C")
+        near += np.multiply(v[:, 1], 4.0, order="C")
+        np.subtract(near, v[:, 2], out=o[:, 0], order="C")
+        far = np.multiply(v[:, -1], 3.0, order="C")
+        far -= np.multiply(v[:, -2], 4.0, order="C")
+        np.add(far, v[:, -3], out=o[:, -1], order="C")
     out /= 2.0 * h
     if target is None or target is out:
         return out

@@ -2,13 +2,28 @@
 
     d_t u^i = div A^i(grad u) + f^i(x, t, u, grad u)
 
-Forward Euler in time with the adjoint central-difference divergence in
-space.  The step size obeys the diffusion stability limit
+Variable-step two-step Adams-Bashforth (AB2; Hairer, Norsett & Wanner,
+Solving ODEs I, III.5) in time with the adjoint central-difference
+divergence in space.  With F_n the rate at step n and w = dt_n / dt_{n-1},
 
-    dt = cfl * min_axis(h^2) / (2 n D_max),
+    u_{n+1} = u_n + dt_n [F_n + (w / 2) (F_n - F_{n-1})],
+
+and the first step of a run is forward Euler.  The stable step is
+
+    dt_stab = min(cfl * min_axis(h^2) / (c_b n D_max), dt_max),
 
 where D_max is the largest eigenvalue of the flux Jacobian over the current
-gradient samples, capped at dt_max; a step-size floor of 1e-12 marks the run
+gradient samples and c_b bounds |lambda|max h^2 per axis of the wide
+stencil's heat operator (central difference applied twice, boundary planes
+frozen): 1 on periodic grids, where it is max sin^2(k h); 3/2 on Dirichlet
+grids, where the one-sided closures carry a boundary mode whose
+|lambda|max h^2 is 3/2 at 4 cells and falls to 4/3 as the cells grow
+(1.354 at 8, 1.3336 at 16).  So dt_stab rho <= cfl <= 1 for the heat
+operator on every admissible grid, inside AB2's real-axis stability
+interval dt rho <= 1.  The rest of each snapshot interval is split evenly,
+m = ceil(rest / dt_stab) steps of rest / m, so the last step lands on the
+snapshot time exactly and w stays near 1 (a clipped step would make the
+next w large).  A stable step under 1e-12, or not a number, marks the run
 Diverged rather than stalling.  A run stores snapshot_count evenly spaced
 snapshots and reports Completed, BlowupDetected (any |u| or |grad u| sample
 beyond the threshold), or Diverged (non-finite samples or floored dt).
@@ -17,7 +32,14 @@ Identical configs, including the seed, reproduce bitwise-identical records.
 Each step evaluates one stage, _rate, into a workspace allocated once per
 run and rewritten every step, through the kernels' out= arguments: the same
 arithmetic as their fresh-array calls, so records are bit-identical to
-them.  The gradient buffer is axis-major, (n, *node_shape, N) seen as
+them.  The update runs in place in the stage's term buffer as
+term = F_{n-1} - F_n; term *= -w/2; term += F_n; term *= dt; u += term,
+and then the rate and history buffers swap references, so no array is
+copied or allocated.  On Dirichlet grids term's boundary planes are set to
+-0.0 before it is added: u + -0.0 is u for every u, signed zeros included,
+so every boundary sample stays bit-equal whatever the stencil gave there.
+
+The gradient buffer is axis-major, (n, *node_shape, N) seen as
 (*node_shape, N, n), so each axis's derivative is written, and each flux
 slot read by the divergence, contiguously; the flux gets a buffer of the
 same layout unless it is the identity (pure p = 2).  D_max reads the two
@@ -79,6 +101,8 @@ __all__ = [
 
 DT_FLOOR = 1e-12
 REGULARIZATION_DEFAULT = 1e-6
+# c_b of the module docstring: the per-axis |lambda|max h^2 the step rule assumes
+_STENCIL_RADIUS = {Boundary.PERIODIC: 1.0, Boundary.DIRICHLET: 1.5}
 
 
 @dataclass(frozen=True)
@@ -213,11 +237,20 @@ def initial_field(config: SolveConfig) -> Field:
     return Field(grid, init.amplitude * vals, 0.0)
 
 
-def _dt_from_eigen(grid: Grid, cfl: float, dt_max: float, d_max: float) -> float:
-    h2 = min(h * h for h in grid.h)
+def _next_dt(grid: Grid, cfl: float, dt_max: float, d_max: float, rest: float
+             ) -> float | None:
+    """The next step: rest split evenly into steps no longer than the stable one.
+
+    None when the stable step is under DT_FLOOR or not a number (a NaN D_max).
+    """
     if d_max <= 0.0:
-        return dt_max
-    return min(cfl * h2 / (2.0 * grid.n * d_max), dt_max)
+        dt_stab = dt_max
+    else:  # a NaN d_max lands here, and min keeps its NaN first argument
+        h2 = min(h * h for h in grid.h)
+        dt_stab = min(cfl * h2 / (_STENCIL_RADIUS[grid.boundary] * grid.n * d_max), dt_max)
+    if not dt_stab >= DT_FLOOR:
+        return None
+    return rest / math.ceil(rest / dt_stab)
 
 
 class _Stage:
@@ -226,11 +259,15 @@ class _Stage:
     grad is an (*node_shape, N, n) view of an axis-major (n, *node_shape, N)
     buffer, so each axis's derivative and each flux slot the divergence reads
     is contiguous.  flux is None for the identity flux, whose flux_eval
-    returns grad itself.  term holds each divergence part, then f; scratch
-    holds three node-shaped arrays for the kernels' per-node factors.
+    returns grad itself.  rate receives this step's rate and prev holds the
+    last step's; run swaps the two after each step.  term holds each
+    divergence part, then f, then the step's increment; frozen lists term's
+    boundary planes on Dirichlet grids (none on periodic ones) as views made
+    once, which a fill runs through faster than a fancy index.  scratch holds
+    three node-shaped arrays for the kernels' per-node factors.
     """
 
-    __slots__ = ("grad", "mag", "flux", "rate", "term", "scratch")
+    __slots__ = ("grad", "mag", "flux", "rate", "prev", "term", "frozen", "scratch")
 
     def __init__(self, grid: Grid, N: int, flux: FluxSpec):
         nodes = grid.node_shape
@@ -238,7 +275,10 @@ class _Stage:
         self.mag = np.empty(nodes)
         self.flux = None if flux_mod._is_identity(flux) else np.empty_like(self.grad)
         self.rate = np.empty(nodes + (N,))
+        self.prev = np.empty_like(self.rate)
         self.term = np.empty_like(self.rate)
+        self.frozen = [] if grid.boundary is Boundary.PERIODIC else [
+            self.term[(slice(None),) * a + (side,)] for a in range(grid.n) for side in (0, -1)]
         self.scratch = np.empty((3,) + nodes)
 
 
@@ -247,9 +287,8 @@ def _rate(state: Field, config: SolveConfig, x: np.ndarray, stage: _Stage
     """Right-hand side div A(grad u) + f of the semi-discrete system at state.
 
     Returns the rate and the gradient magnitude it was built from, both
-    arrays of stage.  On Dirichlet grids the rate is -0.0 on the boundary
-    planes: adding it leaves every boundary sample bit-equal, signed zeros
-    included.
+    arrays of stage.  On Dirichlet grids the rate's boundary planes hold
+    whatever the stencil gives there: run freezes the planes of the increment.
     """
     grid, scratch = state.grid, stage.scratch
     grad = gradient_of(grid, state.values, out=stage.grad)
@@ -258,11 +297,6 @@ def _rate(state: Field, config: SolveConfig, x: np.ndarray, stage: _Stage
     rate = divergence(grid, flux, out=stage.rate, part=stage.term)
     rate += rhs_eval(config.rhs, state.values, grad, x, state.time, mag=mag,
                      out=stage.term, scratch=scratch)
-    if grid.boundary is Boundary.DIRICHLET:
-        for a in range(grid.n):
-            planes = [slice(None)] * rate.ndim
-            planes[a] = [0, -1]
-            rate[tuple(planes)] = -0.0
     return rate, mag
 
 
@@ -320,17 +354,25 @@ def run(config: SolveConfig) -> RunRecord:
             if float(mag.max()) > thr:
                 status = RunStatus(StatusKind.BLOWUP, state.time)
                 break
-            dt_stab = _dt_from_eigen(eff.grid, eff.cfl, eff.dt_max,
-                                     _d_max(fl, mag, stage.scratch))
-            if dt_stab < DT_FLOOR:
+            rest = target - state.time
+            dt = _next_dt(eff.grid, eff.cfl, eff.dt_max, _d_max(fl, mag, stage.scratch), rest)
+            if dt is None:
                 status = RunStatus(StatusKind.DIVERGED, state.time)
                 break
-            clipped = dt_stab >= target - state.time
-            dt = target - state.time if clipped else dt_stab
-            rate *= dt
-            state.values += rate
-            # a clipped step lands on the target exactly: no drift at snapshot times
-            state.time = target if clipped else state.time + dt
+            term = stage.term
+            if dt_history:
+                np.subtract(stage.prev, rate, out=term)
+                term *= -0.5 * dt / dt_history[-1]
+                term += rate
+                term *= dt
+            else:  # the first step is Euler
+                np.multiply(rate, dt, out=term)
+            for plane in stage.frozen:
+                plane[...] = -0.0  # u + -0.0 is u, signed zeros included
+            state.values += term
+            stage.rate, stage.prev = stage.prev, rate
+            # the last step of an interval lands on the target exactly: no drift at snapshot times
+            state.time = target if dt == rest else state.time + dt
             dt_history.append(dt)
             stopped = _screen(state.values, thr)
             if stopped is not None:

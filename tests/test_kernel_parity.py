@@ -10,8 +10,8 @@ their out= results in any buffer layout.  The one exception is grad_magnitude fr
 pairwise summation and the kernel's running sum group the squares differently.
 
 The march itself is checked the same way: `run`, which writes every kernel
-into one stage of reused axis-major buffers, against the plain forward-Euler
-loop over fresh kernel results.
+into one stage of reused axis-major buffers and updates u in place, against
+the plain Adams-Bashforth 2 loop over fresh kernel results.
 """
 
 import math
@@ -254,8 +254,9 @@ def test_out_buffers_of_any_layout_hold_the_fresh_result(case, spec, layout):
 
 
 def _reference_run(config):
-    """Forward Euler as the plain loop: fresh kernel results every step, D_max
-    from flux_jacobian_bounds, and is_finite plus max |u| for the status.
+    """Variable-step AB2 as the plain loop: fresh kernel results every step,
+    D_max from flux_jacobian_bounds, and is_finite plus max |u| for the status.
+    The first step is Euler; each interval's rest is split into equal steps.
 
     Returns (snapshots, dt history, status) as run's record holds them.
     """
@@ -263,7 +264,8 @@ def _reference_run(config):
     state = initial_field(config)
     x = node_coords(grid)
     h2 = min(h * h for h in grid.h)
-    steps = []
+    radius = 1.0 if grid.boundary is Boundary.PERIODIC else 1.5
+    steps, prev = [], None
 
     def stopped():
         if not state.is_finite():
@@ -291,13 +293,17 @@ def _reference_run(config):
                 return snapshots, steps, RunStatus(StatusKind.BLOWUP, state.time)
             d_max = float(flux_jacobian_bounds(flux, grad, mag=mag)[1].max())
             dt_stab = config.dt_max if d_max <= 0.0 else min(
-                config.cfl * h2 / (2.0 * grid.n * d_max), config.dt_max)
-            if dt_stab < 1e-12:
+                config.cfl * h2 / (radius * grid.n * d_max), config.dt_max)
+            if not dt_stab >= 1e-12:
                 return snapshots, steps, RunStatus(StatusKind.DIVERGED, state.time)
-            clipped = dt_stab >= target - state.time
-            dt = target - state.time if clipped else dt_stab
-            state.values += rate * dt
-            state.time = target if clipped else state.time + dt
+            rest = target - state.time
+            dt = rest / math.ceil(rest / dt_stab)
+            if prev is None:
+                state.values += rate * dt
+            else:
+                state.values += ((prev - rate) * (-0.5 * dt / steps[-1]) + rate) * dt
+            prev = rate
+            state.time = target if dt == rest else state.time + dt
             steps.append(dt)
             kind = stopped()
             if kind is not None:
@@ -349,8 +355,9 @@ def test_run_matches_the_plain_march(flux_name, rhs_kind, boundary):
     flux = MARCH_FLUXES[flux_name]
     config = SolveConfig(grid=grid, flux=flux, rhs=_march_rhs(rhs_kind, N),
                          initial=RandomSmooth(seed=index), N=N, t_end=1.0)
-    # snapshots about three stable steps of the initial field apart, so that
-    # D_max, not the snapshot grid, sets the steps.  Periodic p = 1.5 (eps =
+    # snapshots about three stable steps of the initial field apart (steps of
+    # the AB2 rule, with c_b = 1 periodic and 3/2 Dirichlet), so that D_max,
+    # not the snapshot grid, sets the steps.  Periodic p = 1.5 (eps =
     # 1e-6) is fast diffusion, which goes extinct: its D_max grows toward
     # eps^-0.5 as the field flattens, so there they sit just over one step
     # apart, which keeps the march short and still starts every interval
@@ -358,7 +365,8 @@ def test_run_matches_the_plain_march(flux_name, rhs_kind, boundary):
     spacing = 1.05 if flux_name == "pure_1.5" and boundary is Boundary.PERIODIC else 3.0
     mag = grad_magnitude(gradient(initial_field(config)))
     d_max = flux_jacobian_bounds(_resolve_flux(flux), None, mag=mag)[1].max()
-    dt = config.cfl * min(h * h for h in grid.h) / (2.0 * n * d_max)
+    radius = 1.0 if boundary is Boundary.PERIODIC else 1.5
+    dt = config.cfl * min(h * h for h in grid.h) / (radius * n * d_max)
     record = _assert_same_march(replace(config, t_end=spacing * 63 * dt))
     assert record.dt_history.size > len(record.snapshots)
 

@@ -24,6 +24,8 @@ from gradbound import (
     run,
     save_run,
 )
+from gradbound import solver
+from gradbound.solver import _next_dt, _rate, _Stage
 
 UNIT = lambda cells, boundary=Boundary.PERIODIC: Grid(
     3, (1.0, 1.0, 1.0), (cells,) * 3, boundary
@@ -42,29 +44,40 @@ def _config(grid, flux, rhs=None, initial=None, N=1, t_end=0.01, **kw):
     )
 
 
+def _assert_stable_dt(cfg, d_max, dt_stab):
+    """The step rule's stable step at d_max is dt_stab within rel 1e-12, and
+    the run splits its first snapshot interval into equal steps no longer."""
+    for rest, steps in ((dt_stab * (1.0 - 1e-12), 1), (dt_stab * (1.0 + 1e-12), 2)):
+        assert _next_dt(cfg.grid, cfg.cfl, cfg.dt_max, d_max, rest) == rest / steps
+    rec = run(cfg)
+    interval = np.linspace(0.0, cfg.t_end, cfg.snapshot_count)[1]
+    assert rec.dt_history[0] == interval / math.ceil(interval / dt_stab)
+    assert np.array_equal(rec.times(), np.linspace(0.0, cfg.t_end, cfg.snapshot_count))
+    return rec
+
+
 def test_stable_dt_heat():
-    # p = 2, D = 1, h = 0.05: dt = 0.4 * 0.0025 / 6; the first snapshot at
-    # t_end / 63 lies past one step, so the first step is not clipped
+    # p = 2, D = 1, h = 0.05, periodic (c_b = 1): dt_stab = 0.4 * 0.0025 / 3,
+    # and each snapshot interval t_end / 63 holds 2.4 of it: 3 steps
     grid = UNIT(20)
-    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.02)
-    dt = run(cfg).dt_history[0]
-    assert dt == pytest.approx(0.4 * 0.05**2 / 6.0, rel=1e-12)
-    assert dt == pytest.approx(1.667e-4, rel=1e-3)
+    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.05)
+    rec = _assert_stable_dt(cfg, 1.0, 0.4 * 0.05**2 / 3.0)
+    assert rec.dt_history[0] == pytest.approx(2.646e-4, rel=1e-3)
 
 
 def test_stable_dt_zero_field_regularized():
     grid = UNIT(8)
     cfg = _config(grid, FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 3.0, eps=0.1),
                   initial=Prescribed(np.zeros(grid.node_shape + (1,))),
-                  dt_max=1.0, t_end=1.0)
-    dt = run(cfg).dt_history[0]
+                  dt_max=1.0, t_end=5.0)
     # jacobian at Q = 0 is eps^(p-2) I
-    assert dt == pytest.approx(0.4 * 0.125**2 / (6.0 * 0.1), rel=1e-12)
-    assert math.isfinite(dt) and dt > 0.0
+    rec = _assert_stable_dt(cfg, 0.1, 0.4 * 0.125**2 / (3.0 * 0.1))
+    assert math.isfinite(rec.dt_history[0]) and rec.dt_history[0] > 0.0
 
 
 def test_stable_dt_steep_gradient_scaling():
-    # doubling a linear profile scales dt by 2^(2-p) for p > 2
+    # doubling a linear profile scales dt_stab by 2^(2-p) for p > 2; on the
+    # Dirichlet grid (c_b = 3/2) D_max = (p - 1) slope^(p - 2)
     grid = Grid(3, (1.0, 1.0, 1.0), (8, 8, 8), Boundary.DIRICHLET)
     x = node_coords(grid)
     p = 3.5
@@ -73,8 +86,91 @@ def test_stable_dt_steep_gradient_scaling():
         vals = (slope * x[..., 0])[..., None]
         cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, p),
                       initial=Prescribed(vals), t_end=0.05)
-        dts.append(run(cfg).dt_history[0])
+        d_max = (p - 1.0) * slope ** (p - 2.0)
+        dts.append(0.4 * 0.125**2 / (1.5 * 3.0 * d_max))
+        _assert_stable_dt(cfg, d_max, dts[-1])
     assert dts[1] / dts[0] == pytest.approx(2.0 ** (2.0 - p), rel=1e-12)
+
+
+def test_non_finite_d_max_ends_the_run_diverged(monkeypatch):
+    grid = UNIT(8)
+    for d_max in (math.nan, math.inf):
+        assert _next_dt(grid, 0.4, 1e-2, d_max, 1e-3) is None
+    assert _next_dt(grid, 0.4, 1e-2, 0.0, 0.025) == 0.025 / 3  # D_max = 0: dt_max
+    # a NaN D_max mid-run stops it diverged rather than in ceil's ValueError
+    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5))
+    monkeypatch.setattr(solver, "_d_max", lambda *args: math.nan)
+    rec = run(cfg)
+    assert rec.status.kind is StatusKind.DIVERGED and rec.status.time == 0.0
+    assert rec.dt_history.size == 0
+
+
+def _spectral_radius(grid, iterations=400):
+    """|lambda|max of the march's heat operator u -> div grad u (boundary planes
+    frozen), by power iteration from a random field."""
+    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0))
+    x, stage = node_coords(grid), _Stage(grid, 1, cfg.flux)
+    v = np.random.default_rng(0).standard_normal(grid.node_shape + (1,))
+    for _ in range(iterations):
+        v /= np.linalg.norm(v)
+        v = _rate(Field(grid, v), cfg, x, stage)[0].copy()
+        if grid.boundary is Boundary.DIRICHLET:  # the march freezes the planes
+            for a in range(grid.n):
+                np.moveaxis(v, a, 0)[[0, -1]] = 0.0
+    return float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("cells, boundary, per_axis", [
+    (16, Boundary.PERIODIC, 1.0),          # max sin^2(k h) = 1
+    (32, Boundary.DIRICHLET, 4.0 / 3.0),   # the closures' boundary mode, large grids
+    (4, Boundary.DIRICHLET, 1.5),          # its largest value, at the fewest cells
+])
+def test_step_rule_bounds_the_heat_operator(n, cells, boundary, per_axis):
+    # |lambda|max h^2 is n per_axis; the rule's c_b bounds it on every grid, so
+    # at the largest cfl a step keeps dt D_max |lambda|max <= cfl = 1, inside
+    # AB2's real-axis stability interval
+    grid = Grid(n, 1.0, cells, boundary)
+    rho = _spectral_radius(grid)
+    assert rho * grid.h[0] ** 2 == pytest.approx(n * per_axis, rel=1e-6)
+    dt = _next_dt(grid, 1.0, 1.0, 1.0, 1.0)
+    assert dt * rho <= 1.0 + 1e-9
+
+
+def test_largest_cfl_dirichlet_heat_run_decays():
+    # cfl = 1 on 4 cells, where the Dirichlet boundary mode is largest: a noisy
+    # field decays over ~400 steps (c_b = 4/3 would put dt rho past 1 there
+    # and grow it by ~10% a step)
+    grid = Grid(3, 1.0, 4, Boundary.DIRICHLET)
+    vals = np.zeros(grid.node_shape + (1,))
+    vals[1:-1, 1:-1, 1:-1] = np.random.default_rng(2).standard_normal((3, 3, 3, 1))
+    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0),
+                  initial=Prescribed(vals), t_end=5.0, cfl=1.0, dt_max=1.0)
+    rec = run(cfg)
+    assert rec.completed and rec.dt_history.size > 300
+    sup = [float(np.abs(s.values).max()) for s in rec.snapshots]
+    assert sup[-1] < 1e-6 * sup[0]
+
+
+def test_ab2_is_second_order_in_time():
+    # the wide-stencil eigenfunction sin(2 pi x1) decays like exp(-lambda_h t)
+    # exactly in space, so its error is the time error: with dt_max pinning
+    # equal steps, halving dt quarters it (forward Euler would halve it)
+    grid = Grid(2, 1.0, 8)
+    x = node_coords(grid)
+    vals = np.sin(2.0 * math.pi * x[..., 0])[..., None]
+    t_end = 0.063
+    lam_h = (math.sin(2.0 * math.pi * grid.h[0]) / grid.h[0]) ** 2
+    interval = t_end / 63
+    errors = []
+    for steps in (10, 20):
+        cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), initial=Prescribed(vals),
+                      t_end=t_end, dt_max=interval / (steps - 0.5))
+        rec = run(cfg)
+        assert rec.dt_history.size == 63 * steps
+        assert np.array_equal(rec.times(), np.linspace(0.0, t_end, 64))
+        errors.append(abs(rec.snapshots[-1].values.max() - math.exp(-lam_h * t_end)))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_step_constant_steady_state():
