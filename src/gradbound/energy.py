@@ -17,9 +17,21 @@ runs on the ball's own nodes, taken from the box as 1-D arrays in row-major
 order, and the cutoff's space factors are built once per check.  Every
 stencil value comes from the same arithmetic on the same neighbours and the
 ball sums add the same numbers in the same order, so each check returns bit
-for bit what the whole grid would.  A sweep differentiates only the
-snapshots the time quadrature reads (mesh._time_support): those in the
-window and, where an end falls between two snapshots, the one beyond it.
+for bit what the whole grid would.  A sweep reads only the snapshots the
+time quadrature reads (mesh._time_support): those in the window and, where
+an end falls between two snapshots, the one beyond it.
+
+A record differentiates each snapshot once per box.  Its private stack,
+RunRecord._magnitudes, maps a box (its per-axis index ranges, or None for
+the whole grid) to one read-only |grad u| per snapshot, filled the first
+time any window on that box reads the snapshot through _Window.sweep, the
+module's one loop over snapshots.  The sandwich, the energy checks, the
+chain and the bound fit's outer cylinder share the R0 box; the bound fit's
+inner cylinder has its own.  The stack costs box nodes x 8 B per read
+snapshot (~3.3 MB for a 32^3 record at R0 = 0.24) for the record's
+lifetime, and relies on RunRecord marking every stored snapshot read-only.
+The energy check takes its gradient of |grad u| per call from the stacked
+magnitude.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
@@ -107,21 +119,6 @@ def _powered(mag: np.ndarray, exponent: float) -> np.ndarray:
     return mag**exponent
 
 
-def _sweep_series(record: RunRecord, win: "_Window",
-                  fn: Callable[[Field, np.ndarray], Sequence[float]]) -> np.ndarray:
-    """Evaluate several per-snapshot functionals in one pass over the record.
-
-    fn receives (snapshot, |grad u| on the window's box) and returns one
-    scalar per functional; the gradient magnitude is computed once per
-    snapshot, and only for the snapshots win.integrate reads.  Returns one
-    series per functional, 0.0 at the snapshots left unread.
-    """
-    rows = [fn(snap, win.magnitude(snap)) for snap in record.snapshots[win.read]]
-    series = np.zeros((len(record.snapshots), len(rows[0])))
-    series[win.read] = rows
-    return series.T
-
-
 # Box halo in nodes: the energy check differentiates |grad u|, so its ball
 # nodes read |grad u| one node out, which reads u two nodes out.
 HALO = 2
@@ -138,7 +135,9 @@ class _Window:
     values[box]: the ball's bounding box widened by HALO nodes, on box_grid.
     core locates the ball's own bounding box inside the box, and box_mask is
     the ball cut to the box: mag[box_mask] lists the ball's nodes in the same
-    row-major order as mask does on the grid.
+    row-major order as mask does on the grid.  key names the box in the
+    record's stack of box |grad u| (record._magnitudes), which every window
+    on the same box of the same record shares.
     """
 
     times: np.ndarray
@@ -150,14 +149,45 @@ class _Window:
     box: tuple
     box_grid: Grid
     core: tuple
+    record: RunRecord
+    key: tuple | None
 
     def integrate(self, series: np.ndarray) -> float:
         """Endpoint-interpolated trapezoid over [lo, b] of a per-snapshot series."""
         return time_integral(self.times, series, self.lo, self.b)
 
-    def magnitude(self, snap: Field) -> np.ndarray:
-        """|grad u| on the box; exact at the ball's nodes and one node beyond."""
-        return grad_magnitude(gradient_of(self.box_grid, snap.values[self.box]))
+    def magnitude(self, k: int) -> np.ndarray:
+        """|grad u| of snapshot k on the box; exact at the ball's nodes and one node beyond.
+
+        Differentiated the first time any window on this box reads snapshot k,
+        then served read-only from the stack.
+        """
+        mag = self.stack[k]
+        if mag is None:
+            values = self.record.snapshots[k].values[self.box]
+            mag = grad_magnitude(gradient_of(self.box_grid, values))
+            mag.flags.writeable = False
+            self.stack[k] = mag
+        return mag
+
+    def sweep(self, fn: Callable[[Field, np.ndarray], Sequence[float]],
+              at: slice | np.ndarray | None = None) -> np.ndarray:
+        """Evaluate several per-snapshot functionals in one pass over the record.
+
+        fn receives (snapshot, |grad u| on the box) and returns one scalar per
+        functional, at the snapshots in at: by default those integrate reads.
+        Returns one series per functional, 0.0 at the snapshots left unread.
+        """
+        ks = np.arange(len(self.times))[self.read if at is None else at]
+        rows = [fn(self.record.snapshots[k], self.magnitude(k)) for k in ks]
+        series = np.zeros((len(self.times), len(rows[0])))
+        series[ks] = rows
+        return series.T
+
+    @functools.cached_property
+    def stack(self) -> list:
+        """The record's |grad u| on this box, one slot per snapshot, None until read."""
+        return self.record._magnitudes.setdefault(self.key, [None] * len(self.record.snapshots))
 
     @functools.cached_property
     def box_mask(self) -> np.ndarray:
@@ -171,7 +201,7 @@ class _Window:
         return out
 
 
-def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, Grid, tuple]:
+def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, tuple]:
     """Per axis, the index range of the ball's nodes widened by HALO nodes.
 
     The halo wraps on periodic axes and is clipped at Dirichlet planes, where
@@ -181,13 +211,14 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, Grid, tuple]:
     otherwise a periodic axis the halo overruns repeats some nodes, which
     box_mask leaves out.  box_grid is the grid with one-sided closures: it
     keeps the grid's extent and cells, so gradient_of, which reads only the
-    spacing and the boundary kind, sees the same h.  Returns (box, box_grid,
-    core).
+    spacing and the boundary kind, sees the same h.  Returns (key, box,
+    box_grid, core), where key names the box by its per-axis index ranges,
+    or None for the whole grid: on one grid, equal keys give equal boxes.
     """
     whole = (slice(None),) * grid.n
     if not mask.any():
-        return whole, grid, whole
-    idx, core = [], []
+        return None, whole, grid, whole
+    idx, ranges, core = [], [], []
     covers = True
     for a, count in enumerate(grid.node_shape):
         hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(grid.n) if b != a)))
@@ -200,10 +231,12 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, Grid, tuple]:
             start, stop = max(start, 0), min(stop, count)
             idx.append(np.arange(start, stop))
             covers = covers and stop - start == count
+        ranges.append((start, stop))
         core.append(slice(first - start, last + 1 - start))
     if covers:
-        return whole, grid, whole
-    return np.ix_(*idx), replace(grid, boundary=Boundary.DIRICHLET), tuple(core)
+        return None, whole, grid, whole
+    return (tuple(ranges), np.ix_(*idx), replace(grid, boundary=Boundary.DIRICHLET),
+            tuple(core))
 
 
 def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
@@ -230,16 +263,17 @@ def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
             f"only {inside.size} snapshots inside the cylinder window; need >= 3"
         )
     mask = ball_mask(grid, cyl.center, cyl.R)
-    return _Window(times, mask, lo, b, inside, _time_support(times, lo, b), *_box(grid, mask))
+    key, box, box_grid, core = _box(grid, mask)
+    return _Window(times, mask, lo, b, inside, _time_support(times, lo, b), box, box_grid,
+                   core, record, key)
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     """iint over the cylinder of |grad u|^exponent."""
     grid = record.config.grid
     win = _window(record, cyl)
-    (series,) = _sweep_series(
-        record, win, lambda s, m: (spatial_integral(grid, _powered(m[win.box_mask], exponent)),)
-    )
+    (series,) = win.sweep(
+        lambda s, m: (spatial_integral(grid, _powered(m[win.box_mask], exponent)),))
     return win.integrate(series)
 
 
@@ -329,7 +363,7 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
             + (m**half)[:, None] * ((dq * tp)[:, None] * unit)
         return sup, spatial_integral(grid, np.sum(vec * vec, axis=-1)), raw
 
-    sup_series, grad_series, raw_series = _sweep_series(record, win, terms)
+    sup_series, grad_series, raw_series = win.sweep(terms)
     lhs_sup = float(sup_series[win.inside].max())
     lhs_grad = win.integrate(grad_series)
     rhs_raw = win.integrate(raw_series)
@@ -395,16 +429,14 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     e_lhs = p + s + (s + 2.0) * 2.0 / n
     e_B = 2.0 * n / (n - 2.0)
 
-    L = np.empty(idx.size)
-    A = np.empty(idx.size)
-    B = np.empty(idx.size)
-    for j, k in enumerate(idx):
-        snap = record.snapshots[k]
-        m = win.magnitude(snap)[ball]
+    def terms(snap: Field, mag: np.ndarray) -> tuple[float, float, float]:
+        m = mag[ball]
         eta = profile * cut.time_profile(snap.time)
-        L[j] = spatial_integral(grid, m[in_rho] ** e_lhs) if snap.time >= a_rho else 0.0
-        A[j] = spatial_integral(grid, m ** (s + 2.0) * eta * eta)
-        B[j] = spatial_integral(grid, (m ** ((p + s) / 2.0) * eta) ** e_B)
+        return (spatial_integral(grid, m[in_rho] ** e_lhs) if snap.time >= a_rho else 0.0,
+                spatial_integral(grid, m ** (s + 2.0) * eta * eta),
+                spatial_integral(grid, (m ** ((p + s) / 2.0) * eta) ** e_B))
+
+    L, A, B = win.sweep(terms, idx)[:, idx]
 
     lhs = float(np.sum(weights * L))
     mid = float(np.sum(weights * A ** (2.0 / n) * B ** ((n - 2.0) / n)))
@@ -475,7 +507,7 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
         m = mag[outer.box_mask]
         return [spatial_integral(grid, _powered(m[sub], e)) for sub, e in zip(subsets, exponents)]
 
-    series = _sweep_series(record, outer, powered_sums)
+    series = outer.sweep(powered_sums)
     psis = [win.integrate(ser) for win, ser in zip(windows, series)]
 
     beta = 1.0 + 2.0 / params.n
@@ -536,11 +568,8 @@ def _bound_pair(record: RunRecord, R0: float, exponents: tuple[float, float],
     c, t_top = _default_center_t0(record, center, t0)
     rhs = psi(record, CylinderSpec(c, t_top, R0, time_exponent), psi_exp) ** exponent
     inner = _window(record, CylinderSpec(c, t_top, R0 / 2.0, time_exponent))
-    lhs = 0.0
-    for k in inner.inside:
-        mag = inner.magnitude(record.snapshots[k])
-        lhs = max(lhs, float(mag[inner.box_mask].max()))
-    return lhs, rhs
+    (peaks,) = inner.sweep(lambda s, m: (m[inner.box_mask].max(),), inner.inside)
+    return float(peaks[inner.inside].max()), rhs
 
 
 def _bound_fit(params: ProblemParams, exponent: float,

@@ -172,16 +172,29 @@ class RunStatus:
 
 
 class RunRecord:
-    """Time-ordered snapshots plus step history and the final status."""
+    """Time-ordered snapshots plus step history and the final status.
 
-    __slots__ = ("config", "snapshots", "dt_history", "status")
+    The snapshots' values are marked read-only here: _magnitudes holds the
+    cylinder checks' private stack of box |grad u| per snapshot
+    (energy._Window), which stays true only while no stored snapshot is
+    written.  A copied or unpickled record is rebuilt through __init__, so
+    it is read-only too and starts with an empty stack.
+    """
+
+    __slots__ = ("config", "snapshots", "dt_history", "status", "_magnitudes")
 
     def __init__(self, config: SolveConfig, snapshots: list[Field],
                  dt_history: np.ndarray, status: RunStatus):
+        for snap in snapshots:
+            snap.values.flags.writeable = False
         self.config = config
         self.snapshots = snapshots
         self.dt_history = np.asarray(dt_history, dtype=np.float64)
         self.status = status
+        self._magnitudes: dict = {}
+
+    def __reduce__(self):
+        return RunRecord, (self.config, self.snapshots, self.dt_history, self.status)
 
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.snapshots])

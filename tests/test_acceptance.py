@@ -3,7 +3,8 @@
 Each test prints one "[acceptance N] PASS/FAIL" line (visible under -s, and
 in the captured output on failure).  Campaign sizes were tuned once and are
 deliberately frozen: two six-run 32^3 campaigns plus seed-0 refinements at
-48^3, about five minutes of wall time total on one core.
+48^3, solved on every core (cli._ordered_map), about 70 s of set-up on
+two cores.
 """
 
 import json
@@ -44,7 +45,7 @@ from gradbound import (
     thm1_case2_sup,
     verify_bound,
 )
-from gradbound.cli import EXIT_NOT_COVERED, main
+from gradbound.cli import EXIT_NOT_COVERED, _ordered_map, main
 from gradbound.mesh import Boundary
 
 from conftest import heat_config
@@ -62,20 +63,37 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 # --- campaign fixtures -------------------------------------------------------
 
 
-def _campaign(p: float, w: float, cells: int, seeds, amplitudes):
+def _campaign_configs(p: float, w: float, cells: int, seeds, amplitudes) -> list:
     grid = Grid(n=3, cells=(cells,) * 3, extent=(1.0,) * 3)
     flux = FluxSpec(FluxKind.PURE_P_LAPLACE, p)
     rhs = RhsSpec(RhsKind.POWER_ALIGNED, w=w, c1=1.0)
-    records = []
-    for seed in seeds:
-        for amp in amplitudes:
-            cfg = SolveConfig(grid=grid, flux=flux, rhs=rhs,
-                              initial=RandomSmooth(seed, amp, 2),
-                              N=2, t_end=T_END, snapshot_count=80)
-            record = run(cfg)
-            assert record.completed, f"campaign run (seed={seed}, amp={amp}) did not complete"
-            records.append(record)
+    return [SolveConfig(grid=grid, flux=flux, rhs=rhs, initial=RandomSmooth(seed, amp, 2),
+                        N=2, t_end=T_END, snapshot_count=80)
+            for seed in seeds for amp in amplitudes]
+
+
+def _campaign(p: float, w: float, cells: int, seeds, amplitudes):
+    """The campaign's runs in (seed, amplitude) order, solved on every core."""
+    configs = _campaign_configs(p, w, cells, seeds, amplitudes)
+    with _ordered_map(run, configs) as results:
+        records = list(results)
+    for cfg, record in zip(configs, records):
+        assert record.completed, (f"campaign run (seed={cfg.initial.seed}, "
+                                  f"amp={cfg.initial.amplitude}) did not complete")
     return records
+
+
+def test_pooled_campaign_matches_serial():
+    pooled = _campaign(2.5, 1.3, 8, (0, 1), (1.0, 4.0))
+    serial = [run(cfg) for cfg in _campaign_configs(2.5, 1.3, 8, (0, 1), (1.0, 4.0))]
+    assert len(pooled) == len(serial) == 4
+    for a, b in zip(pooled, serial):
+        assert a.dt_history.shape == b.dt_history.shape
+        assert (a.dt_history == b.dt_history).all()
+        assert len(a.snapshots) == len(b.snapshots)
+        for x, y in zip(a.snapshots, b.snapshots):
+            assert x.time == y.time
+            assert (x.values == y.values).all()
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import prescribed_record
 from gradbound import (
@@ -22,10 +24,14 @@ from gradbound import (
     ball_volume,
     energy_inequality_check,
     holder_sandwich_check,
+    load_run,
     moser_chain_check,
     psi,
+    save_run,
     verify_bound,
 )
+from gradbound import energy
+from gradbound.energy import _window
 from gradbound.mesh import (
     CutoffFn,
     ball_mask,
@@ -110,6 +116,59 @@ def test_psi_preconditions(heat_run_32, heat_params):
         psi(blowup, CylinderSpec(CENTER, 0.2, 0.3), 2.0)
     with pytest.raises(ValueError, match="completed"):
         holder_sandwich_check(blowup, 0.0, 0.15, 0.3, 2.0)
+
+
+EDGE_SLACK = st.one_of(st.floats(0.0, 0.9e-12), st.floats(1.1e-12, 1e-9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.floats(0.0, 1.0), span=st.floats(1e-3, 0.5), count=st.integers(3, 12),
+       below=EDGE_SLACK, above=EDGE_SLACK)
+def test_window_edges_within_1e12_of_snapshot_times(start, span, count, below, above):
+    # a window reaching up to 1e-12 past the first or the last snapshot is
+    # clipped to the snapshots; one reaching further is refused
+    times = start + span * np.linspace(0.0, 1.0, count)
+    rec = prescribed_record(Grid(3, 1.0, 4), lambda x, t: np.zeros(x.shape[:-1] + (1,)), times)
+    R = 0.3
+    depth = times[-1] - times[0] + below + above
+    cyl = CylinderSpec(CENTER, times[-1] + above, R, math.log(depth) / math.log(R))
+    if max(below, above) > 1e-12:
+        with pytest.raises(ValueError, match="does not span"):
+            _window(rec, cyl)
+        return
+    win = _window(rec, cyl)
+    assert (win.lo, win.b) == (times[0], times[-1])
+    assert np.array_equal(win.inside, np.arange(count))
+
+
+def test_checks_on_a_shared_stack_match_fresh_records(heat_run_32, heat_params, tmp_path,
+                                                     monkeypatch):
+    # every check of one record reads the same |grad u| stack; each report
+    # equals the one from a fresh load of the record, whose stack is empty
+    save_run(heat_run_32, tmp_path / "run")
+    shared = load_run(tmp_path / "run")
+    fresh = lambda: load_run(tmp_path / "run")
+    R0, s0, p = 0.3, heat_params.s0, heat_params.p
+    calls = [
+        lambda r: holder_sandwich_check(r, s0, R0 / 2.0, R0, p),
+        lambda r: energy_inequality_check(r, 0.0, R0 / 2.0, R0, heat_params),
+        lambda r: energy_inequality_check(r, 0.5, R0 / 2.0, R0, heat_params, time_exponent=2.5),
+        lambda r: moser_chain_check(r, heat_params, R0, 3),
+        lambda r: psi(r, CylinderSpec(CENTER, 0.08, 0.2), 3.0),
+        lambda r: verify_bound([r], heat_params, R0),
+    ]
+    plain = lambda rep: rep.to_dict() if hasattr(rep, "to_dict") else rep
+    wants = [plain(call(fresh())) for call in calls]
+    assert [plain(call(shared)) for call in calls] == wants
+    assert len(shared._magnitudes) == 3  # the boxes of R0, R0/2 and psi's R
+
+    def no_stencil(*args, **kwargs):
+        raise AssertionError("a snapshot was differentiated again")
+
+    # the sandwich and the bound fit read only the stack from here on
+    monkeypatch.setattr(energy, "gradient_of", no_stencil)
+    assert plain(calls[0](shared)) == wants[0]
+    assert plain(calls[-1](shared)) == wants[-1]
 
 
 def test_energy_inequality_constant_run():

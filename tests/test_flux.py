@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradbound import (
     FluxKind,
@@ -228,3 +230,35 @@ def test_rhs_manufactured_calls_table():
     assert np.all(out == 0.7)
     with pytest.raises(ValueError, match="source"):
         RhsSpec(RhsKind.MANUFACTURED)
+
+
+MONOTONE_FLUXES = st.one_of(
+    st.builds(FluxSpec, st.just(FluxKind.PURE_P_LAPLACE), st.floats(1.2, 4.0)),
+    st.builds(lambda p, dq: FluxSpec(FluxKind.DOUBLE_POWER, p, q=p + dq),
+              st.floats(1.2, 3.0), st.floats(0.0, 1.5)),
+    st.builds(lambda p, eps: FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, p, eps=eps),
+              st.floats(1.2, 4.0), st.floats(1e-6, 1.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=MONOTONE_FLUXES, N=st.integers(1, 3), n=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_flux_is_monotone(spec, N, n, seed):
+    # (A(P) - A(Q)) . (P - Q) >= 0 for every flux family: A(Q) = a(|Q|) Q with
+    # a(t) t increasing.  32 pairs per draw, |P| and |Q| log-uniform over
+    # [1e-8, 1e3]; for the regularized family |Q| also sits within 1e-3 eps of
+    # 0, and at 0 itself.  The floor is round-off in A(P) - A(Q): 1e-12 of
+    # (|A(P)| + |A(Q)|) |P - Q|.
+    rng = np.random.default_rng(seed)
+    P, Q = rng.standard_normal((2, 32, N, n))
+    P *= 10.0 ** rng.uniform(-8.0, 3.0, (32, 1, 1)) / np.sqrt(np.sum(P * P, axis=(1, 2)))[:, None, None]
+    Q *= 10.0 ** rng.uniform(-8.0, 3.0, (32, 1, 1)) / np.sqrt(np.sum(Q * Q, axis=(1, 2)))[:, None, None]
+    if spec.kind is FluxKind.REGULARIZED_P_LAPLACE:
+        Q[:8] *= spec.eps * 10.0 ** rng.uniform(-12.0, -3.0, (8, 1, 1)) \
+            / np.sqrt(np.sum(Q[:8] * Q[:8], axis=(1, 2)))[:, None, None]
+        Q[8] = 0.0
+    AP, AQ = flux_eval(spec, P), flux_eval(spec, Q)
+    inner = np.sum((AP - AQ) * (P - Q), axis=(1, 2))
+    size = lambda X: np.sqrt(np.sum(X * X, axis=(1, 2)))
+    assert (inner >= -1e-12 * (size(AP) + size(AQ)) * size(P - Q)).all()

@@ -2,12 +2,14 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from gradbound import (
     Boundary,
+    CylinderSpec,
     Field,
     FluxKind,
     FluxSpec,
@@ -16,11 +18,13 @@ from gradbound import (
     RandomSmooth,
     RhsKind,
     RhsSpec,
+    RunRecord,
     SolveConfig,
     StatusKind,
     initial_field,
     load_run,
     node_coords,
+    psi,
     run,
     save_run,
 )
@@ -150,6 +154,36 @@ def test_largest_cfl_dirichlet_heat_run_decays():
     assert rec.completed and rec.dt_history.size > 300
     sup = [float(np.abs(s.values).max()) for s in rec.snapshots]
     assert sup[-1] < 1e-6 * sup[0]
+
+
+def test_ab2_bounded_at_step_ratio_two(monkeypatch):
+    # a p = 3 field at cfl = 1: D_max falls as the field flattens, so an
+    # interval's even split drops from 2 steps to 1 and the step ratio w
+    # reaches 2, where AB2's real-axis limit is dt rho <= 2 / (1 + w) = 2/3.
+    # The run passes that limit at dt rho ~ 0.99 on a few isolated steps and
+    # max |u| still falls at every snapshot.
+    logged = []
+
+    def spy(grid, cfl, dt_max, d_max, rest):
+        dt = _next_dt(grid, cfl, dt_max, d_max, rest)
+        logged.append((d_max, dt))
+        return dt
+
+    monkeypatch.setattr(solver, "_next_dt", spy)
+    grid = UNIT(8)
+    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 3.0),
+                  initial=RandomSmooth(seed=0, amplitude=8.0, modes=2),
+                  t_end=0.05, cfl=1.0, dt_max=1.0)
+    rec = run(cfg)
+    assert rec.completed
+    d_max, dt = np.array(logged).T
+    w = dt[1:] / dt[:-1]
+    dt_rho = (dt * solver._STENCIL_RADIUS[grid.boundary] * grid.n * d_max / grid.h[0] ** 2)[1:]
+    assert w.max() == pytest.approx(2.0, rel=1e-9)
+    assert dt_rho.max() <= 1.0 + 1e-12
+    assert (dt_rho > 2.0 / (1.0 + w)).sum() >= 3
+    sup = np.array([float(np.abs(s.values).max()) for s in rec.snapshots])
+    assert (np.diff(sup) < 0.0).all() and sup[-1] < 0.1 * sup[0]
 
 
 def test_ab2_is_second_order_in_time():
@@ -359,6 +393,32 @@ def test_persistence_roundtrip(tmp_path):
     legacy = load_run(tmp_path / "run")
     assert isinstance(legacy.config.initial, Prescribed)
     assert np.array_equal(legacy.config.initial.values, rec.snapshots[0].values)
+
+
+def test_record_snapshots_are_read_only(tmp_path):
+    # the cylinder checks keep |grad u| per stored snapshot: no path may write one
+    rec = run(_config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002))
+    save_run(rec, tmp_path / "run")
+    for record in (rec, load_run(tmp_path / "run"), pickle.loads(pickle.dumps(rec))):
+        for snap in record.snapshots:
+            with pytest.raises(ValueError, match="read-only"):
+                snap.values[0, 0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                snap.values += 1.0
+
+
+def test_records_never_share_a_stack():
+    grid = UNIT(8)
+    values = np.zeros(grid.node_shape + (1,))
+    snaps = [Field(grid, values.copy(), t) for t in np.linspace(0.0, 0.1, 64)]
+    cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), initial=Prescribed(values),
+                  t_end=0.1)
+    status = solver.RunStatus(StatusKind.COMPLETED)
+    a = RunRecord(cfg, snaps, np.full(63, 0.1 / 63), status)
+    b = RunRecord(cfg, snaps, np.full(63, 0.1 / 63), status)
+    assert psi(a, CylinderSpec((0.5, 0.5, 0.5), 0.1, 0.3), 2.0) == 0.0
+    assert a._magnitudes and b._magnitudes == {}
+    assert pickle.loads(pickle.dumps(a))._magnitudes == {}
 
 
 def test_config_validation():
