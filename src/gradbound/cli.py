@@ -42,7 +42,7 @@ from .energy import (
     _bound_exponents,
     _bound_fit,
     _bound_pair,
-    _energy_s_floor,
+    _cylinder_rules,
     _require_s_admissible,
     energy_inequality_check,
     holder_sandwich_check,
@@ -54,13 +54,13 @@ from .regimes import (
     ProblemParams,
     RegimeReport,
     Theorem,
+    _regime_check,
+    _s_floor,
     build_ladder,
-    check_thm2,
-    check_thm3,
     classify_thm1,
     kappa,
 )
-from .solver import RandomSmooth, SolveConfig, StatusKind, run, save_run
+from .solver import RandomSmooth, SolveConfig, StatusKind, _planned_times, run, save_run
 from .verify import (
     SeparableTarget,
     ladder_oracle,
@@ -286,11 +286,9 @@ def _classify_config(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemP
         # derived s0 outside the classifier's scope: hand p_tilde - M to the
         # general checks and let their named conditions decide
         probe = params_with(s0=0.0)
-        probe_report = check_thm3(probe) if q == p else check_thm2(probe)
-        params = params_with(s0=probe.p_tilde - probe_report.M)
+        params = params_with(s0=probe.p_tilde - _regime_check(probe).M)
 
-    report = check_thm3(params) if q == p else check_thm2(params)
-    return report, params
+    return _regime_check(params), params
 
 
 def _ladder_or_none(report: RegimeReport, params: ProblemParams | None, steps: int):
@@ -510,11 +508,6 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     center = cyl_cfg.get("center")
     # the spec holds the radius and exponent rules; build it before any solve
     cyl = CylinderSpec(grid.center() if center is None else center, t0, R0, time_exponent)
-    bottom = cyl.time_window()[0]
-    if bottom < -1e-12:
-        raise InputError(f"cylinder reaches below t = 0: t0 - R0^e = {bottom}")
-    if t0 > t_end:
-        raise InputError(f"cylinder top t0 = {t0} is past t_end = {t_end}")
 
     # and every run's initial data, so a bad seed or modes names its key before any solve
     initials = {(seed, amplitude): _build(RandomSmooth, campaign_cfg,
@@ -529,6 +522,8 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     if not max_spread >= 0.0:
         raise InputError(f"'max_spread' must be >= 0, got {max_spread}")
     energy_s = cfg.get("energy_s")
+    for s in energy_s or ():
+        _require_s_admissible(s, params)
     if energy_s is None:
         try:
             _require_s_admissible(params.s0, params)
@@ -544,6 +539,10 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
                     initial=initials[seed, amplitude], N=params.N, t_end=t_end),
              levels if k == 0 else None)
             for k, (seed, amplitude) in enumerate(itertools.product(seeds, amplitudes))]
+    # the cylinder rules on the planned snapshot times: Q_{R0} and the bound
+    # fit's Q_{R0/2}, whose window every other check's lies between
+    for radius in (R0, R0 / 2.0):
+        _cylinder_rules(grid, _planned_times(jobs[0][2]), dataclasses.replace(cyl, R=radius))
     worker = functools.partial(_campaign_run, params=params, R0=R0, energy_s=energy_s,
                                exponents=exponents,
                                where={"center": center, "t0": t0, "time_exponent": time_exponent})
@@ -580,7 +579,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         "energy": energy_rows,
         "energy_skipped": None if energy_s else
             f"s0 = {params.s0} is outside the energy s-range "
-            f"(needs s > {_energy_s_floor(params)})",
+            f"(needs s > {_s_floor(params)})",
         "chain": chain_out,
         "checks": checks,
         "passed": passed,

@@ -1,37 +1,30 @@
 """Cylinder-localized energy functionals and the gradient-bound verifier.
 
 The machinery rests on three computable objects, all evaluated on stored
-solver runs with a common quadrature (node sums in the ball, trapezoid over
-snapshots in time).  Every cylinder passes through one validated window
-(_window): the run completed, the ball lies in the domain, the snapshots
-span [t0 - R^e, t0] to within 1e-12, and at least 3 of them fall inside.
+solver runs with one quadrature: node sums in the ball and, in time, the
+weights of mesh._time_weights (the endpoint-interpolated trapezoid), which
+every check, the sandwich included, applies through _Window.integrate.
+Every cylinder meets the rules of _cylinder_rules: the ball lies in the
+domain, the snapshots span [t0 - R^e, t0] to within 1e-12, and at least 3
+fall inside.  They need no record, so verify applies them to a run's
+planned snapshot times before it solves; _window adds the completed run.
 
-The window also fixes the cylinder's spatial box: per axis, the index range
-of the ball's nodes widened by a 2-node halo, wrapped on periodic axes and
-clipped at Dirichlet planes (a box that reaches the whole grid on every axis
-is the grid).  The box only feeds the stencil: a sweep differentiates
-values[box] with the grid's own spacing and one-sided closures at the box
-faces, which spoil only the two halo planes, so |grad u| is exact one node
-beyond the ball, enough for the energy check's gradient of |grad u|.  Every power, cutoff and product then
-runs on the ball's own nodes, taken from the box as 1-D arrays in row-major
-order, and the cutoff's space factors are built once per check.  Every
-stencil value comes from the same arithmetic on the same neighbours and the
-ball sums add the same numbers in the same order, so each check returns bit
-for bit what the whole grid would.  A sweep reads only the snapshots the
-time quadrature reads (mesh._time_support): those in the window and, where
-an end falls between two snapshots, the one beyond it.
+The window also fixes the cylinder's spatial box (_box): the ball's index
+range per axis widened by a 2-node halo.  A sweep differentiates values[box]
+with one-sided closures at the box faces, which spoil only the halo, so
+|grad u| is exact one node beyond the ball, enough for the energy check's
+gradient of |grad u|.  Every power, cutoff and product runs on the ball's
+own nodes in row-major order, so each check returns bit for bit what the
+whole grid would.  A sweep reads only the snapshots with a nonzero weight.
 
 A record differentiates each snapshot once per box.  Its private stack,
 RunRecord._magnitudes, maps a box (its per-axis index ranges, or None for
 the whole grid) to one read-only |grad u| per snapshot, filled the first
-time any window on that box reads the snapshot through _Window.sweep, the
-module's one loop over snapshots.  The sandwich, the energy checks, the
-chain and the bound fit's outer cylinder share the R0 box; the bound fit's
-inner cylinder has its own.  The stack costs box nodes x 8 B per read
-snapshot (~3.3 MB for a 32^3 record at R0 = 0.24) for the record's
-lifetime, and relies on RunRecord marking every stored snapshot read-only.
-The energy check takes its gradient of |grad u| per call from the stacked
-magnitude.
+time a window on that box reads the snapshot through _Window.sweep, the
+module's one loop over snapshots.  Every check verify ships shares the R0
+box: the chain's and the bound fit's inner cylinders are read from the R0
+sweep.  The stack costs box nodes x 8 B per read snapshot (~3.3 MB for a
+32^3 record at R0 = 0.24) and relies on RunRecord's read-only snapshots.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
@@ -71,12 +64,11 @@ from .mesh import (
     grad_magnitude,
     gradient_of,
     node_coords,
-    _time_support,
+    _time_weights,
     spatial_integral,
-    time_integral,
-    trapezoid_weights,
 )
-from .regimes import ProblemParams, RegimeReport, bound_exponent, check_thm2, check_thm3, compute_M_general
+from .regimes import (ProblemParams, RegimeReport, _regime_check, _s_floor, bound_exponent,
+                      compute_M_general)
 from .solver import RunRecord, StatusKind
 
 __all__ = [
@@ -95,7 +87,7 @@ DELTA_G = 1e-14  # |grad u| floor inside negative-exponent powers only
 
 
 def _admissibility(params: ProblemParams) -> RegimeReport:
-    report = check_thm3(params) if params.q == params.p else check_thm2(params)
+    report = _regime_check(params)
     if not report.covered:
         raise ValueError(
             "parameters are not covered by any verified regime; violated: "
@@ -128,11 +120,9 @@ HALO = 2
 class _Window:
     """A validated cylinder over one completed record.
 
-    lo and b are the time window clipped to the stored snapshots, inside
-    holds the indices of the snapshots in [lo, b], read slices out the
-    snapshots integrate reads (mesh._time_support), and mask the closed ball
-    on the full grid.  Every sweep differentiates the box,
-    values[box]: the ball's bounding box widened by HALO nodes, on box_grid.
+    weights and inside come from _cylinder_rules, and mask is the closed
+    ball on the full grid.  Every sweep differentiates the box, values[box]:
+    the ball's bounding box widened by HALO nodes, on box_grid.
     core locates the ball's own bounding box inside the box, and box_mask is
     the ball cut to the box: mag[box_mask] lists the ball's nodes in the same
     row-major order as mask does on the grid.  key names the box in the
@@ -140,21 +130,24 @@ class _Window:
     on the same box of the same record shares.
     """
 
-    times: np.ndarray
     mask: np.ndarray
-    lo: float
-    b: float
+    weights: np.ndarray
     inside: np.ndarray
-    read: slice
     box: tuple
     box_grid: Grid
     core: tuple
     record: RunRecord
     key: tuple | None
 
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """The snapshots the time rule reads: those with a nonzero weight."""
+        return np.flatnonzero(self.weights)
+
     def integrate(self, series: np.ndarray) -> float:
-        """Endpoint-interpolated trapezoid over [lo, b] of a per-snapshot series."""
-        return time_integral(self.times, series, self.lo, self.b)
+        """The time rule on a per-snapshot series: mesh.time_integral's sum, bit for bit."""
+        k = self.support
+        return float(np.sum(self.weights[k] * series[k]))
 
     def magnitude(self, k: int) -> np.ndarray:
         """|grad u| of snapshot k on the box; exact at the ball's nodes and one node beyond.
@@ -170,17 +163,14 @@ class _Window:
             self.stack[k] = mag
         return mag
 
-    def sweep(self, fn: Callable[[Field, np.ndarray], Sequence[float]],
-              at: slice | np.ndarray | None = None) -> np.ndarray:
-        """Evaluate several per-snapshot functionals in one pass over the record.
+    def sweep(self, fn: Callable[[Field, np.ndarray], Sequence[float]]) -> np.ndarray:
+        """One pass over the support, one series per functional (0.0 off the support).
 
-        fn receives (snapshot, |grad u| on the box) and returns one scalar per
-        functional, at the snapshots in at: by default those integrate reads.
-        Returns one series per functional, 0.0 at the snapshots left unread.
+        fn maps (snapshot, |grad u| on the box) to one scalar per functional.
         """
-        ks = np.arange(len(self.times))[self.read if at is None else at]
+        ks = self.support
         rows = [fn(self.record.snapshots[k], self.magnitude(k)) for k in ks]
-        series = np.zeros((len(self.times), len(rows[0])))
+        series = np.zeros((self.weights.size, len(rows[0])))
         series[ks] = rows
         return series.T
 
@@ -239,33 +229,42 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, tuple]:
             tuple(core))
 
 
-def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
-    """The one place that decides whether a cylinder can be evaluated on a record."""
-    if record.status.kind is not StatusKind.COMPLETED:
-        raise ValueError(
-            f"cylinder checks need a completed run, got status {record.status.kind.value}"
-        )
-    grid = record.config.grid
+def _cylinder_rules(grid: Grid, times: np.ndarray, cyl: CylinderSpec
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The cylinder rules on a grid and sorted snapshot times, one home for every check.
+
+    Returns the time weights over the window clipped to the snapshots and
+    the indices of the snapshots inside it.
+    """
     if len(cyl.center) != grid.n:
-        raise ValueError(
-            f"cylinder center has {len(cyl.center)} coordinates, the grid has n = {grid.n}"
-        )
+        raise ValueError(f"cylinder center has {len(cyl.center)} coordinates, "
+                         f"the grid has n = {grid.n}")
     if not cyl.fits_grid(grid):
         raise ValueError("cylinder ball exits the spatial domain")
-    times = record.times()
     a, b = cyl.time_window()
-    if a < times[0] - 1e-12 or b > times[-1] + 1e-12:
-        raise ValueError("run does not span the cylinder time window")
-    lo, b = max(a, float(times[0])), min(b, float(times[-1]))
-    inside = np.nonzero((times >= lo) & (times <= b))[0]
+    if a < times[0] - 1e-12:
+        raise ValueError(f"run does not span the cylinder time window: "
+                         f"t0 - R^e = {a} is below t = {times[0]}")
+    if b > times[-1] + 1e-12:
+        raise ValueError(f"run does not span the cylinder time window: "
+                         f"t0 = {b} is past t_end = {times[-1]}")
+    a, b = max(a, float(times[0])), min(b, float(times[-1]))
+    inside = np.flatnonzero((times >= a) & (times <= b))
     if inside.size < 3:
-        raise ValueError(
-            f"only {inside.size} snapshots inside the cylinder window; need >= 3"
-        )
+        raise ValueError(f"only {inside.size} snapshots inside the cylinder window; need >= 3")
+    return _time_weights(times, a, b), inside
+
+
+def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
+    """A cylinder on a completed record that meets _cylinder_rules."""
+    if record.status.kind is not StatusKind.COMPLETED:
+        raise ValueError(f"cylinder checks need a completed run, "
+                         f"got status {record.status.kind.value}")
+    grid = record.config.grid
+    weights, inside = _cylinder_rules(grid, record.times(), cyl)
     mask = ball_mask(grid, cyl.center, cyl.R)
     key, box, box_grid, core = _box(grid, mask)
-    return _Window(times, mask, lo, b, inside, _time_support(times, lo, b), box, box_grid,
-                   core, record, key)
+    return _Window(mask, weights, inside, box, box_grid, core, record, key)
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
@@ -306,16 +305,8 @@ class EnergyReport:
         }
 
 
-def _energy_s_floor(params: ProblemParams) -> float:
-    """Exclusive lower end of the s-range of the energy inequality."""
-    floor = params.p - 2.0 * params.w - 2.0
-    if not params.c2_zero:
-        floor = max(floor, params.p - 2.0)
-    return floor
-
-
 def _require_s_admissible(s: float, params: ProblemParams) -> None:
-    floor = _energy_s_floor(params)
+    floor = _s_floor(params)
     if not s > floor:
         raise ValueError(
             f"s = {s} violates the energy-inequality range (needs s > {floor} "
@@ -406,9 +397,9 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
             <= int_t A^(2/n) B^((n-2)/n)
             <= (sup_t A)^(2/n) int_t B^((n-2)/n).
 
-    All three numbers use the same snapshot trapezoid weights over the
-    Q_R window and the same ball sums, so both inequalities are instances
-    of Holder on finite sums and must hold to round-off.
+    All three numbers use the Q_R window's time weights, nonnegative, and
+    the same ball sums, and sup_t runs over the snapshots they read, so both
+    inequalities are Holder on finite sums and must hold to round-off.
     """
     grid = record.config.grid
     n = grid.n
@@ -419,8 +410,6 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     center, t0 = _default_center_t0(record, center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
     win = _window(record, CylinderSpec(center, t0, R, time_exponent))
-    idx = win.inside
-    weights = trapezoid_weights(win.times[idx])
     a_rho = t0 - rho**time_exponent
 
     profile = cut._space_parts(node_coords(grid)[win.mask])[0]
@@ -436,11 +425,11 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
                 spatial_integral(grid, m ** (s + 2.0) * eta * eta),
                 spatial_integral(grid, (m ** ((p + s) / 2.0) * eta) ** e_B))
 
-    L, A, B = win.sweep(terms, idx)[:, idx]
+    L, A, B = win.sweep(terms)
 
-    lhs = float(np.sum(weights * L))
-    mid = float(np.sum(weights * A ** (2.0 / n) * B ** ((n - 2.0) / n)))
-    rhs = float(A.max() ** (2.0 / n) * np.sum(weights * B ** ((n - 2.0) / n)))
+    lhs = win.integrate(L)
+    mid = win.integrate(A ** (2.0 / n) * B ** ((n - 2.0) / n))
+    rhs = float(A[win.support].max() ** (2.0 / n) * win.integrate(B ** ((n - 2.0) / n)))
     scale = max(abs(lhs), abs(mid), abs(rhs), 1e-300)
     rel_violation = max(lhs - mid, mid - rhs, 0.0) / scale
     return SandwichReport(s, lhs, mid, rhs, rel_violation, rel_violation <= tol)
@@ -563,13 +552,23 @@ def _bound_exponents(params: ProblemParams, R0: float) -> tuple[float, float]:
 
 def _bound_pair(record: RunRecord, R0: float, exponents: tuple[float, float],
                 center=None, t0=None, time_exponent: float = 2.0) -> tuple[float, float]:
-    """One run's (max of |grad u| over Q_{R0/2}, psi over Q_{R0} to the bound exponent)."""
+    """One run's (max of |grad u| over Q_{R0/2}, psi over Q_{R0} to the bound exponent).
+
+    One sweep of the Q_{R0} window gives both: Q_{R0/2}'s ball and snapshots
+    lie inside Q_{R0}'s, so its window only validates and names its snapshots.
+    """
     exponent, psi_exp = exponents
     c, t_top = _default_center_t0(record, center, t0)
-    rhs = psi(record, CylinderSpec(c, t_top, R0, time_exponent), psi_exp) ** exponent
-    inner = _window(record, CylinderSpec(c, t_top, R0 / 2.0, time_exponent))
-    (peaks,) = inner.sweep(lambda s, m: (m[inner.box_mask].max(),), inner.inside)
-    return float(peaks[inner.inside].max()), rhs
+    outer, inner = (_window(record, CylinderSpec(c, t_top, r, time_exponent))
+                    for r in (R0, R0 / 2.0))
+    grid, sub = record.config.grid, inner.mask[outer.mask]
+
+    def terms(snap: Field, mag: np.ndarray) -> tuple[float, float]:
+        m = mag[outer.box_mask]
+        return spatial_integral(grid, _powered(m, psi_exp)), m[sub].max()
+
+    sums, peaks = outer.sweep(terms)
+    return float(peaks[inner.inside].max()), outer.integrate(sums) ** exponent
 
 
 def _bound_fit(params: ProblemParams, exponent: float,

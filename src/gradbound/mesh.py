@@ -10,10 +10,11 @@ differentiate exactly.
 Space-time cylinders Q_R = B_R(x0) x (t0 - R^e, t0) are described by
 CylinderSpec.  This module supplies their quadrature pieces and nothing that
 knows about run records: a midpoint (node-sum) rule in space restricted to
-the ball, and a trapezoid rule in time over sampled series with linear
-interpolation to the exact window endpoints, so a constant integrand
-reproduces |B_R| * R^e up to the spatial staircase error.  The energy module
-validates a cylinder against a stored run and assembles the two.
+the ball, and in time the trapezoid with linear interpolation to the exact
+window endpoints, one nonnegative weight per sample (_time_weights), the
+rule every cylinder check integrates with.  A constant integrand reproduces
+|B_R| * R^e up to the spatial staircase error.  The energy module validates
+a cylinder against a stored run and assembles the two.
 
 Cutoff functions are smoothstep products: with q(tau) = 3 tau^2 - 2 tau^3 the
 profile ramps over [rho, R] in |x - x0| and over [t0 - R^e, t0 - rho^e] in
@@ -47,7 +48,6 @@ __all__ = [
     "ball_mask",
     "ball_volume",
     "spatial_integral",
-    "trapezoid_weights",
     "time_integral",
     "save_field",
     "load_field",
@@ -345,52 +345,42 @@ def spatial_integral(grid: Grid, values: np.ndarray, mask: np.ndarray | None = N
     return float(values.sum() * grid.cell_volume)
 
 
-def trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    """Trapezoid weights for samples at the given (sorted) times."""
-    t = np.asarray(times, dtype=np.float64)
-    if t.size == 1:
-        return np.zeros(1)
-    w = np.empty_like(t)
-    w[0] = (t[1] - t[0]) / 2.0
-    w[-1] = (t[-1] - t[-2]) / 2.0
-    w[1:-1] = (t[2:] - t[:-2]) / 2.0
-    return w
+def _time_weights(times: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The time rule over [a, b] as one nonnegative weight per sample.
 
-
-def _interp_value(times: np.ndarray, series: np.ndarray, t: float) -> float:
-    return float(np.interp(t, times, series))
-
-
-def _time_support(times: np.ndarray, a: float, b: float) -> slice:
-    """The samples time_integral reads over [a, b] inside the sampled range.
-
-    Those strictly inside (a, b) plus, at each end, the sample at or before
-    it and the one after, which the endpoint interpolation brackets it with.
+    The rule is the trapezoid through (a, u(a)), the samples strictly inside
+    (a, b) and (b, u(b)), with u(a) and u(b) interpolated linearly between the
+    samples that bracket them.  The support is the samples in [a, b] and,
+    where an end falls between two samples, the one beyond it.  times must be
+    sorted and span [a, b], a <= b, so no bracket divides by zero.
     """
-    return slice(int(np.searchsorted(times, a, side="right")) - 1,
-                 int(np.searchsorted(times, b, side="left")) + 1)
+    t = np.asarray(times, dtype=np.float64)
+    lo = int(np.searchsorted(t, a, side="right")) - 1  # the last sample at or before a
+    hi = int(np.searchsorted(t, b, side="left"))  # the first sample at or after b
+    half = np.diff(np.concatenate(([a], t[lo + 1:hi], [b]))) / 2.0
+    w = np.zeros(t.size)
+    w[lo + 1:hi] = half[:-1] + half[1:]
+    for end, k, j, weight in ((a, lo, lo + 1, half[0]), (b, hi, hi - 1, half[-1])):
+        if end == t[k]:
+            w[k] += weight
+        else:  # end lies strictly between samples k and j
+            f = (end - t[k]) / (t[j] - t[k])
+            w[k] += weight * (1.0 - f)
+            w[j] += weight * f
+    return w
 
 
 def time_integral(times: np.ndarray, series: np.ndarray, a: float, b: float) -> float:
     """Trapezoid over [a, b] of a sampled time series, interpolating the endpoints.
 
-    Reads only the samples _time_support names; the rest of series may hold anything.
+    The sum of _time_weights times series over the weights' support; the rest
+    of series may hold anything.
     """
-    if b < times[0] or a > times[-1]:
-        raise ValueError("time window lies outside the sampled range")
     if a < times[0] or b > times[-1]:
         raise ValueError("snapshots do not span the requested time window")
-    read = _time_support(times, a, b)
-    times, series = times[read], series[read]
-    inner = np.nonzero((times > a) & (times < b))[0]
-    ts = np.concatenate(([a], times[inner], [b]))
-    vs = np.concatenate((
-        [_interp_value(times, series, a)],
-        series[inner],
-        [_interp_value(times, series, b)],
-    ))
-    trap = getattr(np, "trapezoid", None) or np.trapz  # renamed in numpy 2
-    return float(trap(vs, ts))
+    w = _time_weights(times, a, b)
+    k = np.flatnonzero(w)
+    return float(np.sum(w[k] * np.asarray(series)[k]))
 
 
 # --- cutoff functions --------------------------------------------------------

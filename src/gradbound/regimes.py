@@ -282,12 +282,8 @@ def check_thm2(params: ProblemParams) -> RegimeReport:
         violated.append("s0_nonneg")
     if not k > 0.0:
         violated.append("kappa_positive")
-    if params.c2_zero:
-        if not params.s0 > params.p - 2.0 * params.w - 2.0:
-            violated.append("s0_vs_c2")
-    else:
-        if not params.s0 > params.p - 2.0:
-            violated.append("s0_vs_c2")
+    if not params.s0 > _s_floor(params):
+        violated.append("s0_vs_c2")
     if not params.q < params.p + 1.0:
         violated.append("q_window")
     if not params.n >= 3:
@@ -318,3 +314,13 @@ def check_thm3(params: ProblemParams) -> RegimeReport:
     if violated:
         return RegimeReport(Theorem.NOT_COVERED, M, params.s0, k, tuple(violated))
     return RegimeReport(Theorem.THM3, M, params.s0, k)
+
+
+def _regime_check(params: ProblemParams) -> RegimeReport:
+    """The general checks that decide a tuple: the pure window's if q = p, else thm2's."""
+    return check_thm3(params) if params.q == params.p else check_thm2(params)
+
+
+def _s_floor(params: ProblemParams) -> float:
+    """Exclusive lower end of the s-range of thm2's s0 and the energy inequality's s."""
+    return params.p - 2.0 * params.w - 2.0 if params.c2_zero else params.p - 2.0

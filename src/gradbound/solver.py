@@ -341,6 +341,11 @@ def _screen(values: np.ndarray, threshold: float) -> StatusKind | None:
     return None
 
 
+def _planned_times(config: SolveConfig) -> np.ndarray:
+    """The snapshot times run stores when it completes, bit for bit (t_end = 0 stores one)."""
+    return np.linspace(0.0, config.t_end, config.snapshot_count if config.t_end > 0.0 else 1)
+
+
 def run(config: SolveConfig) -> RunRecord:
     """March to t_end storing snapshot_count evenly spaced snapshots."""
     fl = _resolve_flux(config.flux)
@@ -356,7 +361,7 @@ def run(config: SolveConfig) -> RunRecord:
     if eff.t_end == 0.0:
         return RunRecord(eff, [state], np.array([]), RunStatus(StatusKind.COMPLETED))
 
-    targets = np.linspace(0.0, eff.t_end, eff.snapshot_count)
+    targets = _planned_times(eff)
     snapshots = [state.copy()]
     status = RunStatus(StatusKind.COMPLETED)
     stage = _Stage(eff.grid, eff.N, fl)

@@ -281,8 +281,17 @@ def _campaign_cfg(**extra):
     # refused before the seed-0 run, not after it with numpy's unnamed range error
     (lambda c: c["campaign"].update(seeds=[0, -1]), "'campaign.seeds' must be >= 0, got -1"),
     (lambda c: c["campaign"].update(modes=0), "'campaign.modes' must be >= 1, got 0"),
+    # the cylinder rules that every check applies, on the planned snapshot times
+    (lambda c: c["cylinder"].update(center=[0.1, 0.5, 0.5]), "ball exits the spatial domain"),
+    (lambda c: c["cylinder"].update(time_exponent=6.0),
+     "only 1 snapshots inside the cylinder window"),
+    # Q_{R0} holds 5 snapshots, the bound fit's Q_{R0/2} one
+    (lambda c: c["cylinder"].update(time_exponent=4.0),
+     "only 1 snapshots inside the cylinder window"),
+    (lambda c: c.update(energy_s=[-5.0]), "s = -5.0 violates the energy-inequality range"),
 ])
-def test_verify_campaign_input_errors(tmp_path, capsys, mutate, needle):
+def test_verify_campaign_input_errors(tmp_path, capsys, monkeypatch, mutate, needle):
+    monkeypatch.setattr(gradbound.cli, "run", _no_solve)
     cfg_obj = _campaign_cfg()
     mutate(cfg_obj)
     cfg = _write(tmp_path, cfg_obj)
@@ -588,7 +597,7 @@ def _set(cfg: dict, path: str, value) -> dict:
 
 
 def _no_solve(config):
-    raise AssertionError("a config with a wrong type reached the solver")
+    raise AssertionError("a config that is refused reached the solver")
 
 
 def _refused(tmp_path, monkeypatch, verb, cfg_obj, path, value):
@@ -751,9 +760,10 @@ def _out_of_range(verb: str, base: dict) -> dict:
     if verb == "solve":
         return grid
     if verb == "verify":
+        # a top within 1e-12 of the last snapshot is clipped to it, as in every window
         return grid | {"cylinder.R0": _NONPOSITIVE,
-                       "cylinder.t0": st.floats(min_value=base["t_end"], exclude_min=True,
-                                                allow_infinity=False),
+                       "cylinder.t0": st.floats(min_value=base["t_end"] + 1e-12,
+                                                exclude_min=True, allow_infinity=False),
                        "levels": st.integers(max_value=1)}
     return {"extent": extent, "cells": cells,
             "annulus": _one_bad(_NONPOSITIVE, st.floats(0.1, 2.0), 2)}
@@ -765,7 +775,7 @@ def _out_of_range(verb: str, base: dict) -> dict:
 @given(data=st.data())
 def test_fuzz_out_of_range_is_refused(tmp_path, monkeypatch, verb, data):
     # radii and extents <= 0, cells < 4, cfl outside (0, 1], a cylinder top
-    # past t_end, levels < 2 and ladder_steps < 1
+    # past t_end by more than 1e-12, levels < 2 and ladder_steps < 1
     base = _fuzz_base(verb, tmp_path)
     if verb == "verify":
         # verify gives its regime verdict before it reads the campaign's

@@ -33,6 +33,7 @@ from gradbound import (
 from gradbound import energy
 from gradbound.energy import _window
 from gradbound.mesh import (
+    _time_weights,
     CutoffFn,
     ball_mask,
     grad_magnitude,
@@ -41,7 +42,6 @@ from gradbound.mesh import (
     node_coords,
     spatial_integral,
     time_integral,
-    trapezoid_weights,
 )
 
 CENTER = (0.5, 0.5, 0.5)
@@ -126,18 +126,21 @@ EDGE_SLACK = st.one_of(st.floats(0.0, 0.9e-12), st.floats(1.1e-12, 1e-9))
        below=EDGE_SLACK, above=EDGE_SLACK)
 def test_window_edges_within_1e12_of_snapshot_times(start, span, count, below, above):
     # a window reaching up to 1e-12 past the first or the last snapshot is
-    # clipped to the snapshots; one reaching further is refused
-    times = start + span * np.linspace(0.0, 1.0, count)
-    rec = prescribed_record(Grid(3, 1.0, 4), lambda x, t: np.zeros(x.shape[:-1] + (1,)), times)
+    # clipped to the snapshots; one reaching further is refused.  The first
+    # and last snapshots sit below and above inside the cylinder's computed
+    # edges: a bottom edge computed from the snapshots through R**e can round
+    # to just above the first snapshot, and the window then misses it.
     R = 0.3
-    depth = times[-1] - times[0] + below + above
-    cyl = CylinderSpec(CENTER, times[-1] + above, R, math.log(depth) / math.log(R))
+    cyl = CylinderSpec(CENTER, start + span, R, math.log(span) / math.log(R))
+    a, b = cyl.time_window()
+    times = np.linspace(a + below, b - above, count)
+    rec = prescribed_record(Grid(3, 1.0, 4), lambda x, t: np.zeros(x.shape[:-1] + (1,)), times)
     if max(below, above) > 1e-12:
         with pytest.raises(ValueError, match="does not span"):
             _window(rec, cyl)
         return
     win = _window(rec, cyl)
-    assert (win.lo, win.b) == (times[0], times[-1])
+    assert np.array_equal(win.weights, _time_weights(times, times[0], times[-1]))
     assert np.array_equal(win.inside, np.arange(count))
 
 
@@ -160,7 +163,7 @@ def test_checks_on_a_shared_stack_match_fresh_records(heat_run_32, heat_params, 
     plain = lambda rep: rep.to_dict() if hasattr(rep, "to_dict") else rep
     wants = [plain(call(fresh())) for call in calls]
     assert [plain(call(shared)) for call in calls] == wants
-    assert len(shared._magnitudes) == 3  # the boxes of R0, R0/2 and psi's R
+    assert len(shared._magnitudes) == 2  # the boxes of R0 and psi's R
 
     def no_stencil(*args, **kwargs):
         raise AssertionError("a snapshot was differentiated again")
@@ -248,6 +251,27 @@ def test_sandwich_holds_to_roundoff(heat_run_32):
 def test_sandwich_nontrivial_numbers(heat_run_16):
     rep = holder_sandwich_check(heat_run_16, 0.0, 0.15, 0.3, 2.0)
     assert rep.lhs > 0.0 and rep.mid > 0.0 and rep.rhs > 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), top=st.floats(0.05, 0.95), s=st.floats(0.0, 2.0),
+       p=st.floats(1.5, 3.0), R=st.floats(0.2, 0.45), growth=st.floats(0.0, 2.0))
+def test_sandwich_chain_holds_when_the_window_ends_between_snapshots(seed, top, s, p, R,
+                                                                     growth):
+    # the time rule interpolates both window ends, reading one snapshot beyond
+    # each; its weights are nonnegative and each Holder step holds per
+    # snapshot, so lhs <= mid <= rhs to round-off.  The field grows by
+    # e^growth a snapshot, so the one beyond t0 can hold the sup of A.
+    grid = Grid(3, 1.0, 8)
+    times = np.linspace(0.0, 0.3, 31)
+    field = np.random.default_rng(seed).standard_normal((len(times),) + grid.node_shape + (2,))
+    field *= np.exp(growth * (np.arange(len(times)) - len(times)))[:, None, None, None, None]
+    rec = prescribed_record(grid, lambda x, t: field[round(t * 100)], times, N=2)
+    t0 = times[-2] + top * (times[1] - times[0])
+    rep = holder_sandwich_check(rec, s, R / 2.0, R, p, t0=t0)
+    assert rep.lhs <= rep.mid * (1.0 + 1e-12)
+    assert rep.mid <= rep.rhs * (1.0 + 1e-12)
+    assert rep.satisfied and rep.lhs > 0.0
 
 
 def test_moser_chain_heat(heat_run_32, heat_params):
@@ -388,20 +412,23 @@ def test_box_matches_full_grid(case):
     assert rep.lhs_grad == integrate(grad)
     assert rep.rhs_raw == integrate(raw)
 
-    # the sandwich's three Holder sums over the snapshots in the Q_R window
+    # the sandwich's three Holder sums with the Q_R window's weights, the
+    # ones integrate applies, on the snapshots they read
     n = grid.n
     e_lhs = 2.0 + s + (s + 2.0) * 2.0 / n
     e_B = 2.0 * n / (n - 2.0)
     mask_rho = ball_mask(grid, center, rho)
-    weights = trapezoid_weights(times[inside])
+    weights = _time_weights(times, a, t0)
+    read = np.flatnonzero(weights)
+    weights = weights[read]
     L = np.array([spatial_integral(grid, mags[k] ** e_lhs, mask_rho)
-                  if times[k] >= t0 - rho**2 else 0.0 for k in inside])
-    A = np.array([sup[k] for k in inside])
+                  if times[k] >= t0 - rho**2 else 0.0 for k in read])
+    A = np.array([sup[k] for k in read])
     B = np.array([spatial_integral(grid, (mags[k] ** half * cut.values(x, times[k])) ** e_B, mask)
-                  for k in inside])
+                  for k in read])
     sandwich = holder_sandwich_check(rec, s, rho, R, 2.0, center=center, t0=t0)
     assert sandwich.lhs == float(np.sum(weights * L))
-    assert sandwich.mid == float(np.sum(weights * A ** (2.0 / n) * B ** ((n - 2.0) / n)))
+    assert sandwich.mid == float(np.sum(weights * (A ** (2.0 / n) * B ** ((n - 2.0) / n))))
     assert sandwich.rhs == float(A.max() ** (2.0 / n) * np.sum(weights * B ** ((n - 2.0) / n)))
 
     # the chain's psi_i on its shrinking cylinders

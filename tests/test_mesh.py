@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import prescribed_record
@@ -26,9 +26,9 @@ from gradbound import (
 )
 from gradbound.energy import _window
 from gradbound.mesh import (
+    _time_weights,
     spatial_integral,
     time_integral,
-    trapezoid_weights,
 )
 
 UNIT3 = Grid(3, (1.0, 1.0, 1.0), (16, 16, 16))
@@ -254,12 +254,57 @@ def test_time_integral_interpolates_endpoints():
         time_integral(times, series, 1.2, 1.5)
 
 
-def test_trapezoid_weights():
-    times = np.array([0.0, 0.1, 0.4, 1.0])
-    w = trapezoid_weights(times)
-    assert w.sum() == pytest.approx(1.0)
-    assert w[0] == pytest.approx(0.05)
-    assert trapezoid_weights(np.array([0.3])).tolist() == [0.0]
+def _interpolated_trapezoid(times, series, a, b):
+    """The time rule as written before it had weights: np.interp at the ends, trapezoid between."""
+    inner = (times > a) & (times < b)
+    ts = np.concatenate(([a], times[inner], [b]))
+    vs = np.concatenate(([np.interp(a, times, series)], series[inner],
+                         [np.interp(b, times, series)]))
+    return float(np.sum(np.diff(ts) * (vs[1:] + vs[:-1]) / 2.0))
+
+
+@st.composite
+def _time_windows(draw):
+    """Sorted sample times and a window [a, b] inside them, a < b.
+
+    An end is a sample time or a fraction of the span; one that falls
+    between samples stays more than round-off away from both.
+    """
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=15))
+    times = draw(st.floats(-1.0, 1.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    span = times[-1] - times[0]
+    end = st.sampled_from(list(times)) | st.floats(0.0, 1.0).map(lambda f: times[0] + f * span)
+    a, b = sorted((draw(end), draw(end)))
+    assume(b - a > 1e-6 * span)
+    for t in (a, b):
+        gap = np.abs(times - t).min()
+        assume(gap == 0.0 or gap > 1e-9 * span)
+    return times, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_time_windows(), st.lists(st.floats(1.0, 10.0), min_size=16, max_size=16),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_time_weights_properties(window, values, c0, c1):
+    times, a, b = window
+    w = _time_weights(times, a, b)
+    assert w.shape == times.shape and (w >= 0.0).all()
+    # support: the samples in [a, b] plus the one beyond each end between samples
+    below = np.flatnonzero(times < a)[-1:] if a not in times else []
+    above = np.flatnonzero(times > b)[:1] if b not in times else []
+    inside = np.flatnonzero((times >= a) & (times <= b))
+    assert np.array_equal(np.flatnonzero(w), np.sort(np.concatenate((below, inside, above))))
+    span = times[-1] - times[0]
+    assert abs(w.sum() - (b - a)) <= 1e-14 * span * times.size
+    # exact on affine series, up to round-off
+    affine = c0 + c1 * times
+    exact = c0 * (b - a) + c1 * (b * b - a * a) / 2.0
+    scale = (abs(c0) + abs(c1) * np.abs(times).max()) * span
+    assert abs(time_integral(times, affine, a, b) - exact) <= 1e-13 * scale
+    # the endpoint-interpolated trapezoid it writes out
+    series = np.array(values[:times.size])
+    assert time_integral(times, series, a, b) == pytest.approx(
+        _interpolated_trapezoid(times, series, a, b), rel=1e-14)
 
 
 def test_cutoff_plateau_and_support():

@@ -240,6 +240,7 @@ def test_run_t_end_zero():
     assert rec.completed
     assert len(rec.snapshots) == 1
     assert rec.snapshots[0].time == 0.0
+    assert np.array_equal(rec.times(), solver._planned_times(cfg))
 
 
 def test_run_snapshot_layout():
@@ -252,6 +253,8 @@ def test_run_snapshot_layout():
     assert times[-1] == pytest.approx(0.05, abs=1e-14)
     assert np.all(np.diff(times) > 0.0)
     assert all(s.is_finite() for s in rec.snapshots)
+    # verify checks its cylinders on these times before it solves
+    assert np.array_equal(times, solver._planned_times(cfg))
 
 
 def test_heat_dissipation_all_flux_kinds():
