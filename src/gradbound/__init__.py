@@ -34,7 +34,6 @@ from .mesh import (
     Field,
     Grid,
     ball_mask,
-    ball_volume,
     divergence,
     grad_magnitude,
     gradient,
@@ -81,7 +80,6 @@ from .verify import (
     manufactured_problem,
     struwe_field,
     struwe_residual,
-    struwe_rhs_exact,
 )
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ from .energy import (
     _bound_exponents,
     _bound_fit,
     _bound_pair,
+    _chain_rules,
     _cylinder_rules,
     _require_s_admissible,
     energy_inequality_check,
@@ -516,8 +517,8 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
                 for seed in seeds for amplitude in amplitudes}
 
     levels = cfg.get("levels")
-    if levels is not None and levels < 2:
-        raise InputError(f"'levels' must be an integer >= 2, got {levels}")
+    if levels is not None:
+        _chain_rules(grid, params, R0, levels)
     max_spread = cfg.get("max_spread", 10.0)
     if not max_spread >= 0.0:
         raise InputError(f"'max_spread' must be >= 0, got {max_spread}")

@@ -8,6 +8,11 @@ Every cylinder meets the rules of _cylinder_rules: the ball lies in the
 domain, the snapshots span [t0 - R^e, t0] to within 1e-12, and at least 3
 fall inside.  They need no record, so verify applies them to a run's
 planned snapshot times before it solves; _window adds the completed run.
+Every other rule has one home that needs no record either:
+_estimate_rules (admissible params, 0 < R0 < 1), _chain_rules (levels >= 2,
+>= 8 nodes per axis across R0, the ladder build), _require_s_admissible (the
+energy inequality's s-range) and mesh.CutoffFn (0 < rho < R).  verify applies
+the first three before it solves; its rho = R0/2 always meets the last.
 
 The window also fixes the cylinder's spatial box (_box): the ball's index
 range per axis widened by a 2-node halo.  A sweep differentiates values[box]
@@ -68,7 +73,7 @@ from .mesh import (
     spatial_integral,
 )
 from .regimes import (ProblemParams, RegimeReport, _regime_check, _s_floor, bound_exponent,
-                      compute_M_general)
+                      build_ladder, compute_M_general)
 from .solver import RunRecord, StatusKind
 
 __all__ = [
@@ -86,14 +91,39 @@ __all__ = [
 DELTA_G = 1e-14  # |grad u| floor inside negative-exponent powers only
 
 
-def _admissibility(params: ProblemParams) -> RegimeReport:
+def _estimate_rules(params: ProblemParams, R0: float) -> RegimeReport:
+    """The sup-gradient estimate's rules, one home for the bound fit and the chain.
+
+    Returns the regime report of the admissible params.
+    """
     report = _regime_check(params)
     if not report.covered:
         raise ValueError(
             "parameters are not covered by any verified regime; violated: "
             + ", ".join(report.violated_conditions)
         )
+    if not (0.0 < R0 < 1.0):
+        raise ValueError(f"the estimate needs 0 < R0 < 1, got R0={R0}")
     return report
+
+
+def _chain_rules(grid: Grid, params: ProblemParams, R0: float, levels: int
+                 ) -> tuple[list[float], list[float]]:
+    """The Moser chain's rules on a grid, one home for the chain and verify.
+
+    Returns the radii R_i = (R0/2)(1 + 2^-i) and the ladder exponents s_i + M.
+    """
+    if not (isinstance(levels, int) and levels >= 2):
+        raise ValueError(f"need integer levels >= 2, got {levels}")
+    M = _estimate_rules(params, R0).M
+    for h in grid.h:
+        if math.floor(R0 / h) + 1 < 8:
+            raise ValueError(
+                f"ball B_{{R0/2}} resolves < 8 nodes per axis (R0={R0}, h={h})"
+            )
+    ladder = build_ladder(params.s0, params.p, M, params.n, levels)
+    return ([(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)],
+            [si + M for si in ladder.s])
 
 
 def _default_center_t0(record: RunRecord, center, t0) -> tuple[tuple[float, ...], float]:
@@ -326,17 +356,15 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     then records that constant and satisfied is True by construction); with
     c given, the inequality is tested as stated.
     """
-    if not (0.0 < rho < R):
-        raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
     grid = record.config.grid
     center, t0 = _default_center_t0(record, center, t0)
+    cut = CutoffFn(center, rho, R, t0, time_exponent)  # first: it refuses rho outside (0, R)
     cyl = CylinderSpec(center, t0, R, time_exponent)
     win = _window(record, cyl)
     _require_s_admissible(s, params)
 
     p = params.p
     M = compute_M_general(p, params.q, params.w)
-    cut = CutoffFn(center, rho, R, t0, time_exponent)
     profile, dq, unit = cut._space_parts(node_coords(grid)[win.mask])
     ball = win.box_mask
     half = (p + s) / 2.0
@@ -405,8 +433,6 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     n = grid.n
     if n < 3:
         raise ValueError("the sandwich exponent 2n/(n-2) needs n >= 3")
-    if not (0.0 < rho < R):
-        raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
     center, t0 = _default_center_t0(record, center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
     win = _window(record, CylinderSpec(center, t0, R, time_exponent))
@@ -468,24 +494,9 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     with the ladder exponents from the admissible params.  The i = 0 link is
     C-free; if it fails no constant exists and the report says so.
     """
-    from .regimes import build_ladder
-
-    if not (isinstance(levels, int) and levels >= 2):
-        raise ValueError(f"need integer levels >= 2, got {levels}")
-    report = _admissibility(params)
     grid = record.config.grid
-    if not R0 < 1.0:
-        raise ValueError(f"need R0 < 1, got {R0}")
-    for h in grid.h:
-        if math.floor(R0 / h) + 1 < 8:
-            raise ValueError(
-                f"ball B_{{R0/2}} resolves < 8 nodes per axis (R0={R0}, h={h})"
-            )
-
+    radii, exponents = _chain_rules(grid, params, R0, levels)
     center, t0 = _default_center_t0(record, center, t0)
-    ladder = build_ladder(params.s0, params.p, report.M, params.n, levels)
-    radii = [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
-    exponents = [si + report.M for si in ladder.s]
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
     # R_0 = R0 is the largest radius: every ball lies inside the outer ball,
     # and every window (so every snapshot it reads) inside the outer window
@@ -544,9 +555,7 @@ class BoundReport:
 
 def _bound_exponents(params: ProblemParams, R0: float) -> tuple[float, float]:
     """(1/kappa, s0 + M) of the sup-gradient estimate, once its inputs are admissible."""
-    report = _admissibility(params)
-    if not (0.0 < R0 < 1.0):
-        raise ValueError(f"the estimate needs 0 < R0 < 1, got R0={R0}")
+    report = _estimate_rules(params, R0)
     return bound_exponent(params.s0, params.p, report.M, params.n), params.s0 + report.M
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "divergence",
     "grad_magnitude",
     "ball_mask",
-    "ball_volume",
     "spatial_integral",
     "time_integral",
     "save_field",
@@ -330,14 +329,6 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     return mask
 
 
-def ball_volume(n: int, radius: float) -> float:
-    if n == 2:
-        return math.pi * radius**2
-    if n == 3:
-        return 4.0 / 3.0 * math.pi * radius**3
-    raise ValueError(f"unsupported dimension {n}")
-
-
 def spatial_integral(grid: Grid, values: np.ndarray, mask: np.ndarray | None = None) -> float:
     """Node-sum (midpoint) integral of scalar node samples, optionally masked."""
     if mask is not None:
@@ -417,7 +408,7 @@ class CutoffFn:
         if not (0.0 < self.rho < self.R):
             raise ValueError(f"need 0 < rho < R, got rho={self.rho}, R={self.R}")
         if not self.time_exponent > 0.0:
-            raise ValueError("time exponent must be positive")
+            raise ValueError(f"time exponent must be positive, got {self.time_exponent}")
 
     def _time_window(self) -> tuple[float, float]:
         e = self.time_exponent

@@ -251,21 +251,16 @@ def classify_thm1(p: float, w: float, p_tilde: float) -> RegimeReport:
 
     if w > p:
         return RegimeReport(Theorem.NOT_COVERED, M, s0_eff, k, ("w_growth",))
-    if w <= p - 1.0 and p_tilde == p:
-        return RegimeReport(Theorem.THM1_CASE1, M, s0_eff, p_tilde)
-    if p / 2.0 <= w < thm1_case2_sup(p, p_tilde):
-        return RegimeReport(Theorem.THM1_CASE2, M, s0_eff, k)
-    if w <= p / 2.0 and p > 2.0 - (2.0 / 3.0) * p_tilde:
-        return RegimeReport(Theorem.THM1_CASE3, M, s0_eff, k)
-
-    violated = []
-    if not (w <= p - 1.0 and p_tilde == p):
-        violated.append("case1")
-    if not (p / 2.0 <= w < thm1_case2_sup(p, p_tilde)):
-        violated.append("case2")
-    if not (w <= p / 2.0 and p > 2.0 - (2.0 / 3.0) * p_tilde):
-        violated.append("case3")
-    return RegimeReport(Theorem.NOT_COVERED, M, s0_eff, k, tuple(violated))
+    cases = {Theorem.THM1_CASE1: w <= p - 1.0 and p_tilde == p,
+             Theorem.THM1_CASE2: p / 2.0 <= w < thm1_case2_sup(p, p_tilde),
+             Theorem.THM1_CASE3: w <= p / 2.0 and p > 2.0 - (2.0 / 3.0) * p_tilde}
+    for theorem, holds in cases.items():
+        if holds:
+            return RegimeReport(theorem, M, s0_eff,
+                                p_tilde if theorem is Theorem.THM1_CASE1 else k)
+    return RegimeReport(Theorem.NOT_COVERED, M, s0_eff, k,
+                        tuple(theorem.value.removeprefix("thm1_")
+                              for theorem, holds in cases.items() if not holds))
 
 
 def check_thm2(params: ProblemParams) -> RegimeReport:

@@ -37,7 +37,6 @@ __all__ = [
     "SeparableTarget",
     "manufactured_problem",
     "struwe_field",
-    "struwe_rhs_exact",
     "struwe_residual",
     "ResidualReport",
 ]
@@ -173,14 +172,6 @@ def struwe_field(grid: Grid) -> Field:
     rsafe = np.where(r > 0.0, r, 1.0)
     vals = np.where((r > 0.0)[..., None], d / rsafe[..., None], 0.0)
     return Field(grid, vals, 0.0)
-
-
-def struwe_rhs_exact(x: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form right-hand side (n-1) (x - c)^i / |x - c|^3 of the map."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x if center is None else x - np.asarray(center)
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    return (x.shape[-1] - 1.0) * d / (r**3)[..., None]
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,10 @@ def _campaign_cfg(**extra):
     (lambda c: c["cylinder"].update(time_exponent=4.0),
      "only 1 snapshots inside the cylinder window"),
     (lambda c: c.update(energy_s=[-5.0]), "s = -5.0 violates the energy-inequality range"),
+    # the Moser chain's rules: R0 = 0.24 holds 4 nodes per axis at 16 cells,
+    # and a ladder 2000 levels deep overflows beta^levels
+    (lambda c: c.update(levels=3), "resolves < 8 nodes per axis"),
+    (lambda c: c.update(levels=2000, grid={"extent": 1.0, "cells": 32}), "overflows"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, monkeypatch, mutate, needle):
     monkeypatch.setattr(gradbound.cli, "run", _no_solve)
@@ -467,24 +471,21 @@ def _raise_on_amplitude(amplitude, check):
     return patched
 
 
-@pytest.mark.parametrize("cells, patch, needle", [
-    # the chain runs on the first run and refuses R0 = 0.45 at 8 cells per unit
-    (8, None, "resolves < 8 nodes per axis"),
-    (16, ("energy_inequality_check", 2.0), "check refused amplitude 2.0"),
-    (16, ("holder_sandwich_check", 4.0), "check refused amplitude 4.0"),
+@pytest.mark.parametrize("name, amplitude", [
+    ("moser_chain_check", 1.0),  # the chain runs on the first run only
+    ("energy_inequality_check", 2.0),
+    ("holder_sandwich_check", 4.0),
 ], ids=["chain-first-run", "energy-second-run", "sandwich-last-run"])
-def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, cells, patch, needle):
+def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, amplitude):
     _cores(monkeypatch, 3)
-    if patch is not None:
-        name, amplitude = patch
-        monkeypatch.setattr(gradbound.cli, name,
-                            _raise_on_amplitude(amplitude, getattr(gradbound.cli, name)))
-    cfg = _pool_cfg() | {"grid": {"extent": 1.0, "cells": cells}}
+    monkeypatch.setattr(gradbound.cli, name,
+                        _raise_on_amplitude(amplitude, getattr(gradbound.cli, name)))
     out = tmp_path / "out"
-    code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, cfg),
+    code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, _pool_cfg()),
                                       "--output", str(out)])
     assert code == EXIT_INPUT
-    assert err.startswith("error:") and err.count("\n") == 1 and needle in err, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"check refused amplitude {amplitude}" in err, err
     assert "Traceback" not in err
     assert report is None
     assert not out.exists()

@@ -21,7 +21,6 @@ from gradbound import (
     RunRecord,
     RunStatus,
     StatusKind,
-    ball_volume,
     energy_inequality_check,
     holder_sandwich_check,
     load_run,
@@ -74,7 +73,7 @@ def test_psi_unit_gradient_measures_cylinder():
     ball = spatial_integral(grid, np.ones(grid.node_shape),
                             ball_mask(grid, CENTER, 0.3))
     assert got == pytest.approx(ball * 0.09, rel=1e-12)  # exact vs the node ball
-    assert got == pytest.approx(ball_volume(3, 0.3) * 0.09, rel=0.05)
+    assert got == pytest.approx(4.0 / 3.0 * math.pi * 0.3**3 * 0.09, rel=0.05)
 
 
 def test_psi_radial_profile_oracle():

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradbound import (
@@ -164,6 +164,34 @@ def test_classify_w_above_p():
     report = classify_thm1(2.0, 2.5, 2.0)
     assert report.theorem_applied is Theorem.NOT_COVERED
     assert report.violated_conditions == ("w_growth",)
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(1, 24), j=st.integers(0, 80), k=st.integers(0, 8))
+@example(i=8, j=16, k=0)  # p = 2: w = p - 1 = p/2, p_tilde = p
+@example(i=12, j=20, k=1)  # w = p/2 with p_tilde above p
+def test_classify_thm1_is_the_first_case_that_holds(i, j, k):
+    # dyadic grids, so that w = p - 1, w = p/2 and p_tilde = p occur exactly
+    p, w = 1.0 + i / 8.0, j / 16.0
+    p_tilde = p + k / 8.0
+    report = classify_thm1(p, w, p_tilde)
+    if w > p:
+        assert report.theorem_applied is Theorem.NOT_COVERED
+        assert report.violated_conditions == ("w_growth",)
+        return
+    conditions = {
+        Theorem.THM1_CASE1: w <= p - 1.0 and p_tilde == p,
+        Theorem.THM1_CASE2: p / 2.0 <= w < (p_tilde + 4.0 * p - 3.0) / 5.0,
+        Theorem.THM1_CASE3: w <= p / 2.0 and p > 2.0 - (2.0 / 3.0) * p_tilde,
+    }
+    holding = [theorem for theorem, holds in conditions.items() if holds]
+    failing = tuple(f"case{c}" for c, holds in enumerate(conditions.values(), 1) if not holds)
+    if holding:
+        assert report.theorem_applied is holding[0]
+        assert report.violated_conditions == ()
+    else:
+        assert report.theorem_applied is Theorem.NOT_COVERED
+        assert report.violated_conditions == failing
 
 
 def test_case2_sup_is_p_minus_three_fifths_at_bare_integrability():

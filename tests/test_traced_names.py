@@ -2,7 +2,9 @@
 
 perfbench/tracer.py wraps gradbound functions by name from outside the
 package; a deleted or renamed function would break the benchmark's traced
-mode without failing any other test.
+mode without failing any other test.  Every traced name is also public, in
+its module's __all__, so a trim of the surface cannot quietly make private a
+function the benchmark wraps.
 """
 
 import importlib
@@ -25,3 +27,4 @@ def test_traced_names_resolve():
         module = importlib.import_module(f"gradbound.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"gradbound.{module_name}.{name}"
+            assert name in module.__all__, f"gradbound.{module_name}.{name} is not public"

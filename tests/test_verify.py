@@ -23,7 +23,6 @@ from gradbound import (
     manufactured_problem,
     struwe_field,
     struwe_residual,
-    struwe_rhs_exact,
 )
 from gradbound.mesh import Boundary, node_coords
 
@@ -207,28 +206,6 @@ def test_struwe_field_needs_three_dimensions():
     g2 = Grid(n=2, cells=(8, 8), extent=(1.0, 1.0))
     with pytest.raises(ValueError, match="needs n = 3"):
         struwe_field(g2)
-
-
-def test_struwe_rhs_exact_on_unit_sphere():
-    pts = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, -0.48, 0.64]])
-    rhs = struwe_rhs_exact(pts)
-    assert rhs == pytest.approx(2.0 * pts, rel=1e-12)
-
-
-def test_struwe_rhs_is_field_times_grad_squared():
-    # u |grad u|^2 = (d/r)(2/r^2) = 2 d / r^3, the closed form with n = 3
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-1.0, 1.0, size=(40, 3))
-    pts = pts[np.linalg.norm(pts, axis=-1) > 0.2]
-    r = np.linalg.norm(pts, axis=-1, keepdims=True)
-    u = pts / r
-    assert struwe_rhs_exact(pts) == pytest.approx(u * (2.0 / r**2), rel=1e-12)
-
-
-def test_struwe_rhs_center_shift():
-    c = np.array([0.5, -0.25, 1.0])
-    pts = np.array([[1.5, -0.25, 1.0], [0.5, 0.75, 1.0]])
-    assert np.array_equal(struwe_rhs_exact(pts, center=c), struwe_rhs_exact(pts - c))
 
 
 def test_struwe_gradient_law():
