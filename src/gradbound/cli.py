@@ -44,6 +44,7 @@ from .energy import (
     _bound_pair,
     _chain_rules,
     _cylinder_rules,
+    _radius_rule,
     _require_s_admissible,
     energy_inequality_check,
     holder_sandwich_check,
@@ -54,12 +55,12 @@ from .mesh import Boundary, CylinderSpec, Grid, grad_magnitude, gradient, node_c
 from .regimes import (
     ProblemParams,
     RegimeReport,
-    Theorem,
+    _ladder_beta,
     _regime_check,
     _s_floor,
     build_ladder,
     classify_thm1,
-    kappa,
+    compute_M_general,
 )
 from .solver import RandomSmooth, SolveConfig, StatusKind, _planned_times, run, save_run
 from .verify import (
@@ -249,7 +250,7 @@ def _emit(report: dict, outdir: Path | None) -> None:
         (outdir / "report.json").write_text(payload + "\n")
 
 
-# --- regime classification shared by check and verify ----------------------------
+# --- the regime verdict shared by check and verify --------------------------------
 
 _PROBLEM_KEYS = {
     "n": _INTEGER, "N": _INTEGER, "p": _NUMBER, "q": _NUMBER, "w": _NUMBER,
@@ -257,47 +258,37 @@ _PROBLEM_KEYS = {
 }
 
 
-def _classify_config(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemParams | None]:
-    """Classification cascade shared by the check and verify verbs.
+def _regime(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemParams | None, list[str]]:
+    """The one regime verdict of check and verify: covered only when violations is empty.
 
     Without "s0" the tuple runs in derived mode: the three-case classifier
-    decides (n = 3, q = p), and its s0_effective = p_tilde - M seeds the
-    params; with n != 3 or q != p the derived s0 goes straight to the
-    general checks.  With "s0" the explicit checks decide alone; the
-    classifier examples (e.g. w just past the case-2 endpoint) must not be
-    resurrected by an implicit fallback.  params is None only for tuples
-    the classifier rejects outside the structural model (w > p).
+    names the case (n = 3, q = p) and seeds s0 = p_tilde - M; with n != 3 or
+    q != p the general window's M seeds it.  With "s0" the general checks
+    decide alone, with no classifier fallback.  All params must pass them,
+    the estimate's own admissibility, and then the budget s0 + M <= p_tilde.
+    The report is the classifier's where it names the case, else the
+    checks'; params is None only for w > p, outside the structural model.
     """
     p = _need(cfg, "p", where)
-    n, N = cfg.get("n", _DIM), cfg.get("N", _COMPONENTS)
-    q = cfg.get("q", p)
-
-    params_with = functools.partial(_build, ProblemParams, cfg, n=n, N=N)
+    n, q, w = cfg.get("n", _DIM), cfg.get("q", p), cfg.get("w", 0.0)
+    report = None
     if "s0" in cfg:
-        params = params_with(s0=cfg["s0"])
+        s0 = cfg["s0"]
     elif n == 3 and q == p:
-        try:
-            report = classify_thm1(p, cfg.get("w", 0.0), cfg.get("p_tilde", p))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if not report.covered:
-            return report, None
-        return report, params_with(s0=report.s0_effective)
+        report = classify_thm1(p, w, cfg.get("p_tilde", p))
+        if "w_growth" in report.violated_conditions:
+            return report, None, list(report.violated_conditions)
+        s0 = report.s0_effective
     else:
-        # derived s0 outside the classifier's scope: hand p_tilde - M to the
-        # general checks and let their named conditions decide
-        probe = params_with(s0=0.0)
-        params = params_with(s0=probe.p_tilde - _regime_check(probe).M)
-
-    return _regime_check(params), params
-
-
-def _ladder_or_none(report: RegimeReport, params: ProblemParams | None, steps: int):
-    if not report.covered or params is None:
-        return None
-    if not kappa(report.s0_effective, params.p, report.M, params.n) > 0.0:
-        return None  # e.g. case-1 tuples whose recursion denominator closes at <= 0
-    return build_ladder(report.s0_effective, params.p, report.M, params.n, steps)
+        s0 = cfg.get("p_tilde", p) - compute_M_general(p, q, w)
+    params = _build(ProblemParams, cfg, n=n, N=cfg.get("N", _COMPONENTS), s0=s0)
+    checked = _regime_check(params)
+    if report is None or (report.covered and not checked.covered):
+        report = checked
+    if not report.covered:
+        return report, params, list(report.violated_conditions)
+    within = params.s0 + report.M <= params.p_tilde
+    return report, params, [] if within else ["integrability_budget"]
 
 
 # --- check ------------------------------------------------------------------------
@@ -309,12 +300,15 @@ def cmd_check(cfg: dict, outdir: Path | None) -> int:
     steps = cfg.get("ladder_steps", 8)
     if steps < 1:
         raise InputError(f"'ladder_steps' must be a positive integer, got {steps}")
-    report, params = _classify_config(cfg)
-    ladder = _ladder_or_none(report, params, steps)
-    out = report.to_dict()
-    out["ladder"] = ladder.to_dict() if ladder is not None else None
+    if cfg.get("n", _DIM) >= 3:  # a depth past the doubles is an input error, covered or not
+        _ladder_beta(cfg.get("n", _DIM), steps)
+    report, params, violations = _regime(cfg)
+    out = report.to_dict() | {"violated_conditions": violations}
+    # covered: kappa(s0, p, M) >= kappa(s0, p, M_general) > 0, so the ladder closes
+    out["ladder"] = None if violations else \
+        build_ladder(report.s0_effective, params.p, report.M, params.n, steps).to_dict()
     _emit(out, outdir)
-    return EXIT_OK if report.covered else EXIT_NOT_COVERED
+    return EXIT_NOT_COVERED if violations else EXIT_OK
 
 
 # --- solve ------------------------------------------------------------------------
@@ -469,23 +463,17 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     elif problem_cfg["c2_zero"] and c2_nonzero:
         raise InputError("problem.c2_zero is true but rhs.c2 is nonzero")
 
-    report, params = _classify_config(problem_cfg, where="problem.")
-    budget = params.s0 + report.M if report.covered and params is not None else None
-    violations = list(report.violated_conditions)
-    if report.covered and budget > params.p_tilde:
-        violations.append("integrability_budget")
-
-    regime_out = report.to_dict()
-    regime_out["violated_conditions"] = violations
+    report, params, violations = _regime(problem_cfg, where="problem.")
     header = {
-        "regime": regime_out,
-        "budget": None if budget is None else {
-            "s0_plus_M": budget, "p_tilde": params.p_tilde,
-            "within": budget <= params.p_tilde,
-        },
+        "regime": report.to_dict() | {"violated_conditions": violations},
+        "budget": {"s0_plus_M": params.s0 + report.M, "p_tilde": params.p_tilde,
+                   "within": not violations} if report.covered else None,
     }
-    if violations or not report.covered:
-        _emit(header | {"passed": False, "reason": "parameters not covered"}, outdir)
+    refusal = header | {"passed": False, "reason": "parameters not covered"}
+    # input errors come before the verdict: a config that names a campaign
+    # has each of its sections read first, a problem-only one gets the verdict
+    if violations and (params is None or cfg.keys() <= {"problem", "output_dir"}):
+        _emit(refusal, outdir)
         return EXIT_NOT_COVERED
 
     campaign_cfg = _need(cfg, "campaign")
@@ -516,9 +504,10 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
                                           seed=seed, amplitude=amplitude)
                 for seed in seeds for amplitude in amplitudes}
 
+    _radius_rule(R0)
     levels = cfg.get("levels")
     if levels is not None:
-        _chain_rules(grid, params, R0, levels)
+        _chain_rules(grid, R0, levels)
     max_spread = cfg.get("max_spread", 10.0)
     if not max_spread >= 0.0:
         raise InputError(f"'max_spread' must be >= 0, got {max_spread}")
@@ -533,8 +522,6 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         else:
             energy_s = [params.s0]
 
-    # the estimate's own refusals come before any solve, as every config error does
-    exponents = _bound_exponents(params, R0)
     jobs = [(seed, amplitude,
              _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs,
                     initial=initials[seed, amplitude], N=params.N, t_end=t_end),
@@ -544,6 +531,12 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     # fit's Q_{R0/2}, whose window every other check's lies between
     for radius in (R0, R0 / 2.0):
         _cylinder_rules(grid, _planned_times(jobs[0][2]), dataclasses.replace(cyl, R=radius))
+    if violations:
+        _emit(refusal, outdir)
+        return EXIT_NOT_COVERED
+
+    # the verdict holds the estimate's regime check, and the radius rule has run
+    exponents = _bound_exponents(params, R0)
     worker = functools.partial(_campaign_run, params=params, R0=R0, energy_s=energy_s,
                                exponents=exponents,
                                where={"center": center, "t0": t0, "time_exponent": time_exponent})

@@ -9,10 +9,12 @@ domain, the snapshots span [t0 - R^e, t0] to within 1e-12, and at least 3
 fall inside.  They need no record, so verify applies them to a run's
 planned snapshot times before it solves; _window adds the completed run.
 Every other rule has one home that needs no record either:
-_estimate_rules (admissible params, 0 < R0 < 1), _chain_rules (levels >= 2,
->= 8 nodes per axis across R0, the ladder build), _require_s_admissible (the
-energy inequality's s-range) and mesh.CutoffFn (0 < rho < R).  verify applies
-the first three before it solves; its rho = R0/2 always meets the last.
+_estimate_rules (admissible params, _radius_rule's 0 < R0 < 1), _chain_rules
+(levels >= 2, >= 8 nodes per axis across R0, beta^levels a double),
+_require_s_admissible (the energy inequality's s-range) and mesh.CutoffFn
+(0 < rho < R).  verify applies the first three before its regime verdict,
+but for the admissibility, which the verdict holds; its rho = R0/2 always
+meets the last.
 
 The window also fixes the cylinder's spatial box (_box): the ball's index
 range per axis widened by a 2-node halo.  A sweep differentiates values[box]
@@ -72,8 +74,8 @@ from .mesh import (
     _time_weights,
     spatial_integral,
 )
-from .regimes import (ProblemParams, RegimeReport, _regime_check, _s_floor, bound_exponent,
-                      build_ladder, compute_M_general)
+from .regimes import (ProblemParams, RegimeReport, _ladder_beta, _regime_check, _s_floor,
+                      bound_exponent, build_ladder, compute_M_general)
 from .solver import RunRecord, StatusKind
 
 __all__ = [
@@ -102,28 +104,30 @@ def _estimate_rules(params: ProblemParams, R0: float) -> RegimeReport:
             "parameters are not covered by any verified regime; violated: "
             + ", ".join(report.violated_conditions)
         )
-    if not (0.0 < R0 < 1.0):
-        raise ValueError(f"the estimate needs 0 < R0 < 1, got R0={R0}")
+    _radius_rule(R0)
     return report
 
 
-def _chain_rules(grid: Grid, params: ProblemParams, R0: float, levels: int
-                 ) -> tuple[list[float], list[float]]:
-    """The Moser chain's rules on a grid, one home for the chain and verify.
+def _radius_rule(R0: float) -> None:
+    """The estimate's radius, 0 < R0 < 1: verify applies it before its regime verdict."""
+    if not (0.0 < R0 < 1.0):
+        raise ValueError(f"the estimate needs 0 < R0 < 1, got R0={R0}")
 
-    Returns the radii R_i = (R0/2)(1 + 2^-i) and the ladder exponents s_i + M.
+
+def _chain_rules(grid: Grid, R0: float, levels: int) -> list[float]:
+    """The Moser chain's rules on a grid, which need no params.
+
+    Returns the radii R_i = (R0/2)(1 + 2^-i).
     """
     if not (isinstance(levels, int) and levels >= 2):
         raise ValueError(f"need integer levels >= 2, got {levels}")
-    M = _estimate_rules(params, R0).M
     for h in grid.h:
         if math.floor(R0 / h) + 1 < 8:
             raise ValueError(
                 f"ball B_{{R0/2}} resolves < 8 nodes per axis (R0={R0}, h={h})"
             )
-    ladder = build_ladder(params.s0, params.p, M, params.n, levels)
-    return ([(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)],
-            [si + M for si in ladder.s])
+    _ladder_beta(grid.n, levels)
+    return [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
 
 
 def _default_center_t0(record: RunRecord, center, t0) -> tuple[tuple[float, ...], float]:
@@ -495,7 +499,9 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     C-free; if it fails no constant exists and the report says so.
     """
     grid = record.config.grid
-    radii, exponents = _chain_rules(grid, params, R0, levels)
+    radii = _chain_rules(grid, R0, levels)
+    M = _estimate_rules(params, R0).M
+    exponents = [si + M for si in build_ladder(params.s0, params.p, M, params.n, levels).s]
     center, t0 = _default_center_t0(record, center, t0)
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
     # R_0 = R0 is the largest radius: every ball lies inside the outer ball,

@@ -148,13 +148,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), self.time)
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
-    @classmethod
-    def zeros(cls, grid: Grid, N: int, time: float = 0.0) -> "Field":
-        return cls(grid, np.zeros(grid.node_shape + (N,)), time)
-
 
 def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
                 out: np.ndarray | None = None) -> np.ndarray:

@@ -197,24 +197,31 @@ def build_ladder(s0: float, p: float, M: float, n: int, I: int) -> ExponentLadde
     The recursion is evaluated literally (not via the closed form) so that
     independent extended-precision iteration reproduces it to round-off.
     """
-    if not (isinstance(n, int) and n >= 3):
-        raise ValueError(f"ladder needs integer n >= 3, got {n}")
-    if not (isinstance(I, int) and I >= 1):
-        raise ValueError(f"ladder depth must be an integer >= 1, got {I}")
+    beta = _ladder_beta(n, I)
     k = kappa(s0, p, M, n)
     if not k > 0.0:
         raise ValueError(f"kappa = {k} <= 0: ladder does not increase")
-    beta = 1.0 + 2.0 / n
     s = [float(s0)]
     for _ in range(I):
         si = s[-1]
         s.append(p + si + (si + 2.0) * (2.0 / n) - M)
+    ratios = [si / beta**i for i, si in enumerate(s)]
+    return ExponentLadder(beta=beta, s=tuple(s), ratios=tuple(ratios), limit=k)
+
+
+def _ladder_beta(n: int, I: int) -> float:
+    """beta = 1 + 2/n of an I-step ladder, once n >= 3, I >= 1 and beta^I is a double."""
+    if not (isinstance(n, int) and n >= 3):
+        raise ValueError(f"ladder needs integer n >= 3, got {n}")
+    if not (isinstance(I, int) and I >= 1):
+        raise ValueError(f"ladder depth must be an integer >= 1, got {I}")
+    beta = 1.0 + 2.0 / n
     try:
-        ratios = [si / beta**i for i, si in enumerate(s)]
+        beta**I
     except OverflowError:
         raise ValueError(f"ladder depth {I} overflows beta^I in double precision "
                          f"(beta = {beta})") from None
-    return ExponentLadder(beta=beta, s=tuple(s), ratios=tuple(ratios), limit=k)
+    return beta
 
 
 # --- three-case classifier for the 3d p-Laplace system with power forcing ---

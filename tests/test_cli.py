@@ -18,7 +18,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gradbound
@@ -73,11 +73,19 @@ def test_check_uncovered_tuple(tmp_path, capsys):
 
 
 def test_check_explicit_seed(tmp_path, capsys):
-    cfg = _write(tmp_path, {"p": 2.0, "w": 1.0, "s0": 0.5})
+    cfg = _write(tmp_path, {"p": 2.0, "w": 1.0, "s0": 0.5, "p_tilde": 2.5})
     code, report, _ = _run(capsys, ["check", "--config", cfg])
     assert code == EXIT_OK
     assert report["theorem_applied"] == "thm3"
     assert report["kappa"] == pytest.approx(2.5)
+    # at p_tilde = p, s0 + M = 2.5 > 2 breaks the budget in both verbs
+    problem = {"p": 2.0, "w": 1.0, "s0": 0.5}
+    code, report, _ = _run(capsys, ["check", "--config", _write(tmp_path, problem)])
+    assert code == EXIT_NOT_COVERED
+    assert report["violated_conditions"] == ["integrability_budget"]
+    code, report, _ = _run(capsys, ["verify", "--config", _write(tmp_path, {"problem": problem})])
+    assert code == EXIT_NOT_COVERED
+    assert report["regime"]["violated_conditions"] == ["integrability_budget"]
 
 
 def test_check_rejects_unknown_key(tmp_path, capsys):
@@ -243,6 +251,54 @@ def test_verify_refuses_integrability_budget(tmp_path, capsys):
     report = _refusal(tmp_path, capsys, {"p": 2.0, "w": 1.0, "s0": 0.5})
     assert "integrability_budget" in report["regime"]["violated_conditions"]
     assert report["budget"]["within"] is False
+
+
+def test_verify_reads_the_campaign_before_its_verdict(tmp_path, capsys, monkeypatch):
+    # s0 = 0 breaks the budget, and the cylinder top lies past t_end
+    monkeypatch.setattr(gradbound.cli, "run", _no_solve)
+    cfg = _campaign_cfg(problem={"p": 2.0, "w": 1.3, "s0": 0.0}, cylinder={"R0": 0.24, "t0": 1.0})
+    code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, cfg)])
+    assert code == EXIT_INPUT and report is None
+    assert "past t_end" in err
+    cfg["cylinder"] = {"R0": 0.24}
+    code, report, _ = _run(capsys, ["verify", "--config", _write(tmp_path, cfg)])
+    assert code == EXIT_NOT_COVERED
+    assert report["regime"]["violated_conditions"] == ["integrability_budget"]
+
+
+@st.composite
+def _problems(draw) -> dict:
+    """Problem sections inside the structural model, some keys left to their defaults."""
+    p = draw(st.floats(1.05, 3.5))
+    problem = {"p": p, "w": draw(st.floats(0.0, p))}
+    optional = {"p_tilde": st.floats(p, p + 1.0), "s0": st.floats(-1.5, 2.0),
+                "q": st.floats(p, p + 1.0, exclude_max=True), "n": st.integers(2, 5)}
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            problem[key] = draw(values)
+    return problem
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(problem={"p": 2.0, "w": 0.0})
+@example(problem={"p": 1.5, "w": 0.7})
+@example(problem={"p": 2.0, "w": 1.0, "s0": 0.5})
+@given(problem=_problems())
+def test_one_verdict_for_check_verify_and_the_estimate(tmp_path, capsys, problem):
+    check, report, _ = _run(capsys, ["check", "--config", _write(tmp_path, problem)])
+    verify, verified, err = _run(capsys, ["verify", "--config",
+                                          _write(tmp_path, {"problem": problem})])
+    _, params, violations = gradbound.cli._regime(problem)
+    assert check == (EXIT_NOT_COVERED if violations else EXIT_OK)
+    assert (verify == EXIT_NOT_COVERED) == (check == EXIT_NOT_COVERED)
+    if violations:
+        assert verified["regime"] == {k: v for k, v in report.items() if k != "ladder"}
+        assert verified["regime"]["violated_conditions"] == violations
+    else:
+        # covered: a problem-only config lacks its campaign, and the estimate runs
+        assert verify == EXIT_INPUT and "'campaign'" in err and "not covered" not in err
+        gradbound.energy._bound_exponents(params, 0.24)
 
 
 def test_verify_rejects_inconsistent_c2(tmp_path, capsys):
@@ -778,11 +834,6 @@ def test_fuzz_out_of_range_is_refused(tmp_path, monkeypatch, verb, data):
     # radii and extents <= 0, cells < 4, cfl outside (0, 1], a cylinder top
     # past t_end by more than 1e-12, levels < 2 and ladder_steps < 1
     base = _fuzz_base(verb, tmp_path)
-    if verb == "verify":
-        # verify gives its regime verdict before it reads the campaign's
-        # sections (a problem-only config exits 2), so the base must be
-        # covered: derived s0, where the fuzz base's s0 = 0 breaks the budget
-        del base["problem"]["s0"]
     keys = _out_of_range(verb, base)
     path = data.draw(st.sampled_from(sorted(keys)), label="key")
     value = data.draw(keys[path], label="value")
