@@ -258,30 +258,28 @@ _PROBLEM_KEYS = {
 }
 
 
-def _regime(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemParams | None, list[str]]:
+def _regime(cfg: dict, where: str = "") -> tuple[RegimeReport, ProblemParams, list[str]]:
     """The one regime verdict of check and verify: covered only when violations is empty.
 
-    Without "s0" the tuple runs in derived mode: the three-case classifier
-    names the case (n = 3, q = p) and seeds s0 = p_tilde - M; with n != 3 or
-    q != p the general window's M seeds it.  With "s0" the general checks
-    decide alone, with no classifier fallback.  All params must pass them,
-    the estimate's own admissibility, and then the budget s0 + M <= p_tilde.
-    The report is the classifier's where it names the case, else the
-    checks'; params is None only for w > p, outside the structural model.
+    ProblemParams holds the structural model's ranges, so a tuple outside
+    them (w > p among them) is an input error in every mode.  Without "s0"
+    the tuple runs in derived mode: the three-case classifier names the case
+    (n = 3, q = p) and seeds s0 = p_tilde - M; with n != 3 or q != p the
+    general window's M seeds it.  With "s0" the general checks decide alone,
+    with no classifier fallback.  All params must pass them, the estimate's
+    own admissibility, and then the budget s0 + M <= p_tilde.  The report is
+    the classifier's where it names the case, else the checks'.
     """
-    p = _need(cfg, "p", where)
-    n, q, w = cfg.get("n", _DIM), cfg.get("q", p), cfg.get("w", 0.0)
+    _need(cfg, "p", where)
+    params = _build(ProblemParams, cfg, n=cfg.get("n", _DIM), N=cfg.get("N", _COMPONENTS))
     report = None
-    if "s0" in cfg:
-        s0 = cfg["s0"]
-    elif n == 3 and q == p:
-        report = classify_thm1(p, w, cfg.get("p_tilde", p))
-        if "w_growth" in report.violated_conditions:
-            return report, None, list(report.violated_conditions)
-        s0 = report.s0_effective
-    else:
-        s0 = cfg.get("p_tilde", p) - compute_M_general(p, q, w)
-    params = _build(ProblemParams, cfg, n=n, N=cfg.get("N", _COMPONENTS), s0=s0)
+    if "s0" not in cfg:
+        if params.n == 3 and params.q == params.p:
+            report = classify_thm1(params.p, params.w, params.p_tilde)
+            s0 = report.s0_effective
+        else:
+            s0 = params.p_tilde - compute_M_general(params.p, params.q, params.w)
+        params = dataclasses.replace(params, s0=s0)
     checked = _regime_check(params)
     if report is None or (report.covered and not checked.covered):
         report = checked
@@ -472,7 +470,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     refusal = header | {"passed": False, "reason": "parameters not covered"}
     # input errors come before the verdict: a config that names a campaign
     # has each of its sections read first, a problem-only one gets the verdict
-    if violations and (params is None or cfg.keys() <= {"problem", "output_dir"}):
+    if violations and cfg.keys() <= {"problem", "output_dir"}:
         _emit(refusal, outdir)
         return EXIT_NOT_COVERED
 
@@ -550,7 +548,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     sandwich_rows = [result["sandwich"] for result in done]
     energy_rows = [row for result in done for row in result["energy"]]
     chain_out = done[0]["chain"]
-    bound = _bound_fit(params, exponents[0], [result["pair"] for result in done])
+    bound = _bound_fit(exponents[0], [result["pair"] for result in done])
 
     ratios = [lhs / (rhs_base + 1.0) for lhs, rhs_base in bound.per_run]
     r_max, r_min = max(ratios), min(ratios)

@@ -74,8 +74,8 @@ from .mesh import (
     _time_weights,
     spatial_integral,
 )
-from .regimes import (ProblemParams, RegimeReport, _ladder_beta, _regime_check, _s_floor,
-                      bound_exponent, build_ladder, compute_M_general)
+from .regimes import (ProblemParams, RegimeReport, _ladder_beta, _regime_check, _Report,
+                      _s_floor, bound_exponent, build_ladder, compute_M_general)
 from .solver import RunRecord, StatusKind
 
 __all__ = [
@@ -311,32 +311,21 @@ def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(_Report):
+    """Both sides of the energy inequality on Q_rho inside Q_R = (R, center, t0, time_exponent)."""
+
     s: float
     rho: float
-    cylinder: CylinderSpec
+    R: float
+    center: tuple[float, ...]
+    t0: float
+    time_exponent: float
     lhs_sup: float
     lhs_grad: float
     rhs_raw: float
     rhs_scaled: float
     c: float
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "rho": self.rho,
-            "R": self.cylinder.R,
-            "center": list(self.cylinder.center),
-            "t0": self.cylinder.t0,
-            "time_exponent": self.cylinder.time_exponent,
-            "lhs_sup": self.lhs_sup,
-            "lhs_grad": self.lhs_grad,
-            "rhs_raw": self.rhs_raw,
-            "rhs_scaled": self.rhs_scaled,
-            "c": self.c,
-            "satisfied": self.satisfied,
-        }
 
 
 def _require_s_admissible(s: float, params: ProblemParams) -> None:
@@ -396,12 +385,12 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
         c = (lhs_sup + lhs_grad) / scale if scale > 0.0 else math.inf
     rhs_scaled = c * scale
     satisfied = lhs_sup + lhs_grad <= rhs_scaled * (1.0 + 1e-12)
-    return EnergyReport(s, rho, cyl, lhs_sup, lhs_grad, rhs_raw, rhs_scaled,
-                        float(c), bool(satisfied))
+    return EnergyReport(s, rho, cyl.R, cyl.center, cyl.t0, cyl.time_exponent, lhs_sup, lhs_grad,
+                        rhs_raw, rhs_scaled, float(c), bool(satisfied))
 
 
 @dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(_Report):
     """Two-step discrete Holder chain lhs <= mid <= rhs on nested cylinders."""
 
     s: float
@@ -410,10 +399,6 @@ class SandwichReport:
     rhs: float
     rel_violation: float
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {"s": self.s, "lhs": self.lhs, "mid": self.mid, "rhs": self.rhs,
-                "rel_violation": self.rel_violation, "satisfied": self.satisfied}
 
 
 def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
@@ -466,7 +451,7 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
 
 
 @dataclass(frozen=True)
-class MoserChainReport:
+class MoserChainReport(_Report):
     """psi values along shrinking cylinders and the fitted chain constant."""
 
     radii: tuple[float, ...]
@@ -476,17 +461,6 @@ class MoserChainReport:
     C: float
     levels: tuple[tuple[int, float, float], ...]  # (i, psi_i, chain_rhs_i)
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "exponents": list(self.exponents),
-            "psis": list(self.psis),
-            "beta": self.beta,
-            "C": self.C,
-            "levels": [list(l) for l in self.levels],
-            "satisfied": self.satisfied,
-        }
 
 
 def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
@@ -536,27 +510,17 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """Fitted constant of the sup-gradient estimate across a campaign.
 
     lhs and rhs_base echo the pair of the run that attains fitted_C.
     """
 
-    params: ProblemParams
     kappa: float
     lhs: float
     rhs_base: float
     fitted_C: float
     per_run: tuple[tuple[float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "lhs": self.lhs,
-            "rhs_base": self.rhs_base,
-            "fitted_C": self.fitted_C,
-            "per_run": [list(pair) for pair in self.per_run],
-        }
 
 
 def _bound_exponents(params: ProblemParams, R0: float) -> tuple[float, float]:
@@ -586,15 +550,13 @@ def _bound_pair(record: RunRecord, R0: float, exponents: tuple[float, float],
     return float(peaks[inner.inside].max()), outer.integrate(sums) ** exponent
 
 
-def _bound_fit(params: ProblemParams, exponent: float,
-               per_run: Sequence[tuple[float, float]]) -> BoundReport:
+def _bound_fit(exponent: float, per_run: Sequence[tuple[float, float]]) -> BoundReport:
     """The smallest C over the runs' (lhs, rhs) pairs: the largest lhs / (rhs + 1)."""
     if not per_run:
         raise ValueError("campaign is empty")
     ratios = [l / (r + 1.0) for l, r in per_run]
     k_best = int(np.argmax(ratios))
     return BoundReport(
-        params=params,
         kappa=1.0 / exponent,
         lhs=per_run[k_best][0],
         rhs_base=per_run[k_best][1],
@@ -615,4 +577,4 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
     exponents = _bound_exponents(params, R0)
     per_run = [_bound_pair(record, R0, exponents, center, t0, time_exponent)
                for record in campaign]
-    return _bound_fit(params, exponents[0], per_run)
+    return _bound_fit(exponents[0], per_run)

@@ -455,16 +455,24 @@ def save_field(field: Field, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
+def _read_header(fh, fmt: str, path: str | Path) -> tuple:
+    """The next header entries of fmt; a file that ends first is a ValueError naming path."""
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise ValueError(f"field file {path} ends inside its header")
+    return struct.unpack(fmt, raw)
+
+
 def load_field(path: str | Path) -> Field:
     """Inverse of save_field; the boundary kind is inferred from the payload size.
 
     The payload is read once, straight into the field's writable '<f8' array.
     """
     with open(path, "rb") as fh:
-        n, N = struct.unpack("<2q", fh.read(16))
+        n, N = _read_header(fh, "<2q", path)
         if n not in (2, 3) or N < 1:
             raise ValueError(f"corrupt field header: n={n}, N={N}")
-        head = struct.unpack(f"<{n}q{n}dd", fh.read(8 * (2 * n + 1)))
+        head = _read_header(fh, f"<{n}q{n}dd", path)
         cells, extent, time = head[:n], head[n:2 * n], head[-1]
         size, odd = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), 8)
         if odd == 0 and size == math.prod(cells) * N:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "Theorem",
@@ -66,6 +66,23 @@ class Theorem(enum.Enum):
 def plaplace_window(p: float) -> tuple[float, float]:
     """Ellipticity window (lam, Lam) of the pure p-Laplace flux |Q|^(p-2) Q."""
     return min(1.0, p - 1.0), max(1.0, p - 1.0)
+
+
+def _plain(value):
+    """value as JSON holds it: an enum as its value, a tuple as a list, recursively."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _Report:
+    """Base of every report: its JSON keys are its dataclass fields."""
+
+    def to_dict(self) -> dict:
+        """Each field in declaration order; non-finite numbers pass through."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -121,7 +138,7 @@ class ProblemParams:
 
 
 @dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(_Report):
     """Outcome of a classification: covered regime or named violations.
 
     For a covered report violated_conditions is empty and kappa > 0.
@@ -138,18 +155,9 @@ class RegimeReport:
     def covered(self) -> bool:
         return self.theorem_applied is not Theorem.NOT_COVERED
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem_applied": self.theorem_applied.value,
-            "M": self.M,
-            "s0_effective": self.s0_effective,
-            "kappa": self.kappa,
-            "violated_conditions": list(self.violated_conditions),
-        }
-
 
 @dataclass(frozen=True)
-class ExponentLadder:
+class ExponentLadder(_Report):
     """Exponent sequence of the integrability iteration.
 
     s[i] solves s_{i+1} + M = p + s_i + (s_i + 2) * 2/n; ratios[i] = s_i / beta^i
@@ -160,14 +168,6 @@ class ExponentLadder:
     s: tuple[float, ...]
     ratios: tuple[float, ...]
     limit: float
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "s": list(self.s),
-            "ratios": list(self.ratios),
-            "limit": self.limit,
-        }
 
 
 def compute_M_general(p: float, q: float, w: float) -> float:
@@ -274,8 +274,8 @@ def check_thm2(params: ProblemParams) -> RegimeReport:
     """Admissibility of the general-window regime (q possibly above p).
 
     Conditions, all strict where written strictly:
-      s0 >= 0; kappa > 0; s0 > p - 2 if c2 != 0 else s0 > p - 2w - 2;
-      q < p + 1; n >= 3.
+      s0 >= 0; kappa > 0; s0 > p - 2 if c2 != 0 else s0 > p - 2w - 2; n >= 3.
+    ProblemParams already holds q < p + 1.
     """
     M = compute_M_general(params.p, params.q, params.w)
     k = kappa(params.s0, params.p, M, params.n)
@@ -286,8 +286,6 @@ def check_thm2(params: ProblemParams) -> RegimeReport:
         violated.append("kappa_positive")
     if not params.s0 > _s_floor(params):
         violated.append("s0_vs_c2")
-    if not params.q < params.p + 1.0:
-        violated.append("q_window")
     if not params.n >= 3:
         violated.append("dimension")
     if violated:

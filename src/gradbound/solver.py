@@ -85,6 +85,7 @@ from .mesh import (
     save_field,
     load_field,
 )
+from .regimes import _Report
 
 __all__ = [
     "RandomSmooth",
@@ -163,12 +164,9 @@ class StatusKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RunStatus:
+class RunStatus(_Report):
     kind: StatusKind
     time: float | None = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "time": self.time}
 
 
 class RunRecord:
@@ -413,11 +411,10 @@ def _initial_to_dict(init: InitialData) -> dict:
 
 
 def config_to_dict(config: SolveConfig) -> dict:
-    g, fl, rhs = config.grid, config.flux, config.rhs
-    d = {
-        "grid": {"n": g.n, "extent": list(g.extent), "cells": list(g.cells),
-                 "boundary": g.boundary.value},
-        "flux": {"kind": fl.kind.value, "p": fl.p, "q": fl.q, "eps": fl.eps},
+    rhs = config.rhs
+    return {
+        "grid": _Report.to_dict(config.grid),  # grid and flux serialize as reports do
+        "flux": _Report.to_dict(config.flux),
         "rhs": {"kind": rhs.kind.value, "w": rhs.w, "c1": rhs.c1, "c2": rhs.c2,
                 "direction": list(rhs.direction) if rhs.direction else None},
         "initial": _initial_to_dict(config.initial),
@@ -428,7 +425,6 @@ def config_to_dict(config: SolveConfig) -> dict:
         "snapshot_count": config.snapshot_count,
         "blowup_threshold": config.blowup_threshold,
     }
-    return d
 
 
 def _unserializable_source(x, t):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .flux import FluxKind, FluxSpec, RhsKind, RhsSpec
 from .mesh import Boundary, Field, Grid, divergence, grad_magnitude, gradient, gradient_of, node_coords
-from .regimes import kappa
+from .regimes import _Report, kappa
 
 __all__ = [
     "ladder_oracle",
@@ -175,19 +175,11 @@ def struwe_field(grid: Grid) -> Field:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Report):
     field_name: str
     max_residual: float
     grid_h: float
     order_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "field_name": self.field_name,
-            "max_residual": self.max_residual,
-            "grid_h": self.grid_h,
-            "order_estimate": self.order_estimate,
-        }
 
 
 def _annulus_residual(grid: Grid, r_min: float, r_max: float, stride: int = 1) -> float:

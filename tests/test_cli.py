@@ -253,6 +253,24 @@ def test_verify_refuses_integrability_budget(tmp_path, capsys):
     assert report["budget"]["within"] is False
 
 
+@pytest.mark.parametrize("verb, config", [
+    ("check", lambda problem: problem),
+    ("verify", lambda problem: {"problem": problem}),
+    ("verify", lambda problem: _campaign_cfg(problem=problem)),
+], ids=["check", "verify-problem", "verify-campaign"])
+@pytest.mark.parametrize("problem, needle", [
+    ({"p": 2.0, "w": 2.5}, "need 0 <= w <= p"),  # derived mode, where the classifier runs
+    ({"p": 2.0, "w": 2.5, "s0": 0.0}, "need 0 <= w <= p"),
+    ({"p": 2.0, "w": 2.5, "n": 4}, "need 0 <= w <= p"),
+    ({"p": 2.0, "q": 3.0}, "need p <= q < p+1"),
+    ({"p": 2.0, "p_tilde": 1.5}, "need p_tilde >= p"),
+    ({"p": 2.0, "lam": 2.0, "Lam": 1.0}, "need 0 < lam <= Lam"),
+])
+def test_outside_the_structural_model_exits_1_in_every_mode(tmp_path, monkeypatch, verb, config,
+                                                            problem, needle):
+    assert needle in _exits_1(tmp_path, monkeypatch, verb, config(problem))
+
+
 def test_verify_reads_the_campaign_before_its_verdict(tmp_path, capsys, monkeypatch):
     # s0 = 0 breaks the budget, and the cylinder top lies past t_end
     monkeypatch.setattr(gradbound.cli, "run", _no_solve)

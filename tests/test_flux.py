@@ -262,3 +262,40 @@ def test_flux_is_monotone(spec, N, n, seed):
     inner = np.sum((AP - AQ) * (P - Q), axis=(1, 2))
     size = lambda X: np.sqrt(np.sum(X * X, axis=(1, 2)))
     assert (inner >= -1e-12 * (size(AP) + size(AQ)) * size(P - Q)).all()
+
+
+JACOBIAN_FLUXES = st.one_of(
+    st.builds(FluxSpec, st.just(FluxKind.PURE_P_LAPLACE), st.floats(1.2, 4.0)),
+    st.builds(lambda p, dq: FluxSpec(FluxKind.DOUBLE_POWER, p, q=p + dq),
+              st.floats(1.2, 3.0), st.floats(0.0, 1.5)),
+    st.builds(lambda p, eps: FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, p, eps=eps),
+              st.floats(1.2, 4.0), st.floats(1e-4, 1.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=JACOBIAN_FLUXES, N=st.integers(1, 3), n=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_jacobian_bounds_bracket_the_fd_rayleigh_quotient(spec, N, n, seed):
+    # E . (A(Q + hE) - A(Q - hE)) / (2h |E|^2) lies in [lo, hi] for 16 random
+    # directions E per sample, and the radial (E = Q) and a tangential (E . Q
+    # = 0) direction attain the two ends.  |Q| is log-uniform over [1e-3, 1e2],
+    # for the regularized family over [eps, 1e2]; h is 1e-6 of
+    # sqrt(eps^2 + |Q|^2), the length on which dA/dQ changes.
+    rng = np.random.default_rng(seed)
+    size = lambda X: np.sqrt(np.sum(X * X, axis=(-2, -1), keepdims=True))
+    Q = rng.standard_normal((8, N, n))
+    low = math.log10(spec.eps) if spec.eps else -3.0
+    Q *= 10.0 ** rng.uniform(low, 2.0, (8, 1, 1)) / size(Q)
+    E = rng.standard_normal((8, 18, N, n))
+    E[:, 0] = Q
+    E[:, 1] -= np.sum(E[:, 1] * Q, axis=(-2, -1), keepdims=True) * Q / size(Q) ** 2
+    Qs = Q[:, None]
+    h = 1e-6 * np.sqrt(spec.eps**2 + size(Qs) ** 2) / size(E)
+    quotient = np.sum(E * (flux_eval(spec, Qs + h * E) - flux_eval(spec, Qs - h * E)),
+                      axis=(-2, -1)) / (2.0 * h[..., 0, 0] * size(E)[..., 0, 0] ** 2)
+    lo, hi = flux_jacobian_bounds(spec, Q)
+    slack = 1e-6 * hi[:, None]
+    assert (quotient >= lo[:, None] - slack).all() and (quotient <= hi[:, None] + slack).all()
+    ends = np.sort(quotient[:, :2], axis=1)
+    assert (np.abs(ends - np.stack([lo, hi], axis=1)) <= 1e-6 * hi[:, None]).all()

@@ -369,3 +369,22 @@ def test_field_file_roundtrip(tmp_path):
         assert g.values.dtype == np.float64 and g.values.dtype.isnative
         assert g.values.flags.writeable and g.values.flags.c_contiguous
         assert np.array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("cut, needle", [
+    (lambda raw: b"", "ends inside its header"),
+    (lambda raw: raw[:10], "ends inside its header"),
+    (lambda raw: raw[:30], "ends inside its header"),
+    (lambda raw: raw[:-8], "matches no boundary layout"),
+    (lambda raw: raw[:-3], "matches no boundary layout"),
+    (lambda raw: (7).to_bytes(8, "little") + raw[8:], "corrupt field header"),
+], ids=["empty", "10B", "30B", "payload-8B", "payload-3B", "n7"])
+def test_field_file_damage_is_a_value_error(tmp_path, cut, needle):
+    grid = Grid(3, 1.0, 4)
+    path = tmp_path / "snap.bin"
+    save_field(Field(grid, np.ones(grid.node_shape + (1,)), time=0.0), path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=needle) as info:
+        load_field(path)
+    if needle == "ends inside its header":
+        assert str(path) in str(info.value)
