@@ -24,7 +24,6 @@ from .regimes import (
     classify_thm1,
     compute_M_general,
     kappa,
-    plaplace_window,
     thm1_case2_sup,
 )
 from .mesh import (

@@ -91,6 +91,7 @@ __all__ = [
 ]
 
 DELTA_G = 1e-14  # |grad u| floor inside negative-exponent powers only
+_SANDWICH_TOL = 1e-10  # relative violation the Holder sandwich forgives to round-off
 
 
 def _estimate_rules(params: ProblemParams, R0: float) -> RegimeReport:
@@ -403,8 +404,7 @@ class SandwichReport(_Report):
 
 def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
                           p: float, center=None, t0=None,
-                          time_exponent: float = 2.0,
-                          tol: float = 1e-10) -> SandwichReport:
+                          time_exponent: float = 2.0) -> SandwichReport:
     """Termwise Holder chain with one shared quadrature.
 
     With m = |grad u|, A(t) = int_{B_R} m^(s+2) eta^2, and
@@ -447,7 +447,7 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     rhs = float(A[win.support].max() ** (2.0 / n) * win.integrate(B ** ((n - 2.0) / n)))
     scale = max(abs(lhs), abs(mid), abs(rhs), 1e-300)
     rel_violation = max(lhs - mid, mid - rhs, 0.0) / scale
-    return SandwichReport(s, lhs, mid, rhs, rel_violation, rel_violation <= tol)
+    return SandwichReport(s, lhs, mid, rhs, rel_violation, rel_violation <= _SANDWICH_TOL)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "flux_eval",
     "flux_jacobian_bounds",
     "rhs_eval",
-    "DELTA_U",
 ]
 
 DELTA_U = 1e-8  # floor on |u| when normalizing the alignment direction u/|u|
@@ -104,8 +103,8 @@ def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
     mag, when given, must be the precomputed Frobenius magnitude of Q.  For
     pure p = 2 the flux is Q itself, and the returned array may be Q.
     Otherwise out receives A(Q) and scratch[0], scratch[1] (shaped like mag)
-    the coefficient |A(Q)| / |Q|; each is fresh when omitted.  out must not
-    share memory with Q.
+    the coefficient |A(Q)| / |Q|; each is fresh when omitted, out
+    C-contiguous.  out must not share memory with Q.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if _is_identity(spec):
@@ -126,7 +125,7 @@ def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
     else:  # pragma: no cover
         raise ValueError(f"unknown flux kind {spec.kind}")
     if out is None:
-        return coeff[..., None, None] * Q
+        out = np.empty(Q.shape)
     # One multiply per axis slot, contiguous in the march's axis-major buffers,
     # where the broadcast over the strided last axis runs ~1.5x slower.  The
     # coefficient, spread over the components one assignment each, waits in
@@ -205,7 +204,7 @@ class RhsSpec:
     """Right-hand-side family with declared growth constants (w, c1, c2).
 
     zero:             f = 0
-    power_aligned:    f^i = c1 |grad u|^w u^i / max(|u|, delta_u) + c2
+    power_aligned:    f^i = c1 |grad u|^w u^i / max(|u|, DELTA_U) + c2
     power_fixed_dir:  f = (c1 |grad u|^w + c2) d,  |d| = 1
     struwe_coupling:  f^i = u^i |grad u|^2
     manufactured:     f = source(x, t), a space-time table
@@ -217,7 +216,6 @@ class RhsSpec:
     c2: float = 0.0
     direction: tuple[float, ...] | None = None
     source: Callable[[np.ndarray, float], np.ndarray] | None = None
-    delta_u: float = DELTA_U
 
     def __post_init__(self):
         if self.w < 0.0:
@@ -246,22 +244,17 @@ def rhs_eval(spec: RhsSpec, u: np.ndarray, grad: np.ndarray,
     its per-node factors; each is fresh when omitted.
     """
     u = np.asarray(u, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(u)
     if spec.kind is RhsKind.ZERO:
-        if out is None:
-            return np.zeros_like(u)
         out.fill(0.0)
         return out
     if spec.kind is RhsKind.MANUFACTURED:
-        values = np.asarray(spec.source(x, t), dtype=np.float64)
-        if out is None:
-            return values
-        out[...] = values
+        out[...] = spec.source(x, t)
         return out
     g = grad_magnitude(np.asarray(grad, dtype=np.float64)) if mag is None else mag
     # the per-node factor first, then one call per component: a broadcast
     # over the trailing component axis would run N-element inner loops
-    if out is None:
-        out = np.empty_like(u)
     comps = range(u.shape[-1])
     if spec.kind is RhsKind.STRUWE_COUPLING:
         g2 = np.multiply(g, g, out=scratch[0])
@@ -269,10 +262,10 @@ def rhs_eval(spec: RhsSpec, u: np.ndarray, grad: np.ndarray,
             np.multiply(u[..., i], g2, out=out[..., i])
         return out
     if spec.kind is RhsKind.POWER_ALIGNED:
-        # c1 |grad u|^w u / max(|u|, delta_u) + c2, built in one buffer
+        # c1 |grad u|^w u / max(|u|, DELTA_U) + c2, built in one buffer
         norm = _root_sum_squares([u[..., i] for i in comps],
                                  out=scratch[0], square=scratch[1])
-        norm = np.maximum(norm, spec.delta_u, out=scratch[0])
+        norm = np.maximum(norm, DELTA_U, out=scratch[0])
         gw = _pow(g, spec.w, scratch[1])
         gw *= spec.c1
         for i in comps:

@@ -322,10 +322,8 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     return mask
 
 
-def spatial_integral(grid: Grid, values: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Node-sum (midpoint) integral of scalar node samples, optionally masked."""
-    if mask is not None:
-        return float(values[mask].sum() * grid.cell_volume)
+def spatial_integral(grid: Grid, values: np.ndarray) -> float:
+    """Node-sum (midpoint) integral of scalar node samples."""
     return float(values.sum() * grid.cell_volume)
 
 
@@ -407,32 +405,22 @@ class CutoffFn:
         e = self.time_exponent
         return self.t0 - self.R**e, self.t0 - self.rho**e
 
-    def space_profile(self, r: np.ndarray) -> np.ndarray:
-        return _smoothstep((self.R - r) / (self.R - self.rho))
-
     def time_profile(self, t: float) -> float:
         a, b = self._time_window()
         return float(_smoothstep(np.asarray((t - a) / (b - a))))
 
-    def values(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._space_parts(x)[0] * self.time_profile(t)
-
-    def space_grad(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Analytic spatial gradient, shape (*batch, n)."""
-        _, dq, unit = self._space_parts(x)
-        return (dq * self.time_profile(t))[..., None] * unit
-
     def _space_parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The time-free factors at x: (space profile, its r-derivative, unit radial vector).
 
-        values(x, t) is profile * time_profile(t) and space_grad(x, t) is
-        (dq * time_profile(t))[..., None] * unit, elementwise the same numbers.
+        eta(x, t) is profile * time_profile(t) and grad eta(x, t) is
+        (dq * time_profile(t))[..., None] * unit.
         """
         d = x - np.asarray(self.center)
         r = np.sqrt(np.sum(d * d, axis=-1))
-        dq = -_smoothstep_deriv((self.R - r) / (self.R - self.rho)) / (self.R - self.rho)
+        tau = (self.R - r) / (self.R - self.rho)
+        dq = -_smoothstep_deriv(tau) / (self.R - self.rho)
         rsafe = np.where(r > 0.0, r, 1.0)
-        return self.space_profile(r), dq, d / rsafe[..., None]
+        return _smoothstep(tau), dq, d / rsafe[..., None]
 
 
 # --- serialization -----------------------------------------------------------
@@ -467,11 +455,12 @@ def load_field(path: str | Path) -> Field:
     """Inverse of save_field; the boundary kind is inferred from the payload size.
 
     The payload is read once, straight into the field's writable '<f8' array.
+    A damaged file is a ValueError that names it.
     """
     with open(path, "rb") as fh:
         n, N = _read_header(fh, "<2q", path)
         if n not in (2, 3) or N < 1:
-            raise ValueError(f"corrupt field header: n={n}, N={N}")
+            raise ValueError(f"field file {path}: corrupt field header: n={n}, N={N}")
         head = _read_header(fh, f"<{n}q{n}dd", path)
         cells, extent, time = head[:n], head[n:2 * n], head[-1]
         size, odd = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), 8)
@@ -480,8 +469,12 @@ def load_field(path: str | Path) -> Field:
         elif odd == 0 and size == math.prod(c + 1 for c in cells) * N:
             boundary = Boundary.DIRICHLET
         else:
-            raise ValueError(f"payload of {8 * size + odd} bytes matches no boundary layout")
-        grid = Grid(n, extent, cells, boundary)
+            raise ValueError(f"field file {path}: payload of {8 * size + odd} bytes "
+                             "matches no boundary layout")
+        try:
+            grid = Grid(n, extent, cells, boundary)
+        except ValueError as exc:
+            raise ValueError(f"field file {path}: {exc}") from exc
         values = np.empty(grid.node_shape + (N,), dtype="<f8")
         if fh.readinto(values) != values.nbytes:
             raise ValueError(f"field file {path} was truncated while reading")

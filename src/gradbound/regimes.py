@@ -40,7 +40,6 @@ __all__ = [
     "ProblemParams",
     "RegimeReport",
     "ExponentLadder",
-    "plaplace_window",
     "compute_M_general",
     "kappa",
     "bound_exponent",
@@ -61,11 +60,6 @@ class Theorem(enum.Enum):
     THM2 = "thm2"
     THM3 = "thm3"
     NOT_COVERED = "not_covered"
-
-
-def plaplace_window(p: float) -> tuple[float, float]:
-    """Ellipticity window (lam, Lam) of the pure p-Laplace flux |Q|^(p-2) Q."""
-    return min(1.0, p - 1.0), max(1.0, p - 1.0)
 
 
 def _plain(value):
@@ -95,7 +89,8 @@ class ProblemParams:
     p_tilde     integrability exponent available for grad u (>= p;
                 bare existence gives p_tilde = p)
     s0          starting integrability margin of the ladder
-    lam, Lam    ellipticity window of the flux Jacobian, 0 < lam <= Lam
+    lam, Lam    ellipticity window of the flux Jacobian, 0 < lam <= Lam;
+                unset, the pure p-Laplace flux's min(1, p-1) and max(1, p-1)
     c2_zero     whether the constant term c2 of the growth bound vanishes
     """
 
@@ -115,12 +110,10 @@ class ProblemParams:
             object.__setattr__(self, "q", float(self.p))
         if self.p_tilde is None:
             object.__setattr__(self, "p_tilde", float(self.p))
-        if self.lam is None or self.Lam is None:
-            lo, hi = plaplace_window(self.p)
-            if self.lam is None:
-                object.__setattr__(self, "lam", lo)
-            if self.Lam is None:
-                object.__setattr__(self, "Lam", hi)
+        if self.lam is None:
+            object.__setattr__(self, "lam", min(1.0, self.p - 1.0))
+        if self.Lam is None:
+            object.__setattr__(self, "Lam", max(1.0, self.p - 1.0))
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
         if not isinstance(self.N, int) or self.N < 1:

@@ -155,6 +155,9 @@ class SolveConfig:
             raise ValueError(f"need >= 64 snapshots, got {self.snapshot_count}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        if self.rhs.direction is not None and len(self.rhs.direction) != self.N:
+            raise ValueError(f"rhs direction has {len(self.rhs.direction)} entries, "
+                             f"need one per component (N = {self.N})")
 
 
 class StatusKind(enum.Enum):

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 
+_REF_FACTOR = 4  # refinement of the reference grid a manufactured source is differenced on
+
+
 def ladder_oracle(s0: float, p: float, M: float, n: int, I: int) -> list[float]:
     """Brute-force the exponent recursion in exact rational arithmetic.
 
@@ -104,27 +107,28 @@ def _restrict(fine: np.ndarray, factor: int, n: int) -> np.ndarray:
     return fine[sl]
 
 
-def _reference_div(target: SeparableTarget, grid: Grid, power: float,
-                   factor: int) -> np.ndarray:
-    ref = grid.refined(factor)
-    vals = np.asarray(target.V(node_coords(ref)), dtype=np.float64)
-    full = _restrict(_div_power_flux(ref, vals, power), factor, grid.n)
-    if factor >= 2:
-        half_grid = grid.refined(factor // 2) if factor >= 4 else grid
-        half_vals = np.asarray(target.V(node_coords(half_grid)), dtype=np.float64)
-        half = _restrict(_div_power_flux(half_grid, half_vals, power),
-                         max(factor // 2, 1), grid.n)
-        scale = float(np.abs(full).max())
-        if scale > 0.0 and float(np.abs(full - half).max()) > 0.2 * scale:
-            raise ValueError(
-                f"target '{target.name}' is not resolved on the reference grid "
-                f"(power {power}: refinement changes the flux divergence by > 20%)"
-            )
+def _reference_div(target: SeparableTarget, grid: Grid, power: float) -> np.ndarray:
+    """div A(grad V) on the grid refined _REF_FACTOR times, read at the grid's nodes.
+
+    Refused when half that refinement moves it by more than 20% of its max.
+    """
+    divs = []
+    for factor in (_REF_FACTOR, _REF_FACTOR // 2):
+        ref = grid.refined(factor)
+        vals = np.asarray(target.V(node_coords(ref)), dtype=np.float64)
+        divs.append(_restrict(_div_power_flux(ref, vals, power), factor, grid.n))
+    full, half = divs
+    scale = float(np.abs(full).max())
+    if scale > 0.0 and float(np.abs(full - half).max()) > 0.2 * scale:
+        raise ValueError(
+            f"target '{target.name}' is not resolved on the reference grid "
+            f"(power {power}: refinement changes the flux divergence by > 20%)"
+        )
     return full
 
 
-def manufactured_problem(target: SeparableTarget, flux: FluxSpec, grid: Grid,
-                         ref_factor: int = 4) -> tuple[RhsSpec, Field]:
+def manufactured_problem(target: SeparableTarget, flux: FluxSpec,
+                         grid: Grid) -> tuple[RhsSpec, Field]:
     """Build the source g = U_t - div A(grad U) and the t = 0 field for a target.
 
     Positive homogeneity of power fluxes turns div A(T grad V) into
@@ -139,7 +143,7 @@ def manufactured_problem(target: SeparableTarget, flux: FluxSpec, grid: Grid,
     if target.div_flux_V is not None:
         terms = [(flux.p, np.asarray(target.div_flux_V(x), dtype=np.float64))]
     else:
-        terms = [(e, _reference_div(target, grid, e, ref_factor))
+        terms = [(e, _reference_div(target, grid, e))
                  for e in _power_terms(flux)]
 
     T, dT = target.T, target.dT

@@ -3,8 +3,8 @@
 Each test prints one "[acceptance N] PASS/FAIL" line (visible under -s, and
 in the captured output on failure).  Campaign sizes were tuned once and are
 deliberately frozen: two six-run 32^3 campaigns plus seed-0 refinements at
-48^3, solved on every core (cli._ordered_map), about 70 s of set-up on
-two cores.
+48^3, all 18 runs solved in one pool on every core (cli._ordered_map),
+about 60 s of set-up on two cores.
 """
 
 import json
@@ -72,20 +72,21 @@ def _campaign_configs(p: float, w: float, cells: int, seeds, amplitudes) -> list
             for seed in seeds for amp in amplitudes]
 
 
-def _campaign(p: float, w: float, cells: int, seeds, amplitudes):
-    """The campaign's runs in (seed, amplitude) order, solved on every core."""
-    configs = _campaign_configs(p, w, cells, seeds, amplitudes)
+def _solved(configs: list) -> list:
+    """The runs of configs in their order, solved on every core."""
     with _ordered_map(run, configs) as results:
         records = list(results)
     for cfg, record in zip(configs, records):
-        assert record.completed, (f"campaign run (seed={cfg.initial.seed}, "
-                                  f"amp={cfg.initial.amplitude}) did not complete")
+        assert record.completed, (f"campaign run (p={cfg.flux.p}, cells={cfg.grid.cells[0]}, "
+                                  f"seed={cfg.initial.seed}, amp={cfg.initial.amplitude}) "
+                                  "did not complete")
     return records
 
 
 def test_pooled_campaign_matches_serial():
-    pooled = _campaign(2.5, 1.3, 8, (0, 1), (1.0, 4.0))
-    serial = [run(cfg) for cfg in _campaign_configs(2.5, 1.3, 8, (0, 1), (1.0, 4.0))]
+    configs = _campaign_configs(2.5, 1.3, 8, (0, 1), (1.0, 4.0))
+    pooled = _solved(configs)
+    serial = [run(cfg) for cfg in configs]
     assert len(pooled) == len(serial) == 4
     for a, b in zip(pooled, serial):
         assert a.dt_history.shape == b.dt_history.shape
@@ -94,6 +95,28 @@ def test_pooled_campaign_matches_serial():
         for x, y in zip(a.snapshots, b.snapshots):
             assert x.time == y.time
             assert (x.values == y.values).all()
+
+
+# name: (p, cells, seeds), each campaign over amplitudes 1, 2 and 4 at w = 1.3
+CAMPAIGNS = {"set1_runs": (2.0, 32, (0, 1)), "set1_fine": (2.0, 48, (0,)),
+             "set2_runs": (2.5, 32, (0, 1)), "set2_fine": (2.5, 48, (0,))}
+
+
+@pytest.fixture(scope="module")
+def campaigns():
+    """Each campaign's runs in (seed, amplitude) order, all 18 solved in one pool.
+
+    The longest runs go first, by (cells, p) descending: p = 2.5 takes more
+    steps than p = 2.  So neither core idles while the other finishes a 48^3
+    run, as it would in a pool per campaign of three 48^3 runs on two cores.
+    """
+    configs = {name: _campaign_configs(p, 1.3, cells, seeds, (1.0, 2.0, 4.0))
+               for name, (p, cells, seeds) in CAMPAIGNS.items()}
+    longest_first = sorted(CAMPAIGNS, key=lambda name: CAMPAIGNS[name][1::-1], reverse=True)
+    jobs = [(name, k) for name in longest_first for k in range(len(configs[name]))]
+    records = dict(zip(jobs, _solved([configs[name][k] for name, k in jobs])))
+    return {name: [records[name, k] for k in range(len(cfgs))]
+            for name, cfgs in configs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -114,23 +137,23 @@ def set2_params():
 
 
 @pytest.fixture(scope="module")
-def set1_runs():
-    return _campaign(2.0, 1.3, 32, (0, 1), (1.0, 2.0, 4.0))
+def set1_runs(campaigns):
+    return campaigns["set1_runs"]
 
 
 @pytest.fixture(scope="module")
-def set1_fine():
-    return _campaign(2.0, 1.3, 48, (0,), (1.0, 2.0, 4.0))
+def set1_fine(campaigns):
+    return campaigns["set1_fine"]
 
 
 @pytest.fixture(scope="module")
-def set2_runs():
-    return _campaign(2.5, 1.3, 32, (0, 1), (1.0, 2.0, 4.0))
+def set2_runs(campaigns):
+    return campaigns["set2_runs"]
 
 
 @pytest.fixture(scope="module")
-def set2_fine():
-    return _campaign(2.5, 1.3, 48, (0,), (1.0, 2.0, 4.0))
+def set2_fine(campaigns):
+    return campaigns["set2_fine"]
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -180,8 +181,7 @@ def test_cylinder_time_quadrature_exact_on_linear():
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.3)
     grid = record.config.grid
     got = psi(record, cyl, 1.0)
-    measure = spatial_integral(grid, np.ones(grid.node_shape),
-                               ball_mask(grid, cyl.center, cyl.R))
+    measure = spatial_integral(grid, np.ones(grid.node_shape)[ball_mask(grid, cyl.center, cyl.R)])
     a, b = cyl.time_window()
     assert got == pytest.approx(measure * (b * b - a * a) / 2.0, rel=1e-12)
 
@@ -202,7 +202,7 @@ def _window_sup(record, cyl):
     """Largest ball integral of u over the snapshots inside the window."""
     win = _window(record, cyl)
     grid = record.config.grid
-    return max(spatial_integral(grid, record.snapshots[k].values[..., 0], win.mask)
+    return max(spatial_integral(grid, record.snapshots[k].values[..., 0][win.mask])
                for k in win.inside)
 
 
@@ -211,8 +211,7 @@ def test_sup_slice_time_constant():
     cyl = CylinderSpec((0.5, 0.5, 0.5), t0=0.2, R=0.3)
     got = _window_sup(record, cyl)
     grid = record.config.grid
-    single = spatial_integral(grid, np.ones(grid.node_shape),
-                              ball_mask(grid, cyl.center, cyl.R))
+    single = spatial_integral(grid, np.ones(grid.node_shape)[ball_mask(grid, cyl.center, cyl.R)])
     assert got == pytest.approx(single, rel=1e-14)
 
 
@@ -227,8 +226,8 @@ def test_sup_slice_separable_oracle():
     first = int(np.nonzero(times >= a)[0][0])
     assert _window(record, cyl).inside[0] == first
     grid = record.config.grid
-    expect = spatial_integral(grid, record.snapshots[first].values[..., 0],
-                              ball_mask(grid, cyl.center, cyl.R))
+    ball = ball_mask(grid, cyl.center, cyl.R)
+    expect = spatial_integral(grid, record.snapshots[first].values[..., 0][ball])
     assert got == pytest.approx(expect, rel=1e-14)
     zero = _unit_record(16, lambda x, t: np.zeros(x.shape[:-1] + (1,)))
     assert _window_sup(zero, cyl) == 0.0
@@ -311,22 +310,24 @@ def test_cutoff_plateau_and_support():
         [0.62, 0.55, 0.45],  # r ~ 0.16 < rho
         [0.95, 0.5, 0.5],    # r > R
     ])
-    vals_top = eta.values(pts, 1.0)
+    profile = eta._space_parts(pts)[0]  # eta(x, t) = profile * time_profile(t)
+    vals_top = profile * eta.time_profile(1.0)
     assert vals_top[0] == 1.0 and vals_top[1] == 1.0 and vals_top[2] == 0.0
-    assert eta.values(pts, 1.0 - 0.4**2 - 1e-9)[0] == 0.0  # below the window
-    mid = eta.values(pts[:1], 1.0 - (0.2**2 + 0.4**2) / 2.0)[0]
+    assert profile[0] * eta.time_profile(1.0 - 0.4**2 - 1e-9) == 0.0  # below the window
+    mid = profile[0] * eta.time_profile(1.0 - (0.2**2 + 0.4**2) / 2.0)
     assert 0.0 < mid < 1.0
 
 
 def test_cutoff_derivative_bounds_random_triples():
     rng = random.Random(11)
     r_grid = np.linspace(0.0, 1.5, 4001)
+    on_axis = lambda r: np.stack([r, np.zeros_like(r), np.zeros_like(r)], axis=-1)
     for _ in range(50):
         rho = rng.uniform(0.05, 0.8)
         R = rho + rng.uniform(0.02, 0.5)
         e = rng.choice([2.0, 2.7, 3.0])
         eta = CutoffFn((0.0, 0.0, 0.0), rho=rho, R=R, t0=1.0, time_exponent=e)
-        prof = eta.space_profile(r_grid)
+        prof = eta._space_parts(on_axis(r_grid))[0]  # |x| is r exactly
         assert prof.min() >= 0.0 and prof.max() <= 1.0
         d_space = np.abs(np.diff(prof) / np.diff(r_grid)).max()
         assert d_space * (R - rho) <= 4.0 + 1e-9
@@ -335,8 +336,8 @@ def test_cutoff_derivative_bounds_random_triples():
         tp = np.array([eta.time_profile(t) for t in t_grid])
         d_time = np.abs(np.diff(tp) / np.diff(t_grid)).max()
         assert d_time * (R - rho) ** e <= 4.0 + 1e-9
-        assert eta.space_profile(np.array([rho * 0.99]))[0] == 1.0
-        assert eta.space_profile(np.array([R + 1e-12]))[0] == 0.0
+        assert eta._space_parts(on_axis(np.array([rho * 0.99])))[0][0] == 1.0
+        assert eta._space_parts(on_axis(np.array([R + 1e-12])))[0][0] == 0.0
         assert eta.time_profile(b + 1e-9) == 1.0
 
 
@@ -344,13 +345,14 @@ def test_cutoff_analytic_gradient_matches_fd():
     eta = CutoffFn((0.5, 0.5, 0.5), rho=0.15, R=0.35, t0=0.5)
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.2, 0.8, size=(200, 3))
-    t = 0.5 - 0.05
     step = 1e-6
-    grad = eta.space_grad(pts, t)
+    # the space profile's gradient: grad eta(x, t) is this times time_profile(t)
+    _, dq, unit = eta._space_parts(pts)
+    grad = dq[:, None] * unit
     for axis in range(3):
         shift = np.zeros(3)
         shift[axis] = step
-        fd = (eta.values(pts + shift, t) - eta.values(pts - shift, t)) / (2 * step)
+        fd = (eta._space_parts(pts + shift)[0] - eta._space_parts(pts - shift)[0]) / (2 * step)
         assert np.abs(fd - grad[:, axis]).max() < 1e-5
 
 
@@ -378,7 +380,9 @@ def test_field_file_roundtrip(tmp_path):
     (lambda raw: raw[:-8], "matches no boundary layout"),
     (lambda raw: raw[:-3], "matches no boundary layout"),
     (lambda raw: (7).to_bytes(8, "little") + raw[8:], "corrupt field header"),
-], ids=["empty", "10B", "30B", "payload-8B", "payload-3B", "n7"])
+    # the first extent, after n, N and three cells: the Grid refuses it
+    (lambda raw: raw[:40] + struct.pack("<d", -1.0) + raw[48:], "extents must be positive"),
+], ids=["empty", "10B", "30B", "payload-8B", "payload-3B", "n7", "extent-1"])
 def test_field_file_damage_is_a_value_error(tmp_path, cut, needle):
     grid = Grid(3, 1.0, 4)
     path = tmp_path / "snap.bin"
@@ -386,5 +390,4 @@ def test_field_file_damage_is_a_value_error(tmp_path, cut, needle):
     path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError, match=needle) as info:
         load_field(path)
-    if needle == "ends inside its header":
-        assert str(path) in str(info.value)
+    assert str(path) in str(info.value)

@@ -22,7 +22,6 @@ from gradbound import (
     compute_M_general,
     kappa,
     ladder_oracle,
-    plaplace_window,
     thm1_case2_sup,
 )
 
@@ -282,7 +281,10 @@ def test_params_defaults():
     params = ProblemParams(n=3, N=1, p=2.5)
     assert params.q == 2.5
     assert params.p_tilde == 2.5
-    assert (params.lam, params.Lam) == plaplace_window(2.5) == (1.0, 1.5)
+    # unset, the window is the pure p-Laplace flux's (min, max)(1, p - 1)
+    assert (params.lam, params.Lam) == (1.0, 1.5)
+    fast = ProblemParams(n=3, N=1, p=1.5)
+    assert (fast.lam, fast.Lam) == (0.5, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -368,12 +369,25 @@ def test_singular_pure_flux_rerouted():
     assert rec.completed  # p < 2 at smooth extrema would be singular unregularized
 
 
+def _persisted(config):
+    """Every persisted field of a config; RhsSpec has eq=False, so rhs goes field by field."""
+    rhs = {f"rhs.{f.name}": getattr(config.rhs, f.name)
+           for f in fields(config.rhs) if f.name != "source"}  # a source is not persisted
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "rhs"} | rhs
+
+
 def test_persistence_roundtrip(tmp_path):
-    cfg = _config(UNIT(8), FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.5),
-                  rhs=RhsSpec(RhsKind.POWER_FIXED_DIR, w=1.2, c1=0.3, c2=0.1,
-                              direction=(1.0, 1.0)),
-                  N=2, t_end=0.002)
+    rhs = RhsSpec(RhsKind.POWER_FIXED_DIR, w=1.2, c1=0.3, c2=0.1, direction=(1.0, 1.0))
+    cfg = _config(Grid(3, (1.0, 1.5, 1.0), (8, 6, 8), Boundary.DIRICHLET),
+                  FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.5), rhs=rhs,
+                  initial=RandomSmooth(seed=3, amplitude=0.7, modes=3), N=2, t_end=0.002,
+                  cfl=0.3, dt_max=5e-3, snapshot_count=70, blowup_threshold=1e6)
+    # every field away from the defaults, so one that save_run drops reloads as
+    # its default and shows in the comparison below
+    plain = _persisted(_config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0)))
+    assert [name for name, value in _persisted(cfg).items() if value == plain[name]] == []
     rec = run(cfg)
+    assert rec.completed
     save_run(rec, tmp_path / "run")
     back = load_run(tmp_path / "run")
     assert back.status.kind is rec.status.kind
@@ -382,9 +396,7 @@ def test_persistence_roundtrip(tmp_path):
     for a, b in zip(rec.snapshots, back.snapshots):
         assert a.time == b.time
         assert np.array_equal(a.values, b.values)
-    assert back.config.flux == cfg.flux
-    assert back.config.rhs.kind is cfg.rhs.kind
-    assert back.config.rhs.direction == cfg.rhs.direction
+    assert _persisted(back.config) == _persisted(cfg)
     assert (tmp_path / "run" / "config.json").exists()
     assert (tmp_path / "run" / "dt_history.csv").exists()
     # records tagged "manufactured" (written before that tag merged into
@@ -433,3 +445,8 @@ def test_config_validation():
         _config(grid, flux, snapshot_count=10)
     with pytest.raises(ValueError, match="t_end"):
         _config(grid, flux, t_end=-1.0)
+    # one direction entry per component: the march reads d[i] for i < N
+    for direction in ((1.0,), (1.0, 0.0, 1.0)):
+        rhs = RhsSpec(RhsKind.POWER_FIXED_DIR, w=1.0, c1=1.0, direction=direction)
+        with pytest.raises(ValueError, match="direction has"):
+            _config(grid, flux, rhs=rhs, N=2)

@@ -162,7 +162,7 @@ def test_manufactured_rejects_unresolved_target():
         name="rough",
     )
     with pytest.raises(ValueError, match="not resolved"):
-        manufactured_problem(rough, FluxSpec(FluxKind.PURE_P_LAPLACE, p=2.0), grid, ref_factor=2)
+        manufactured_problem(rough, FluxSpec(FluxKind.PURE_P_LAPLACE, p=2.0), grid)
 
 
 def test_manufactured_rejects_bad_shape():
