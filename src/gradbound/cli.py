@@ -42,6 +42,7 @@ from .energy import (
     _bound_exponents,
     _bound_fit,
     _bound_pair,
+    _bound_ratio,
     _chain_rules,
     _cylinder_rules,
     _radius_rule,
@@ -163,8 +164,16 @@ def _one_of(noun: str, kinds: type) -> _Leaf:
                  refusal=f"unknown {noun} {{value}} at '{{label}}': expected {{expected}}")
 
 
-_NUMBER = _Leaf("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-                float, plural="numbers")
+def _finite(value) -> bool:
+    try:  # json reads NaN, Infinity and 1e400 (as inf), and keeps 10**400 an int
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_NUMBER = _Leaf("a finite number",
+                lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v),
+                float, plural="finite numbers")
 _INTEGER = _Leaf("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool),
                  plural="integers")
 _BOOLEAN = _Leaf("true or false", lambda v: isinstance(v, bool))
@@ -343,11 +352,8 @@ def _grid_from(cfg: dict) -> Grid:
 
 
 def _flux_from(cfg: dict) -> FluxSpec:
-    """A q equal to p is dropped unless the family has two powers."""
-    kind = cfg.get("kind", FluxKind.PURE_P_LAPLACE)
-    if cfg.get("q") == _need(cfg, "p", "flux.") and kind is not FluxKind.DOUBLE_POWER:
-        cfg = {k: v for k, v in cfg.items() if k != "q"}
-    return _build(FluxSpec, cfg, kind=kind)
+    _need(cfg, "p", "flux.")
+    return _build(FluxSpec, cfg, kind=cfg.get("kind", FluxKind.PURE_P_LAPLACE))
 
 
 def _rhs_from(cfg: dict) -> RhsSpec:
@@ -398,7 +404,8 @@ _VERIFY_KEYS = {
                  "modes": _INTEGER},
     "cylinder": {"R0": _NUMBER, "center": _Vector(_NUMBER, ("problem", "n", _DIM)),
                  "t0": _NUMBER,
-                 "time_exponent": _Leaf('a number or "p"', lambda v: v == "p" or _NUMBER.accepts(v),
+                 "time_exponent": _Leaf('a finite number or "p"',
+                                        lambda v: v == "p" or _NUMBER.accepts(v),
                                         lambda v: v if v == "p" else float(v))},
     "energy_s": _Vector(_NUMBER),
     "levels": _INTEGER,
@@ -550,7 +557,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     chain_out = done[0]["chain"]
     bound = _bound_fit(exponents[0], [result["pair"] for result in done])
 
-    ratios = [lhs / (rhs_base + 1.0) for lhs, rhs_base in bound.per_run]
+    ratios = [_bound_ratio(lhs, rhs_base) for lhs, rhs_base in bound.per_run]
     r_max, r_min = max(ratios), min(ratios)
     spread = 1.0 if r_max == 0.0 else (math.inf if r_min == 0.0 else r_max / r_min)
 

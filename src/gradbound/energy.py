@@ -475,7 +475,8 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     grid = record.config.grid
     radii = _chain_rules(grid, R0, levels)
     M = _estimate_rules(params, R0).M
-    exponents = [si + M for si in build_ladder(params.s0, params.p, M, params.n, levels).s]
+    ladder = build_ladder(params.s0, params.p, M, params.n, levels)
+    exponents, beta = [si + M for si in ladder.s], ladder.beta
     center, t0 = _default_center_t0(record, center, t0)
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
     # R_0 = R0 is the largest radius: every ball lies inside the outer ball,
@@ -490,7 +491,6 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     series = outer.sweep(powered_sums)
     psis = [win.integrate(ser) for win, ser in zip(windows, series)]
 
-    beta = 1.0 + 2.0 / params.n
     C = 1.0
     feasible = psis[1] <= psis[0] ** beta + 1.0
     for i in range(1, levels):
@@ -550,11 +550,16 @@ def _bound_pair(record: RunRecord, R0: float, exponents: tuple[float, float],
     return float(peaks[inner.inside].max()), outer.integrate(sums) ** exponent
 
 
+def _bound_ratio(lhs: float, rhs_base: float) -> float:
+    """The smallest C with lhs <= C rhs_base + C: one run's share of the bound fit."""
+    return lhs / (rhs_base + 1.0)
+
+
 def _bound_fit(exponent: float, per_run: Sequence[tuple[float, float]]) -> BoundReport:
     """The smallest C over the runs' (lhs, rhs) pairs: the largest lhs / (rhs + 1)."""
     if not per_run:
         raise ValueError("campaign is empty")
-    ratios = [l / (r + 1.0) for l, r in per_run]
+    ratios = [_bound_ratio(l, r) for l, r in per_run]
     k_best = int(np.argmax(ratios))
     return BoundReport(
         kappa=1.0 / exponent,

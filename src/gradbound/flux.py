@@ -47,6 +47,8 @@ class FluxSpec:
     pure_p_laplace:          A(Q) = |Q|^(p-2) Q
     double_power:            A(Q) = (|Q|^(p-2) + |Q|^(q-2)) Q
     regularized_p_laplace:   A(Q) = (eps^2 + |Q|^2)^((p-2)/2) Q
+
+    The one-power families take q only as q = p, and store it as None.
     """
 
     kind: FluxKind
@@ -62,8 +64,10 @@ class FluxSpec:
             # is a regime condition, enforced where regimes are checked
             if self.q is None or not self.q >= self.p:
                 raise ValueError(f"double_power needs q >= p, got q={self.q}")
-        elif self.q is not None and self.q != self.p:
-            raise ValueError(f"{self.kind.value} has no q parameter (q={self.q})")
+        elif self.q is not None:
+            if self.q != self.p:
+                raise ValueError(f"{self.kind.value} has no q parameter (q={self.q})")
+            object.__setattr__(self, "q", None)
         if self.kind is FluxKind.REGULARIZED_P_LAPLACE:
             if self.eps < 0.0:
                 raise ValueError(f"eps must be nonnegative, got {self.eps}")

@@ -86,8 +86,8 @@ class Grid:
             object.__setattr__(self, name, tuple(read(v) for v in per_axis))
         if len(self.extent) != self.n or len(self.cells) != self.n:
             raise ValueError("extent and cells must have length n")
-        if any(e <= 0.0 for e in self.extent):
-            raise ValueError(f"extents must be positive, got {self.extent}")
+        if not all(0.0 < e < math.inf for e in self.extent):
+            raise ValueError(f"extents must be positive and finite, got {self.extent}")
         if any(c < 4 for c in self.cells):
             raise ValueError(f"need >= 4 cells per axis, got {self.cells}")
 

@@ -406,27 +406,15 @@ def run(config: SolveConfig) -> RunRecord:
 # --- persistence --------------------------------------------------------------
 
 
-def _initial_to_dict(init: InitialData) -> dict:
-    if isinstance(init, RandomSmooth):
-        return {"kind": "random_smooth", "seed": init.seed,
-                "amplitude": init.amplitude, "modes": init.modes}
-    return {"kind": "prescribed"}
-
-
 def config_to_dict(config: SolveConfig) -> dict:
-    rhs = config.rhs
-    return {
-        "grid": _Report.to_dict(config.grid),  # grid and flux serialize as reports do
+    """Each section's fields in declaration order, then the scalars; no rhs source."""
+    init = config.initial
+    return _Report.to_dict(config) | {
+        "grid": _Report.to_dict(config.grid),
         "flux": _Report.to_dict(config.flux),
-        "rhs": {"kind": rhs.kind.value, "w": rhs.w, "c1": rhs.c1, "c2": rhs.c2,
-                "direction": list(rhs.direction) if rhs.direction else None},
-        "initial": _initial_to_dict(config.initial),
-        "N": config.N,
-        "t_end": config.t_end,
-        "cfl": config.cfl,
-        "dt_max": config.dt_max,
-        "snapshot_count": config.snapshot_count,
-        "blowup_threshold": config.blowup_threshold,
+        "rhs": {k: v for k, v in _Report.to_dict(config.rhs).items() if k != "source"},
+        "initial": ({"kind": "random_smooth"} | _Report.to_dict(init)
+                    if isinstance(init, RandomSmooth) else {"kind": "prescribed"}),
     }
 
 
@@ -435,29 +423,24 @@ def _unserializable_source(x, t):
 
 
 def config_from_dict(d: dict, initial_values: np.ndarray | None = None) -> SolveConfig:
-    g = Grid(d["grid"]["n"], tuple(d["grid"]["extent"]), tuple(d["grid"]["cells"]),
-             Boundary(d["grid"]["boundary"]))
-    fq = d["flux"]["q"]
-    fl = FluxSpec(FluxKind(d["flux"]["kind"]), d["flux"]["p"],
-                  q=None if fq is None or fq == d["flux"]["p"] else fq,
-                  eps=d["flux"]["eps"])
-    rd = d["rhs"]
-    rhs_kind = RhsKind(rd["kind"])
-    rhs = RhsSpec(rhs_kind, w=rd["w"], c1=rd["c1"], c2=rd["c2"],
-                  direction=tuple(rd["direction"]) if rd.get("direction") else None,
-                  source=_unserializable_source if rhs_kind is RhsKind.MANUFACTURED else None)
-    idict = d["initial"]
-    if idict["kind"] == "random_smooth":
-        init: InitialData = RandomSmooth(idict["seed"], idict["amplitude"], idict["modes"])
+    """Inverse of config_to_dict; prescribed initial data is the stored snapshot 0."""
+    g, fl, rd, init = d["grid"], d["flux"], d["rhs"], d["initial"]
+    if init["kind"] == "random_smooth":
+        initial: InitialData = RandomSmooth(**{k: v for k, v in init.items() if k != "kind"})
+    elif initial_values is None:  # "prescribed", or "manufactured" from older records
+        raise ValueError("prescribed initial data needs the stored snapshot 0")
     else:
-        # "prescribed", or "manufactured" from records written before the two merged
-        if initial_values is None:
-            raise ValueError("prescribed initial data needs the stored snapshot 0")
-        init = Prescribed(initial_values)
-    return SolveConfig(grid=g, flux=fl, rhs=rhs, initial=init, N=d["N"],
-                       t_end=d["t_end"], cfl=d["cfl"], dt_max=d["dt_max"],
-                       snapshot_count=d["snapshot_count"],
-                       blowup_threshold=d["blowup_threshold"])
+        initial = Prescribed(initial_values)
+    rhs_kind = RhsKind(rd["kind"])
+    return SolveConfig(**d | {
+        "grid": Grid(**g | {"boundary": Boundary(g["boundary"])}),
+        "flux": FluxSpec(**fl | {"kind": FluxKind(fl["kind"])}),
+        "rhs": RhsSpec(**rd | {
+            "kind": rhs_kind,
+            "direction": None if rd["direction"] is None else tuple(rd["direction"]),
+            "source": _unserializable_source if rhs_kind is RhsKind.MANUFACTURED else None}),
+        "initial": initial,
+    })
 
 
 def save_run(record: RunRecord, directory: str | Path) -> None:
@@ -473,10 +456,9 @@ def save_run(record: RunRecord, directory: str | Path) -> None:
 
 def load_run(directory: str | Path) -> RunRecord:
     root = Path(directory)
-    paths = sorted((root / "snapshots").glob("snap_*.bin"))
-    snapshots = [load_field(p) for p in paths]
-    cfg_d = json.loads((root / "config.json").read_text())
-    config = config_from_dict(cfg_d, initial_values=snapshots[0].values if snapshots else None)
+    snapshots = [load_field(p) for p in sorted((root / "snapshots").glob("snap_*.bin"))]
+    config = config_from_dict(json.loads((root / "config.json").read_text()),
+                              snapshots[0].values if snapshots else None)
     st = json.loads((root / "status.json").read_text())
-    dt_hist = np.loadtxt(root / "dt_history.csv", skiprows=1, ndmin=1)
-    return RunRecord(config, snapshots, dt_hist, RunStatus(StatusKind(st["kind"]), st["time"]))
+    dts = np.loadtxt(root / "dt_history.csv", skiprows=1, ndmin=1)
+    return RunRecord(config, snapshots, dts, RunStatus(**st | {"kind": StatusKind(st["kind"])}))

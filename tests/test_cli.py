@@ -9,6 +9,7 @@ import copy
 import importlib.metadata
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -38,8 +39,9 @@ VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
 def _write(tmp_path, payload, name="config.json"):
+    """payload as a JSON file; a str payload is written as the JSON text it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -700,6 +702,9 @@ def _exits_1(tmp_path, monkeypatch, verb, cfg_obj) -> str:
     return err
 
 
+# stands in for the JSON number 1e400, which json reads as inf
+_E400 = "<1e400>"
+
 _PROBE_BASES = {"check": lambda: {"p": 2.0, "w": 1.0},
                 "solve": _heat_solve_cfg,
                 "verify": _campaign_cfg}
@@ -738,9 +743,20 @@ _PROBE_BASES = {"check": lambda: {"p": 2.0, "w": 1.0},
     ("solve", "initial.modes", 0),
     ("solve", "initial.modes", -1),
     ("verify", "campaign.modes", -1),
-])
+] + [
+    # numbers whose float is not finite, where they ran to a traceback, a
+    # diverged march (exit 4) or a completed one (exit 0)
+    (verb, path, value)
+    for verb, path in [("solve", "t_end"), ("solve", "grid.extent"),
+                       ("solve", "initial.amplitude"), ("solve", "flux.eps"),
+                       ("check", "p"), ("verify", "cylinder.R0")]
+    for value in [math.nan, math.inf, _E400, 10**400]
+], ids=lambda v: "10**400" if v == 10**400 else None)
 def test_config_type_probes(tmp_path, monkeypatch, verb, path, value):
-    _refused(tmp_path, monkeypatch, verb, _set(_PROBE_BASES[verb](), path, value), path, value)
+    cfg = _set(_PROBE_BASES[verb](), path, value)
+    if value == _E400:  # json.dumps writes an inf as Infinity, so 1e400 goes in as text
+        cfg, value = json.dumps(cfg).replace(json.dumps(_E400), "1e400"), math.inf
+    _refused(tmp_path, monkeypatch, verb, cfg, path, value)
 
 
 # Each verb's shipped config with more of its keys set, each to a value of

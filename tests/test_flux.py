@@ -72,6 +72,10 @@ def test_spec_validation():
         FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 1.5, eps=0.0)
     with pytest.raises(ValueError, match="no eps"):
         FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0, eps=0.1)
+    # a one-power family stores a q equal to p as None; double power keeps it
+    assert FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0, q=2.0).q is None
+    assert FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 1.5, q=1.5, eps=1e-3).q is None
+    assert FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.0).q == 2.0
 
 
 def test_jacobian_bounds_pure():

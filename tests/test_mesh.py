@@ -382,7 +382,8 @@ def test_field_file_roundtrip(tmp_path):
     (lambda raw: (7).to_bytes(8, "little") + raw[8:], "corrupt field header"),
     # the first extent, after n, N and three cells: the Grid refuses it
     (lambda raw: raw[:40] + struct.pack("<d", -1.0) + raw[48:], "extents must be positive"),
-], ids=["empty", "10B", "30B", "payload-8B", "payload-3B", "n7", "extent-1"])
+    (lambda raw: raw[:40] + struct.pack("<d", math.nan) + raw[48:], "extents must be positive"),
+], ids=["empty", "10B", "30B", "payload-8B", "payload-3B", "n7", "extent-1", "extent-nan"])
 def test_field_file_damage_is_a_value_error(tmp_path, cut, needle):
     grid = Grid(3, 1.0, 4)
     path = tmp_path / "snap.bin"

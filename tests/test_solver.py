@@ -370,41 +370,66 @@ def test_singular_pure_flux_rerouted():
 
 
 def _persisted(config):
-    """Every persisted field of a config; RhsSpec has eq=False, so rhs goes field by field."""
+    """Every persisted field of a config; RhsSpec has eq=False, so rhs goes field by field,
+    and Prescribed too, so prescribed data goes as its values' bytes."""
     rhs = {f"rhs.{f.name}": getattr(config.rhs, f.name)
            for f in fields(config.rhs) if f.name != "source"}  # a source is not persisted
-    return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "rhs"} | rhs
+    init = config.initial
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "rhs"} | rhs | {
+        "initial": init.values.tobytes() if isinstance(init, Prescribed) else init}
 
 
-def test_persistence_roundtrip(tmp_path):
+def _roundtrip_full():
+    # every field away from the defaults, so one that save_run drops reloads
+    # as its default and shows in the comparison
     rhs = RhsSpec(RhsKind.POWER_FIXED_DIR, w=1.2, c1=0.3, c2=0.1, direction=(1.0, 1.0))
     cfg = _config(Grid(3, (1.0, 1.5, 1.0), (8, 6, 8), Boundary.DIRICHLET),
                   FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.5), rhs=rhs,
                   initial=RandomSmooth(seed=3, amplitude=0.7, modes=3), N=2, t_end=0.002,
                   cfl=0.3, dt_max=5e-3, snapshot_count=70, blowup_threshold=1e6)
-    # every field away from the defaults, so one that save_run drops reloads as
-    # its default and shows in the comparison below
     plain = _persisted(_config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0)))
     assert [name for name, value in _persisted(cfg).items() if value == plain[name]] == []
+    return cfg
+
+
+@pytest.mark.parametrize("make", [
+    _roundtrip_full,
+    # a q equal to p on a one-power family reloads as the None it is stored as
+    lambda: _config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0, q=2.0), t_end=0.002),
+    # double power keeps a q equal to p, which a record reloads with
+    lambda: _config(UNIT(8), FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.0), t_end=0.002),
+    lambda: _config(UNIT(8), FluxSpec(FluxKind.REGULARIZED_P_LAPLACE, 1.5, eps=1e-2),
+                    rhs=RhsSpec(RhsKind.POWER_ALIGNED, w=1.0, c1=0.5, direction=(0.6, 0.8)),
+                    N=2, t_end=0.002),
+    lambda: _config(UNIT(8, Boundary.DIRICHLET), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0),
+                    rhs=RhsSpec(RhsKind.STRUWE_COUPLING), N=2, t_end=0.002),
+    lambda: _config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 3.0), t_end=0.002),
+    lambda: _config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002,
+                    initial=Prescribed(np.random.default_rng(5).standard_normal((8, 8, 8, 1)))),
+], ids=["double_power_dirichlet", "pure_q_equals_p", "double_power_q_equals_p",
+        "regularized_aligned_direction",
+        "struwe", "zero", "prescribed"])
+def test_persistence_roundtrip(tmp_path, make):
+    cfg = make()
     rec = run(cfg)
     assert rec.completed
     save_run(rec, tmp_path / "run")
     back = load_run(tmp_path / "run")
-    assert back.status.kind is rec.status.kind
+    assert back.status.to_dict() == rec.status.to_dict()
     assert np.array_equal(back.dt_history, rec.dt_history)
     assert len(back.snapshots) == len(rec.snapshots)
     for a, b in zip(rec.snapshots, back.snapshots):
         assert a.time == b.time
         assert np.array_equal(a.values, b.values)
     assert _persisted(back.config) == _persisted(cfg)
-    assert (tmp_path / "run" / "config.json").exists()
+    # config.json is the reloaded config written again, byte for byte
+    cfg_path = tmp_path / "run" / "config.json"
+    stored = cfg_path.read_text()
+    assert json.dumps(solver.config_to_dict(back.config), indent=2) == stored
     assert (tmp_path / "run" / "dt_history.csv").exists()
     # records tagged "manufactured" (written before that tag merged into
     # "prescribed") load as prescribed data from snapshot 0
-    cfg_path = tmp_path / "run" / "config.json"
-    stored = json.loads(cfg_path.read_text())
-    stored["initial"] = {"kind": "manufactured"}
-    cfg_path.write_text(json.dumps(stored))
+    cfg_path.write_text(json.dumps(json.loads(stored) | {"initial": {"kind": "manufactured"}}))
     legacy = load_run(tmp_path / "run")
     assert isinstance(legacy.config.initial, Prescribed)
     assert np.array_equal(legacy.config.initial.values, rec.snapshots[0].values)
