@@ -10,75 +10,43 @@ Layout:
     verify    independent oracles: manufactured solutions, the x/|x| map,
               exact-rational ladder iteration
     cli       `gradbound` command-line entry point
+
+The package names load on first use: `import gradbound` imports no module
+above, and `gradbound.run` (or `from gradbound import run`) imports its
+home module, here `solver`, and numpy with it.
 """
 
-from .regimes import (
-    ExponentLadder,
-    ProblemParams,
-    RegimeReport,
-    Theorem,
-    bound_exponent,
-    build_ladder,
-    check_thm2,
-    check_thm3,
-    classify_thm1,
-    compute_M_general,
-    kappa,
-    thm1_case2_sup,
-)
-from .mesh import (
-    Boundary,
-    CutoffFn,
-    CylinderSpec,
-    Field,
-    Grid,
-    ball_mask,
-    divergence,
-    grad_magnitude,
-    gradient,
-    load_field,
-    node_coords,
-    save_field,
-)
-from .flux import (
-    FluxKind,
-    FluxSpec,
-    RhsKind,
-    RhsSpec,
-    flux_eval,
-    flux_jacobian_bounds,
-    rhs_eval,
-)
-from .solver import (
-    Prescribed,
-    RandomSmooth,
-    RunRecord,
-    RunStatus,
-    SolveConfig,
-    StatusKind,
-    initial_field,
-    load_run,
-    run,
-    save_run,
-)
-from .energy import (
-    BoundReport,
-    EnergyReport,
-    MoserChainReport,
-    SandwichReport,
-    energy_inequality_check,
-    holder_sandwich_check,
-    moser_chain_check,
-    psi,
-    verify_bound,
-)
-from .verify import (
-    ResidualReport,
-    SeparableTarget,
-    ladder_oracle,
-    manufactured_problem,
-    struwe_field,
-    struwe_residual,
-)
+import importlib
+
+# home module -> the names the package gives from it
+_EXPORTS = {
+    "regimes": ("ExponentLadder", "ProblemParams", "RegimeReport", "Theorem", "bound_exponent",
+                "build_ladder", "check_thm2", "check_thm3", "classify_thm1",
+                "compute_M_general", "kappa", "thm1_case2_sup"),
+    "mesh": ("Boundary", "CutoffFn", "CylinderSpec", "Field", "Grid", "ball_mask", "divergence",
+             "grad_magnitude", "gradient", "load_field", "node_coords", "save_field"),
+    "flux": ("FluxKind", "FluxSpec", "RhsKind", "RhsSpec", "flux_eval", "flux_jacobian_bounds",
+             "rhs_eval"),
+    "solver": ("Prescribed", "RandomSmooth", "RunRecord", "RunStatus", "SolveConfig",
+               "StatusKind", "initial_field", "load_run", "run", "save_run"),
+    "energy": ("BoundReport", "EnergyReport", "MoserChainReport", "SandwichReport",
+               "energy_inequality_check", "holder_sandwich_check", "moser_chain_check", "psi",
+               "verify_bound"),
+    "verify": ("ResidualReport", "SeparableTarget", "ladder_oracle", "manufactured_problem",
+               "struwe_field", "struwe_residual"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))

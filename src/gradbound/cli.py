@@ -31,28 +31,14 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-import numpy as np
-
-from .energy import (
-    _bound_exponents,
-    _bound_fit,
-    _bound_pair,
-    _bound_ratio,
-    _chain_rules,
-    _cylinder_rules,
-    _radius_rule,
-    _require_s_admissible,
-    energy_inequality_check,
-    holder_sandwich_check,
-    moser_chain_check,
-)
-from .flux import FluxKind, FluxSpec, RhsKind, RhsSpec
-from .mesh import Boundary, CylinderSpec, Grid, grad_magnitude, gradient, node_coords
+# numpy and the numeric modules are imported by the functions that run them,
+# so `check`, which runs only the regime arithmetic, starts without them
 from .regimes import (
     ProblemParams,
     RegimeReport,
@@ -63,14 +49,11 @@ from .regimes import (
     classify_thm1,
     compute_M_general,
 )
-from .solver import RandomSmooth, SolveConfig, StatusKind, _planned_times, run, save_run
-from .verify import (
-    SeparableTarget,
-    ladder_oracle,
-    manufactured_problem,
-    struwe_field,
-    struwe_residual,
-)
+
+if TYPE_CHECKING:
+    from .flux import FluxSpec, RhsSpec
+    from .mesh import Grid
+    from .solver import StatusKind
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -174,8 +157,10 @@ def _finite(value) -> bool:
 _NUMBER = _Leaf("a finite number",
                 lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v),
                 float, plural="finite numbers")
-_INTEGER = _Leaf("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool),
-                 plural="integers")
+_INTEGER = _Leaf("a 64-bit integer",  # numpy's index range: no size, count or seed needs more
+                 lambda v: isinstance(v, int) and not isinstance(v, bool)
+                 and -2**63 <= v < 2**63,
+                 plural="64-bit integers")
 _BOOLEAN = _Leaf("true or false", lambda v: isinstance(v, bool))
 _STRING = _Leaf("a string", lambda v: isinstance(v, str))
 
@@ -244,9 +229,11 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, numbers.Integral):  # numpy's integers are registered as Integral
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # and its floats as Real
         return float(obj) if math.isfinite(obj) else None
     return obj
 
@@ -321,42 +308,55 @@ def cmd_check(cfg: dict, outdir: Path | None) -> int:
 # --- solve ------------------------------------------------------------------------
 
 
+# The solve and verify key tables name the enums of mesh and flux, so each
+# is built when its verb runs.
+
 def _grid_keys(n: tuple) -> dict:
+    from .mesh import Boundary
+
     return {"extent": _Vector(_NUMBER, n, per_axis=True),
             "cells": _Vector(_INTEGER, n, per_axis=True),
             "boundary": _one_of("boundary", Boundary)}
 
 
-_FLUX_KIND = _one_of("flux kind", FluxKind)
-_RHS_KIND = _one_of("rhs kind", RhsKind)
-
 # SolveConfig keys that solve and verify both take at the top level
 _RUN_KEYS = {"t_end": _NUMBER, "cfl": _NUMBER, "dt_max": _NUMBER,
              "snapshot_count": _INTEGER, "blowup_threshold": _NUMBER, "output_dir": _STRING}
 
-_SOLVE_KEYS = {
-    "grid": {"n": _INTEGER} | _grid_keys(("grid", "n", None)),
-    "flux": {"kind": _FLUX_KIND, "p": _NUMBER, "q": _NUMBER, "eps": _NUMBER},
-    "rhs": {"kind": _RHS_KIND, "w": _NUMBER, "c1": _NUMBER, "c2": _NUMBER,
-            "direction": _Vector(_NUMBER, ("N", _COMPONENTS))},
-    "initial": {"kind": _Leaf('"random_smooth"', lambda v: v == "random_smooth"),
-                "seed": _INTEGER, "amplitude": _NUMBER, "modes": _INTEGER},
-    "N": _INTEGER,
-} | _RUN_KEYS
+
+def _solve_keys() -> dict:
+    from .flux import FluxKind, RhsKind
+
+    return {
+        "grid": {"n": _INTEGER} | _grid_keys(("grid", "n", None)),
+        "flux": {"kind": _one_of("flux kind", FluxKind), "p": _NUMBER, "q": _NUMBER,
+                 "eps": _NUMBER},
+        "rhs": {"kind": _one_of("rhs kind", RhsKind), "w": _NUMBER, "c1": _NUMBER,
+                "c2": _NUMBER, "direction": _Vector(_NUMBER, ("N", _COMPONENTS))},
+        "initial": {"kind": _Leaf('"random_smooth"', lambda v: v == "random_smooth"),
+                    "seed": _INTEGER, "amplitude": _NUMBER, "modes": _INTEGER},
+        "N": _INTEGER,
+    } | _RUN_KEYS
 
 
 def _grid_from(cfg: dict) -> Grid:
+    from .mesh import Grid
+
     for key in ("n", "extent", "cells"):
         _need(cfg, key, "grid.")
     return _build(Grid, cfg)
 
 
 def _flux_from(cfg: dict) -> FluxSpec:
+    from .flux import FluxKind, FluxSpec
+
     _need(cfg, "p", "flux.")
     return _build(FluxSpec, cfg, kind=cfg.get("kind", FluxKind.PURE_P_LAPLACE))
 
 
 def _rhs_from(cfg: dict) -> RhsSpec:
+    from .flux import RhsKind, RhsSpec
+
     kind = cfg.get("kind", RhsKind.ZERO)
     if kind is RhsKind.MANUFACTURED:
         raise InputError("manufactured sources are built programmatically, not from configs")
@@ -364,12 +364,16 @@ def _rhs_from(cfg: dict) -> RhsSpec:
 
 
 def _status_code(kind: StatusKind) -> int:
+    from .solver import StatusKind
+
     return {StatusKind.COMPLETED: EXIT_OK,
             StatusKind.BLOWUP: EXIT_BLOWUP,
             StatusKind.DIVERGED: EXIT_DIVERGED}[kind]
 
 
 def cmd_solve(cfg: dict, outdir: Path | None) -> int:
+    from .solver import RandomSmooth, SolveConfig, run, save_run
+
     config = _build(SolveConfig, cfg,
                     grid=_grid_from(_need(cfg, "grid")),
                     flux=_flux_from(_need(cfg, "flux")),
@@ -394,23 +398,26 @@ def cmd_solve(cfg: dict, outdir: Path | None) -> int:
 
 # --- verify -----------------------------------------------------------------------
 
-_VERIFY_KEYS = {
-    "problem": _PROBLEM_KEYS,
-    "grid": _grid_keys(("problem", "n", _DIM)),
-    "flux": {"kind": _FLUX_KIND, "eps": _NUMBER},
-    "rhs": {"kind": _RHS_KIND, "c1": _NUMBER, "c2": _NUMBER,
-            "direction": _Vector(_NUMBER, ("problem", "N", _COMPONENTS))},
-    "campaign": {"seeds": _Vector(_INTEGER), "amplitudes": _Vector(_NUMBER),
-                 "modes": _INTEGER},
-    "cylinder": {"R0": _NUMBER, "center": _Vector(_NUMBER, ("problem", "n", _DIM)),
-                 "t0": _NUMBER,
-                 "time_exponent": _Leaf('a finite number or "p"',
-                                        lambda v: v == "p" or _NUMBER.accepts(v),
-                                        lambda v: v if v == "p" else float(v))},
-    "energy_s": _Vector(_NUMBER),
-    "levels": _INTEGER,
-    "max_spread": _NUMBER,
-} | _RUN_KEYS
+def _verify_keys() -> dict:
+    from .flux import FluxKind, RhsKind
+
+    return {
+        "problem": _PROBLEM_KEYS,
+        "grid": _grid_keys(("problem", "n", _DIM)),
+        "flux": {"kind": _one_of("flux kind", FluxKind), "eps": _NUMBER},
+        "rhs": {"kind": _one_of("rhs kind", RhsKind), "c1": _NUMBER, "c2": _NUMBER,
+                "direction": _Vector(_NUMBER, ("problem", "N", _COMPONENTS))},
+        "campaign": {"seeds": _Vector(_INTEGER), "amplitudes": _Vector(_NUMBER),
+                     "modes": _INTEGER},
+        "cylinder": {"R0": _NUMBER, "center": _Vector(_NUMBER, ("problem", "n", _DIM)),
+                     "t0": _NUMBER,
+                     "time_exponent": _Leaf('a finite number or "p"',
+                                            lambda v: v == "p" or _NUMBER.accepts(v),
+                                            lambda v: v if v == "p" else float(v))},
+        "energy_s": _Vector(_NUMBER),
+        "levels": _INTEGER,
+        "max_spread": _NUMBER,
+    } | _RUN_KEYS
 
 
 def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequence[float],
@@ -422,6 +429,10 @@ def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequen
     complete returns its exit code and stop message under "stopped" instead
     of raising, so the caller stops at the first such run in campaign order.
     """
+    from .energy import (_bound_pair, energy_inequality_check, holder_sandwich_check,
+                         moser_chain_check)
+    from .solver import StatusKind, run
+
     seed, amplitude, config, levels = job
     record = run(config)
     kind = record.status.kind
@@ -461,6 +472,12 @@ def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
 
 
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:
+    from .energy import (_bound_exponents, _bound_fit, _bound_ratio, _chain_rules,
+                         _cylinder_rules, _radius_rule, _require_s_admissible)
+    from .flux import FluxKind
+    from .mesh import CylinderSpec
+    from .solver import RandomSmooth, SolveConfig, _planned_times
+
     problem_cfg = _need(cfg, "problem")
     c2_nonzero = bool(cfg.get("rhs", {}).get("c2"))
     if "c2_zero" not in problem_cfg:
@@ -598,6 +615,13 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
 
 
 def _oracle_suite() -> list[dict]:
+    import numpy as np
+
+    from .flux import FluxKind, FluxSpec
+    from .mesh import Boundary, Grid, grad_magnitude, gradient, node_coords
+    from .verify import (SeparableTarget, ladder_oracle, manufactured_problem, struwe_field,
+                         struwe_residual)
+
     results = []
 
     ladder = build_ladder(0.0, 2.0, 2.0, 3, 3)
@@ -658,6 +682,9 @@ _COUNTER_KEYS = {"n": _INTEGER,
 
 
 def cmd_counterexample(cfg: dict, outdir: Path | None) -> int:
+    from .mesh import Boundary, Grid
+    from .verify import struwe_residual
+
     try:
         grid = Grid(cfg.get("n", _DIM), cfg.get("extent", 4.0), cfg.get("cells", 48),
                     Boundary.DIRICHLET)
@@ -697,20 +724,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_oracles(_resolve_outdir(args.output, {}))
         if args.config is None:
             raise InputError(f"'{args.command}' needs --config FILE")
-        table, verb = {"check": (_CHECK_KEYS, cmd_check),
-                       "solve": (_SOLVE_KEYS, cmd_solve),
-                       "verify": (_VERIFY_KEYS, cmd_verify),
-                       "counterexample": (_COUNTER_KEYS, cmd_counterexample)}[args.command]
-        cfg = _validate(_load_config(args.config), table)
+        keys, verb = {"check": (lambda: _CHECK_KEYS, cmd_check),
+                      "solve": (_solve_keys, cmd_solve),
+                      "verify": (_verify_keys, cmd_verify),
+                      "counterexample": (lambda: _COUNTER_KEYS, cmd_counterexample)}[args.command]
+        cfg = _validate(_load_config(args.config), keys())
         return verb(cfg, _resolve_outdir(args.output, cfg))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except _StatusExit as exc:
         print(f"stopped: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # a size numpy cannot allocate or index is an input error too
+    except (InputError, ValueError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

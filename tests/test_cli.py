@@ -18,12 +18,15 @@ from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gradbound
 import gradbound.cli
+import gradbound.energy
+import gradbound.solver
 from gradbound import build_ladder, load_run
 from gradbound.cli import (
     EXIT_BLOWUP,
@@ -31,6 +34,7 @@ from gradbound.cli import (
     EXIT_INPUT,
     EXIT_NOT_COVERED,
     EXIT_OK,
+    _jsonable,
     main,
 )
 
@@ -275,7 +279,7 @@ def test_outside_the_structural_model_exits_1_in_every_mode(tmp_path, monkeypatc
 
 def test_verify_reads_the_campaign_before_its_verdict(tmp_path, capsys, monkeypatch):
     # s0 = 0 breaks the budget, and the cylinder top lies past t_end
-    monkeypatch.setattr(gradbound.cli, "run", _no_solve)
+    monkeypatch.setattr(gradbound.solver, "run", _no_solve)
     cfg = _campaign_cfg(problem={"p": 2.0, "w": 1.3, "s0": 0.0}, cylinder={"R0": 0.24, "t0": 1.0})
     code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, cfg)])
     assert code == EXIT_INPUT and report is None
@@ -371,7 +375,7 @@ def _campaign_cfg(**extra):
     (lambda c: c.update(levels=2000, grid={"extent": 1.0, "cells": 32}), "overflows"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, monkeypatch, mutate, needle):
-    monkeypatch.setattr(gradbound.cli, "run", _no_solve)
+    monkeypatch.setattr(gradbound.solver, "run", _no_solve)
     cfg_obj = _campaign_cfg()
     mutate(cfg_obj)
     cfg = _write(tmp_path, cfg_obj)
@@ -554,8 +558,8 @@ def _raise_on_amplitude(amplitude, check):
 ], ids=["chain-first-run", "energy-second-run", "sandwich-last-run"])
 def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, amplitude):
     _cores(monkeypatch, 3)
-    monkeypatch.setattr(gradbound.cli, name,
-                        _raise_on_amplitude(amplitude, getattr(gradbound.cli, name)))
+    monkeypatch.setattr(gradbound.energy, name,
+                        _raise_on_amplitude(amplitude, getattr(gradbound.energy, name)))
     out = tmp_path / "out"
     code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, _pool_cfg()),
                                       "--output", str(out)])
@@ -568,9 +572,12 @@ def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, a
 
 
 def test_check_imports_no_process_pool(tmp_path):
-    """`gradbound check`, the benchmark campaign's set-up probe, never loads a pool."""
+    """`gradbound check`, the benchmark campaign's set-up probe, never loads a pool,
+    numpy or a numeric module: it runs only the regime arithmetic."""
+    unused = {"multiprocessing", "concurrent.futures", "numpy"} | {
+        f"gradbound.{name}" for name in ("mesh", "flux", "solver", "energy", "verify")}
     probe = ("import sys; from gradbound.cli import main; code = main(sys.argv[1:]); "
-             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)), "
+             f"print(sorted({unused!r} & set(sys.modules)), "
              "file=sys.stderr); sys.exit(code)")
     pythonpath = [str(IMPORT_ROOT), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
@@ -687,7 +694,7 @@ def _exits_1(tmp_path, monkeypatch, verb, cfg_obj) -> str:
     """Run verb on cfg_obj in-process: exit 1 with one error line, no report,
     no traceback, no output directory and no solve.  Returns the line."""
     monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
-    monkeypatch.setattr(gradbound.cli, "run", _no_solve)
+    monkeypatch.setattr(gradbound.solver, "run", _no_solve)
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, cfg_obj, name="probe.json")
     out, err = io.StringIO(), io.StringIO()
@@ -751,12 +758,46 @@ _PROBE_BASES = {"check": lambda: {"p": 2.0, "w": 1.0},
                        ("solve", "initial.amplitude"), ("solve", "flux.eps"),
                        ("check", "p"), ("verify", "cylinder.R0")]
     for value in [math.nan, math.inf, _E400, 10**400]
+] + [
+    # integers past the signed 64-bit range, where they ran to a traceback or
+    # to numpy's "Maximum allowed size exceeded", which names no key
+    (verb, path, value)
+    for verb, path in [("solve", "N"), ("solve", "grid.cells"), ("solve", "snapshot_count"),
+                       ("solve", "initial.modes"), ("solve", "initial.seed"),
+                       ("verify", "campaign.modes")]
+    for value in [10**400, 2**63]
+] + [
+    ("solve", "grid.cells", [8, 8, 2**63]),
+    ("verify", "campaign.seeds", [0, 10**400]),
 ], ids=lambda v: "10**400" if v == 10**400 else None)
 def test_config_type_probes(tmp_path, monkeypatch, verb, path, value):
     cfg = _set(_PROBE_BASES[verb](), path, value)
     if value == _E400:  # json.dumps writes an inf as Infinity, so 1e400 goes in as text
         cfg, value = json.dumps(cfg).replace(json.dumps(_E400), "1e400"), math.inf
     _refused(tmp_path, monkeypatch, verb, cfg, path, value)
+
+
+@pytest.mark.parametrize("path, value", [("N", 10**12), ("grid.cells", 10**6)])
+def test_impossible_allocation_exits_1(tmp_path, capsys, path, value):
+    """A size inside the 64-bit range whose arrays cannot exist: numpy refuses the
+    first one at once, allocating nothing, and main maps its MemoryError."""
+    cfg = _set(_heat_solve_cfg(), path, value)
+    code, report, err = _run(capsys, ["solve", "--config", _write(tmp_path, cfg)])
+    assert code == EXIT_INPUT and report is None
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
+
+def test_jsonable_maps_numpy_scalars_and_non_finite_numbers():
+    report = {"int": np.int64(7), "f32": np.float32(0.1), "f64": np.float64(2.5),
+              "nan": np.float64("nan"), "inf": np.float64("inf"), "neg": -math.inf,
+              "flag": True, "nested": (1, (np.float64("nan"), [np.int32(2), False]), "s"),
+              "none": None}
+    clean = _jsonable(report)
+    assert json.dumps(clean) == json.dumps({
+        "int": 7, "f32": float(np.float32(0.1)), "f64": 2.5, "nan": None, "inf": None,
+        "neg": None, "flag": True, "nested": [1, [None, [2, False]], "s"], "none": None})
+    assert type(clean["int"]) is int and type(clean["f32"]) is float
+    assert clean["flag"] is True and clean["nested"][1][1][1] is False
 
 
 # Each verb's shipped config with more of its keys set, each to a value of

@@ -1,0 +1,68 @@
+"""The package surface: names resolve on first use to their home modules' objects."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gradbound
+
+IMPORT_ROOT = Path(gradbound.__file__).resolve().parent.parent
+
+# every name the package gives, by home module
+SURFACE = {
+    "regimes": ["ExponentLadder", "ProblemParams", "RegimeReport", "Theorem", "bound_exponent",
+                "build_ladder", "check_thm2", "check_thm3", "classify_thm1",
+                "compute_M_general", "kappa", "thm1_case2_sup"],
+    "mesh": ["Boundary", "CutoffFn", "CylinderSpec", "Field", "Grid", "ball_mask", "divergence",
+             "grad_magnitude", "gradient", "load_field", "node_coords", "save_field"],
+    "flux": ["FluxKind", "FluxSpec", "RhsKind", "RhsSpec", "flux_eval", "flux_jacobian_bounds",
+             "rhs_eval"],
+    "solver": ["Prescribed", "RandomSmooth", "RunRecord", "RunStatus", "SolveConfig",
+               "StatusKind", "initial_field", "load_run", "run", "save_run"],
+    "energy": ["BoundReport", "EnergyReport", "MoserChainReport", "SandwichReport",
+               "energy_inequality_check", "holder_sandwich_check", "moser_chain_check", "psi",
+               "verify_bound"],
+    "verify": ["ResidualReport", "SeparableTarget", "ladder_oracle", "manufactured_problem",
+               "struwe_field", "struwe_residual"],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(SURFACE))
+def test_names_resolve_to_their_home_objects(module_name):
+    home = importlib.import_module(f"gradbound.{module_name}")
+    assert getattr(gradbound, module_name) is home
+    listed = dir(gradbound)
+    assert module_name in listed
+    for name in SURFACE[module_name]:
+        assert getattr(gradbound, name) is getattr(home, name), name
+        assert name in listed, name
+        namespace = {}
+        exec(f"from gradbound import {name}", namespace)
+        assert namespace[name] is getattr(home, name), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'gradient_of'"):
+        gradbound.gradient_of  # public in mesh, not given by the package
+    with pytest.raises(ImportError):
+        exec("from gradbound import no_such_name", {})
+    assert not hasattr(gradbound, "cli_main")
+
+
+def test_version_unchanged():
+    assert gradbound.__version__ == "0.1.0"
+
+
+def test_import_loads_no_numeric_module():
+    probe = ("import sys, gradbound; "
+             "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('gradbound')))")
+    pythonpath = [str(IMPORT_ROOT), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['gradbound']\n"
