@@ -457,8 +457,10 @@ def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
 
     With one worker fn runs inline through map and no pool is made; so it
     does where the platform has no affinity mask (os.sched_getaffinity is
-    Linux's).  Leaving the block terminates and joins the workers, also when
-    the caller stops at a result before the last.
+    Linux's).  Each pool worker marches its runs on its share of the cores,
+    cores // workers: one process each when the pool holds every core.
+    Leaving the block terminates and joins the workers, also when the
+    caller stops at a result before the last.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cores)
@@ -467,8 +469,16 @@ def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
         return
     import multiprocessing  # here: the verbs that never fork do not pay for it
 
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
+    with multiprocessing.get_context("fork").Pool(workers, _share_cores,
+                                                  (cores // workers,)) as pool:
         yield pool.imap(fn, jobs)
+
+
+def _share_cores(count: int) -> None:
+    """Pool initializer: the runs of this worker march on count cores at most."""
+    from . import solver
+
+    solver._cores = count
 
 
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:

@@ -99,42 +99,34 @@ def _is_identity(spec: FluxSpec) -> bool:
     return spec.kind is FluxKind.PURE_P_LAPLACE and spec.p == 2.0
 
 
-def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None,
-              out: np.ndarray | None = None,
-              scratch: Sequence[np.ndarray | None] = (None, None)) -> np.ndarray:
+def flux_eval(spec: FluxSpec, Q: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
     """Evaluate A(Q) on samples of shape (..., N, n).
 
     mag, when given, must be the precomputed Frobenius magnitude of Q.  For
     pure p = 2 the flux is Q itself, and the returned array may be Q.
-    Otherwise out receives A(Q) and scratch[0], scratch[1] (shaped like mag)
-    the coefficient |A(Q)| / |Q|; each is fresh when omitted, out
-    C-contiguous.  out must not share memory with Q.
+    Otherwise A(Q) is Q times the coefficient |A(Q)| / |Q|, which is the
+    tangential eigenvalue of _eigen_pair, in a fresh C-contiguous array.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if _is_identity(spec):
         return Q
     if mag is None:
         mag = grad_magnitude(Q)
-    if spec.kind is FluxKind.PURE_P_LAPLACE:
-        _check_singular(spec.kind, spec.p, mag)
-        coeff = _pow(mag, spec.p - 2.0, scratch[0])
-    elif spec.kind is FluxKind.DOUBLE_POWER:
-        _check_singular(spec.kind, spec.p, mag)
-        coeff = _pow(mag, spec.p - 2.0, scratch[0])
-        coeff += _pow(mag, spec.q - 2.0, scratch[1])
-    elif spec.kind is FluxKind.REGULARIZED_P_LAPLACE:
-        coeff = _pow(mag, 2, scratch[0])
-        coeff += spec.eps**2
-        coeff **= (spec.p - 2.0) / 2.0
-    else:  # pragma: no cover
-        raise ValueError(f"unknown flux kind {spec.kind}")
+    _, coeff = _eigen_pair(spec, mag)
+    return _scaled(coeff, Q, None)
+
+
+def _scaled(coeff: np.ndarray, Q: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """coeff[..., None, None] * Q, written into out (fresh and C-contiguous when omitted).
+
+    One multiply per axis slot, contiguous in the march's axis-major buffers,
+    where the broadcast over the strided last axis runs ~1.5x slower.  The
+    coefficient, spread over the components one assignment each, waits in
+    the last slot, which is multiplied in place last: c * q and q * c are the
+    same bits.
+    """
     if out is None:
         out = np.empty(Q.shape)
-    # One multiply per axis slot, contiguous in the march's axis-major buffers,
-    # where the broadcast over the strided last axis runs ~1.5x slower.  The
-    # coefficient, spread over the components one assignment each, waits in
-    # the last slot, which is multiplied in place last: c * q and q * c are
-    # the same bits.
     last = out[..., -1]
     for i in range(Q.shape[-2]):
         last[..., i] = coeff
@@ -149,8 +141,9 @@ def _eigen_pair(spec: FluxSpec, mag: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial eigenvalue F''(t) and tangential eigenvalue F'(t)/t at t = |Q|.
 
-    out[0] and out[1] (shaped like mag) receive the pair and out[2] is
-    scratch; each is fresh when omitted.
+    The tangential eigenvalue is the flux coefficient |A(Q)| / |Q|.  out[0]
+    and out[1] (shaped like mag) receive the pair and out[2] is scratch;
+    each is fresh when omitted.
     """
     t = mag
     radial, tangential, work = out
@@ -160,10 +153,10 @@ def _eigen_pair(spec: FluxSpec, mag: np.ndarray,
         radial = np.multiply(spec.p - 1.0, tangential, out=radial)
     elif spec.kind is FluxKind.DOUBLE_POWER:
         _check_singular(spec.kind, spec.p, t)
-        tangential = _pow(t, spec.p - 2.0, tangential)  # t^(p-2) until tq joins
+        radial = _pow(t, spec.p - 2.0, radial)  # t^(p-2) until it is scaled
         tq = _pow(t, spec.q - 2.0, work)
-        radial = np.multiply(spec.p - 1.0, tangential, out=radial)
-        tangential += tq
+        tangential = np.add(radial, tq, out=tangential)
+        radial *= spec.p - 1.0
         tq *= spec.q - 1.0
         radial += tq
     elif spec.kind is FluxKind.REGULARIZED_P_LAPLACE:

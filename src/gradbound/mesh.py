@@ -150,7 +150,8 @@ class Field:
 
 
 def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, planes: tuple[int, int] | None = None
+                ) -> np.ndarray:
     """Second-order first derivative along one spatial axis of an arbitrary array.
 
     The differences are written into out (a fresh array when omitted) and
@@ -167,31 +168,41 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     last spatial axis of (*node_shape, N) samples) they run on the reversed
     view with order="C", one inner loop across the rows per entry, where
     numpy's memory order would run one N-element loop per row.
+
+    planes = (first, stop), for axis 0 only, asks for the derivative on
+    those planes alone: out is shaped like values[first:stop], and the
+    shifted subtract and the closures read the neighbouring planes of
+    values, so each entry is the one the whole axis gives, bit for bit.
     """
     values = np.ascontiguousarray(values)
+    k = math.prod(values.shape[axis + 1:])
+    total = values.size // k  # k-entry planes in flat order, rows x axis length
+    first, stop = (0, total) if planes is None else planes
     target = out
     if out is None or not out.flags.c_contiguous:
-        out = np.empty_like(values)
-    k = math.prod(values.shape[axis + 1:])
+        out = np.empty_like(values if planes is None else values[first:stop])
     flat, oflat = values.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2 * k:], flat[:-2 * k], out=oflat[k:-k])
+    lo, hi = max(first, 1) * k, min(stop, total - 1) * k
+    np.subtract(flat[lo + k:hi + k], flat[lo - k:hi - k], out=oflat[lo - first * k:hi - first * k])
     rows = math.prod(values.shape[:axis])
     v, o = values.reshape(rows, -1, k), out.reshape(rows, -1, k)
     if k < rows:
         v, o = v.T, o.T
-    if boundary is Boundary.PERIODIC:
-        # the two wrap planes of the central difference
-        np.subtract(v[:, 1], v[:, -1], out=o[:, 0], order="C")
-        np.subtract(v[:, 0], v[:, -2], out=o[:, -1], order="C")
-    else:
-        # one-sided second-order closures on the boundary planes, built in
-        # contiguous temporaries: (-3 v0 + 4 v1) - v2 and (3 v[-1] - 4 v[-2]) + v[-3]
-        near = np.multiply(v[:, 0], -3.0, order="C")
-        near += np.multiply(v[:, 1], 4.0, order="C")
-        np.subtract(near, v[:, 2], out=o[:, 0], order="C")
-        far = np.multiply(v[:, -1], 3.0, order="C")
-        far -= np.multiply(v[:, -2], 4.0, order="C")
-        np.add(far, v[:, -3], out=o[:, -1], order="C")
+    ends = [end for end, owned in ((0, first == 0), (-1, stop == total)) if owned]
+    for end in ends:
+        if boundary is Boundary.PERIODIC:
+            # the two wrap planes of the central difference
+            np.subtract(v[:, end + 1], v[:, end - 1], out=o[:, end], order="C")
+        elif end == 0:
+            # one-sided second-order closures on the boundary planes, built in
+            # contiguous temporaries: (-3 v0 + 4 v1) - v2 and (3 v[-1] - 4 v[-2]) + v[-3]
+            near = np.multiply(v[:, 0], -3.0, order="C")
+            near += np.multiply(v[:, 1], 4.0, order="C")
+            np.subtract(near, v[:, 2], out=o[:, 0], order="C")
+        else:
+            far = np.multiply(v[:, -1], 3.0, order="C")
+            far -= np.multiply(v[:, -2], 4.0, order="C")
+            np.add(far, v[:, -3], out=o[:, -1], order="C")
     out /= 2.0 * h
     if target is None or target is out:
         return out
@@ -199,14 +210,9 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     return target
 
 
-def gradient_of(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of node samples with arbitrary trailing shape: appends an axis of length n.
-
-    out, when given, is an array of the result's shape to write into, in any
-    memory layout; the derivative along axis a goes to out[..., a].
-    """
-    if out is None:
-        out = np.empty(values.shape + (grid.n,), dtype=values.dtype)
+def gradient_of(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Gradient of node samples with arbitrary trailing shape: appends an axis of length n."""
+    out = np.empty(values.shape + (grid.n,), dtype=values.dtype)
     for a in range(grid.n):
         _diff_along(values, a, grid.h[a], grid.boundary, out=out[..., a])
     return out
@@ -217,20 +223,13 @@ def gradient(field: Field) -> np.ndarray:
     return gradient_of(field.grid, field.values)
 
 
-def divergence(grid: Grid, flux_values: np.ndarray, out: np.ndarray | None = None,
-               part: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint central-difference divergence of (*node_shape, N, n) samples.
-
-    out receives the result and part holds each further axis's difference
-    before it is added; both are (*node_shape, N) arrays, fresh when omitted.
-    """
+def divergence(grid: Grid, flux_values: np.ndarray) -> np.ndarray:
+    """Adjoint central-difference divergence of (*node_shape, N, n) samples."""
     if flux_values.shape[-1] != grid.n:
         raise ValueError("last axis of flux samples must have length n")
-    out = _diff_along(flux_values[..., 0], 0, grid.h[0], grid.boundary, out=out)
-    if part is None:
-        part = np.empty_like(out)
+    out = _diff_along(flux_values[..., 0], 0, grid.h[0], grid.boundary)
     for a in range(1, grid.n):
-        out += _diff_along(flux_values[..., a], a, grid.h[a], grid.boundary, out=part)
+        out += _diff_along(flux_values[..., a], a, grid.h[a], grid.boundary)
     return out
 
 

@@ -573,8 +573,9 @@ def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, a
 
 def test_check_imports_no_process_pool(tmp_path):
     """`gradbound check`, the benchmark campaign's set-up probe, never loads a pool,
-    numpy or a numeric module: it runs only the regime arithmetic."""
-    unused = {"multiprocessing", "concurrent.futures", "numpy"} | {
+    the split march's shared memory, numpy or a numeric module: it runs only the
+    regime arithmetic."""
+    unused = {"multiprocessing", "concurrent.futures", "mmap", "numpy"} | {
         f"gradbound.{name}" for name in ("mesh", "flux", "solver", "energy", "verify")}
     probe = ("import sys; from gradbound.cli import main; code = main(sys.argv[1:]); "
              f"print(sorted({unused!r} & set(sys.modules)), "
@@ -777,14 +778,45 @@ def test_config_type_probes(tmp_path, monkeypatch, verb, path, value):
     _refused(tmp_path, monkeypatch, verb, cfg, path, value)
 
 
-@pytest.mark.parametrize("path, value", [("N", 10**12), ("grid.cells", 10**6)])
-def test_impossible_allocation_exits_1(tmp_path, capsys, path, value):
-    """A size inside the 64-bit range whose arrays cannot exist: numpy refuses the
-    first one at once, allocating nothing, and main maps its MemoryError."""
-    cfg = _set(_heat_solve_cfg(), path, value)
-    code, report, err = _run(capsys, ["solve", "--config", _write(tmp_path, cfg)])
+def _never(*args):
+    raise AssertionError("reached after a refusal")
+
+
+def _refused_for_memory(capsys, monkeypatch, argv):
+    """Exit 1 with one error line naming the memory bound, refused before
+    _planned_times (whose np.linspace would ask for snapshot_count floats) or
+    any march."""
+    monkeypatch.setattr(gradbound.solver, "_planned_times", _never)
+    monkeypatch.setattr(gradbound.solver, "run", _never)
+    code, report, err = _run(capsys, argv)
     assert code == EXIT_INPUT and report is None
-    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "GiB, more than the" in err and "GiB of physical memory" in err, err
+
+
+@pytest.mark.parametrize("path, value", [("N", 10**12), ("grid.cells", 10**6)])
+def test_impossible_allocation_exits_1(tmp_path, capsys, monkeypatch, path, value):
+    """A size inside the 64-bit range whose snapshots cannot fit in physical
+    memory: SolveConfig refuses it from the sizes alone, allocating nothing."""
+    cfg = _set(_heat_solve_cfg(), path, value)
+    _refused_for_memory(capsys, monkeypatch, ["solve", "--config", _write(tmp_path, cfg)])
+
+
+@pytest.mark.parametrize("verb", ["solve", "verify"])
+def test_snapshot_count_past_physical_memory_exits_1(tmp_path, capsys, monkeypatch, verb):
+    cfg = _set(_PROBE_BASES[verb](), "snapshot_count", 10**9)
+    _refused_for_memory(capsys, monkeypatch, [verb, "--config", _write(tmp_path, cfg)])
+
+
+def test_memory_error_exits_1(tmp_path, capsys, monkeypatch):
+    """main maps a MemoryError raised inside a verb to one error line."""
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+    monkeypatch.setattr(gradbound.solver, "run", out_of_memory)
+    code, report, err = _run(capsys, ["solve", "--config", _write(tmp_path, _heat_solve_cfg())])
+    assert code == EXIT_INPUT and report is None
+    assert err == "error: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"
 
 
 def test_jsonable_maps_numpy_scalars_and_non_finite_numbers():

@@ -230,20 +230,19 @@ def _in_layout(values, layout):
 @given(case=grid_and_values(), spec=FLUXES, layout=st.sampled_from(("c_order", "axis_major",
                                                                        "strided")))
 def test_out_buffers_of_any_layout_hold_the_fresh_result(case, spec, layout):
-    # every kernel the march calls with out= writes the bits of its fresh call
-    # on C-ordered inputs, whatever the layout of its inputs and outputs;
-    # np.empty buffers start with garbage, so a position no write reaches shows
+    # every kernel gives the bits of its call on C-ordered inputs whatever the
+    # layout of its inputs, and one the march calls with out= whatever the
+    # layout of out too; np.empty buffers start with garbage, so a position no
+    # write reaches shows
     grid, u0 = case
     N, nodes = u0.shape[-1], grid.node_shape
     u, grad = _in_layout(u0, layout), gradient_of(grid, u0)
     assert _same_bits(gradient_of(grid, u), grad)
-    assert _same_bits(gradient_of(grid, u, out=_layouts(grad.shape)[layout]), grad)
     Q, mag = _in_layout(grad, layout), grad_magnitude(grad)
-    got = divergence(grid, Q, out=_layouts(u0.shape)[layout], part=_layouts(u0.shape)[layout])
-    assert _same_bits(got, divergence(grid, grad))
+    assert _same_bits(grad_magnitude(Q, out=_layouts(u0.shape)[layout][..., 0]), mag)
+    assert _same_bits(divergence(grid, Q), divergence(grid, grad))
+    assert _same_bits(flux_eval(spec, Q, mag=mag), flux_eval(spec, grad, mag=mag))
     scratch = (np.empty(nodes), np.empty(nodes))
-    got = flux_eval(spec, Q, mag=mag, out=_layouts(grad.shape)[layout], scratch=scratch)
-    assert _same_bits(got, flux_eval(spec, grad, mag=mag))
     x = node_coords(grid)
     for kind in RhsKind:
         rhs = _march_rhs(kind, N)
@@ -461,5 +460,5 @@ def test_d_max_is_the_upper_jacobian_bound_max(case):
         with pytest.raises(ValueError, match="singular"):
             _d_max(spec, mag, work)
         return
-    got = _d_max(spec, mag, work)
+    got = _d_max(spec, mag, work)[0]
     assert _same_bits(got, want)  # NaN samples propagate as NaN

@@ -30,7 +30,7 @@ from gradbound import (
     save_run,
 )
 from gradbound import solver
-from gradbound.solver import _next_dt, _rate, _Stage
+from gradbound.solver import _flux, _next_dt, _rate, _Stage
 
 UNIT = lambda cells, boundary=Boundary.PERIODIC: Grid(
     3, (1.0, 1.0, 1.0), (cells,) * 3, boundary
@@ -104,7 +104,7 @@ def test_non_finite_d_max_ends_the_run_diverged(monkeypatch):
     assert _next_dt(grid, 0.4, 1e-2, 0.0, 0.025) == 0.025 / 3  # D_max = 0: dt_max
     # a NaN D_max mid-run stops it diverged rather than in ceil's ValueError
     cfg = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5))
-    monkeypatch.setattr(solver, "_d_max", lambda *args: math.nan)
+    monkeypatch.setattr(solver, "_d_max", lambda *args: (math.nan, None))
     rec = run(cfg)
     assert rec.status.kind is StatusKind.DIVERGED and rec.status.time == 0.0
     assert rec.dt_history.size == 0
@@ -118,7 +118,9 @@ def _spectral_radius(grid, iterations=400):
     v = np.random.default_rng(0).standard_normal(grid.node_shape + (1,))
     for _ in range(iterations):
         v /= np.linalg.norm(v)
-        v = _rate(Field(grid, v), cfg, x, stage)[0].copy()
+        state = Field(grid, v)
+        _flux(state, cfg, stage)
+        v = _rate(state, cfg, x, stage).copy()
         if grid.boundary is Boundary.DIRICHLET:  # the march freezes the planes
             for a in range(grid.n):
                 np.moveaxis(v, a, 0)[[0, -1]] = 0.0
@@ -291,6 +293,48 @@ def test_initial_amplitude_linear():
     u1 = initial_field(base).values
     u2 = initial_field(scaled).values
     assert np.allclose(u2, 2.5 * u1, rtol=0.0, atol=0.0)  # exact scalar multiply
+
+
+def _initial_on_node_coords(config):
+    """RandomSmooth data by the formula on the node coordinate stack: every mode
+    evaluated over the whole grid, cosines of phase sums on periodic grids and
+    products of sines on Dirichlet ones, accumulated into each component."""
+    grid, init = config.grid, config.initial
+    rng = np.random.default_rng(init.seed)
+    x = node_coords(grid)
+    vals = np.zeros(grid.node_shape + (config.N,))
+    m = init.modes
+    if grid.boundary is Boundary.PERIODIC:
+        ks = [k for k in np.ndindex(*([m + 1] * grid.n)) if any(k)]
+        for comp in range(config.N):
+            for k in ks:
+                coeff = rng.standard_normal() / (1.0 + sum(ki * ki for ki in k)) ** 2
+                arg = rng.uniform(0.0, 2.0 * math.pi)
+                for a, ka in enumerate(k):
+                    arg = arg + (2.0 * math.pi * ka / grid.extent[a]) * x[..., a]
+                vals[..., comp] += coeff * np.cos(arg)
+    else:
+        for comp in range(config.N):
+            for k in np.ndindex(*([m] * grid.n)):
+                coeff = rng.standard_normal() / (1.0 + sum((ki + 1) ** 2 for ki in k)) ** 2
+                term = np.ones(grid.node_shape)
+                for a, ka in enumerate(k):
+                    term = term * np.sin(math.pi * (ka + 1) / grid.extent[a] * x[..., a])
+                vals[..., comp] += coeff * term
+    return init.amplitude * vals
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("n, cells", [(2, 4), (2, 33), (2, 48), (3, 5), (3, 13), (3, 32)])
+def test_initial_field_is_the_node_coords_formula_bitwise(n, cells, boundary):
+    # the field is built from per-axis 1-D factors, with the formula's operations
+    # in its order, so it is the same bits
+    grid = Grid(n, (1.0, 0.7, 1.3)[:n], (cells, cells + 1, cells + 2)[:n], boundary)
+    for N, modes, seed in ((1, 2, 0), (3, 3, 7)):
+        config = _config(grid, FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), N=N,
+                         initial=RandomSmooth(seed=seed, amplitude=2.5, modes=modes))
+        got, want = initial_field(config).values, _initial_on_node_coords(config)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_initial_grid_independent():
