@@ -31,10 +31,11 @@ Identical configs, including the seed, reproduce bitwise-identical records.
 
 Each step evaluates one stage into a workspace allocated once per run and
 rewritten every step, with the arithmetic of the public kernels'
-fresh-array calls, so records are bit-identical to them.  _flux writes the gradient, its magnitude and the flux; _d_max reads
-the two Jacobian eigenvalues once, and its tangential one is the flux
-coefficient |A(Q)| / |Q|, so the flux is grad times it.  _rate adds the
-divergence and f.  The update runs in place in the stage's term buffer as
+fresh-array calls, so records are bit-identical to them.  _flux writes
+the gradient, its magnitude and the flux; _d_max reads the two Jacobian
+eigenvalues once, and its tangential one is the flux coefficient
+|A(Q)| / |Q|, so the flux is grad times it.  _rate adds the divergence
+and f.  The update runs in place in the stage's term buffer as
 term = F_{n-1} - F_n; term *= -w/2; term += F_n; term *= dt; u += term,
 and then the rate and history buffers swap references, so no array is
 copied or allocated.  On Dirichlet grids term's boundary planes are set to
@@ -96,25 +97,36 @@ has read a row.
 The process rule, _processes: one process for a manufactured source (a
 table that may ignore x and return the whole grid), off Linux, off a
 store-ordered machine, and where the caller runs other threads, which a
-fork would not copy.  Otherwise min(cores, node values // _MIN_SLAB_VALUES,
-planes), where node values are nodes x N and cores are the affinity mask's,
-or the share a campaign pool gives each worker (cores // workers: one when
-the pool holds every core).  _MIN_SLAB_VALUES = 8192 node values per slab,
-2.5 planes of the 33^2 x 3 Dirichlet plane: on a 2-core x86-64 host, two
-processes took 1.04x the one-process step time at 16^3 x 3 (6144 values a
-slab), 0.90x at 20^3 x 2, 0.81x at 24^3 x 2 (periodic p = 2.5, aligned
-source, ~315 steps, fork included) and ~0.6x on the 33^3 x 3 Dirichlet
-solve of the benchmark; 8^3 x 1 took 3.3x.
+fork would not copy.  Otherwise min(_MAX_PROCESSES, cores, node values //
+_MIN_SLAB_VALUES, planes), where node values are nodes x N and cores are
+the affinity mask's, or the share a campaign pool gives each worker
+(cores // workers: one when the pool holds every core).  _MIN_SLAB_VALUES
+= 8192 node values per slab, 2.5 planes of the 33^2 x 3 Dirichlet plane:
+on a 2-core x86-64 host, two processes took 1.04x the one-process step
+time at 16^3 x 3 (6144 values a slab), 0.90x at 20^3 x 2, 0.81x at
+24^3 x 2 (periodic p = 2.5, aligned source, ~315 steps, fork included) and
+~0.6x on the 33^3 x 3 Dirichlet solve of the benchmark; 8^3 x 1 took 3.3x.
+_MAX_PROCESSES = 2 because these are two-process figures: thinner slabs
+and a barrier whose polls grow with the count are unmeasured past two.
 
-No child outlives the march.  A child leaves with os._exit when the march
-ends, stops or raises, and while it spins it polls os.getppid(), so it
-leaves when the parent is gone.  The parent kills and reaps every child
-when it leaves the march, however it leaves, and raises RuntimeError when
-a child ends without arriving at a barrier.  An exception in one slab's
-phase is posted at the next barrier and raised in every process; the
-parent raises the lowest failing slab's (a child's comes pickled through a
-pipe), so run raises the type and message the one-process march raises.
-A numpy warning raised in a child's slab is printed by that child.
+Threads running the same two phases on the same arrays (numpy releases the
+GIL inside these kernels, not between them) gave less: on the benchmark's
+33^3 x 3 Dirichlet march, 2-core host, medians of 6 alternating runs, two
+threads took 0.77x the one-process wall time and 1.27x its CPU time with a
+blocking barrier (0.72x and 1.25x spinning), two processes 0.62x and 1.21x.
+
+No child outlives the march.  Where a pipe or a fork fails (a process or
+file limit), the parent kills and reaps the children it has and marches
+alone, as the one-process march would have.  A child leaves with os._exit
+when the march ends, stops or raises, and while it spins it polls
+os.getppid(), so it leaves when the parent is gone.  The parent kills and
+reaps every child when it leaves the march, however it leaves, and raises
+RuntimeError when a child ends without arriving at a barrier.  An
+exception in one slab's phase is posted at the next barrier and raised in
+every process; the parent raises the lowest failing slab's (a child's
+comes pickled through a pipe), so run raises the type and message the
+one-process march raises.  A numpy warning raised in a child's slab is
+printed by that child.
 """
 
 from __future__ import annotations
@@ -165,9 +177,10 @@ REGULARIZATION_DEFAULT = 1e-6
 # c_b of the module docstring: the per-axis |lambda|max h^2 the step rule assumes
 _STENCIL_RADIUS = {Boundary.PERIODIC: 1.0, Boundary.DIRICHLET: 1.5}
 # The split march (module docstring): the machine whose store order its barrier
-# relies on, node values per slab below which a second process does not pay,
-# polls before a waiting process yields
+# relies on, the most processes measured, node values per slab below which a
+# second process does not pay, polls before a waiting process yields
 _STORE_ORDERED = "x86_64"
+_MAX_PROCESSES = 2
 _MIN_SLAB_VALUES = 8192
 _SPINS = 64
 # cores one run may march on; None reads the affinity mask (a campaign pool sets its share)
@@ -226,22 +239,6 @@ class SolveConfig:
         if self.rhs.direction is not None and len(self.rhs.direction) != self.N:
             raise ValueError(f"rhs direction has {len(self.rhs.direction)} entries, "
                              f"need one per component (N = {self.N})")
-        # the stored snapshots must fit in memory; checked on the sizes alone,
-        # before _planned_times or the march allocates anything
-        stored = self.snapshot_count * math.prod(self.grid.node_shape) * self.N * 8
-        memory = _physical_memory()
-        if memory is not None and stored > memory:
-            raise ValueError(f"{self.snapshot_count} snapshots of {math.prod(self.grid.node_shape)} "
-                             f"nodes x N = {self.N} take {stored / 2**30:.3g} GiB, more than "
-                             f"the {memory / 2**30:.3g} GiB of physical memory")
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 class StatusKind(enum.Enum):
@@ -493,8 +490,27 @@ def _screen(lo: float, hi: float, threshold: float) -> StatusKind | None:
     return None
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _planned_times(config: SolveConfig) -> np.ndarray:
-    """The snapshot times run stores when it completes, bit for bit (t_end = 0 stores one)."""
+    """The snapshot times run stores when it completes, bit for bit (t_end = 0 stores one).
+
+    First refuses, from the sizes alone, a run whose stored snapshots would
+    take more than the physical memory of this machine: no array is made.
+    """
+    nodes = math.prod(config.grid.node_shape)
+    stored = config.snapshot_count * nodes * config.N * 8
+    memory = _physical_memory()
+    if memory is not None and stored > memory:
+        raise ValueError(f"{config.snapshot_count} snapshots of {nodes} nodes x N = {config.N} "
+                         f"take {stored / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
     return np.linspace(0.0, config.t_end, config.snapshot_count if config.t_end > 0.0 else 1)
 
 
@@ -505,7 +521,7 @@ def _processes(config: SolveConfig) -> int:
         return 1
     cores = len(os.sched_getaffinity(0)) if _cores is None else _cores
     slabs = math.prod(config.grid.node_shape) * config.N // _MIN_SLAB_VALUES
-    return max(1, min(cores, slabs, config.grid.node_shape[0]))
+    return max(1, min(_MAX_PROCESSES, cores, slabs, config.grid.node_shape[0]))
 
 
 class _Team:
@@ -515,7 +531,10 @@ class _Team:
     caller's block with its own rank and slab, and leaves the process when it
     leaves the block, with os._exit.  The parent (rank 0) holds the first
     slab, and leaving the block kills and reaps every child, so none outlives
-    it.  sync is the one meeting point (see its docstring).
+    it.  Where a pipe or a fork fails, entering kills and reaps the children
+    made so far and the parent holds every plane alone: those children have
+    only read u and written their own slab's stage arrays, which the parent
+    rewrites.  sync is the one meeting point (see its docstring).
     """
 
     def __init__(self, planes: int, count: int):
@@ -532,14 +551,24 @@ class _Team:
         return self.bounds[self.rank], self.bounds[self.rank + 1]
 
     def __enter__(self) -> "_Team":
-        for rank in range(1, self.count):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # nothing here can raise into the caller's frames
-                self.rank, self._pipe, self.children = rank, write, {}
-                return self
-            os.close(write)
-            self.children[rank] = (pid, read)
+        try:
+            for rank in range(1, self.count):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:  # nothing here can raise into the caller's frames
+                    self.rank, self._pipe, self.children = rank, write, {}
+                    return self
+                os.close(write)
+                self.children[rank] = (pid, read)
+        except OSError:  # no pipe or no process to be had: march alone
+            self._end_children()
+            self.count, self.bounds = 1, [0, self.bounds[-1]]
+            self.board, self.arrived = self.board[:, :1], self.arrived[:1]
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
@@ -549,11 +578,16 @@ class _Team:
                     os.write(self._pipe, _pickled(exc))
             finally:
                 os._exit(0 if exc is None else 1)
+        self._end_children()
+
+    def _end_children(self) -> None:
+        """Close every child's pipe, and kill and reap every child not yet reaped."""
         for pid, read in self.children.values():
             os.close(read)
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        self.children = {}
 
     def sync(self, work, *args) -> np.ndarray:
         """work(*args) on this slab, then the (count, 2) pairs every slab's work returned.
@@ -632,6 +666,7 @@ def run(config: SolveConfig) -> RunRecord:
     """March to t_end storing snapshot_count evenly spaced snapshots."""
     fl = _resolve_flux(config.flux)
     eff = replace(config, flux=fl)
+    targets = _planned_times(eff)
     state = initial_field(eff)
     thr = eff.blowup_threshold
 
@@ -641,7 +676,6 @@ def run(config: SolveConfig) -> RunRecord:
     if eff.t_end == 0.0:
         return RunRecord(eff, [state], np.array([]), RunStatus(StatusKind.COMPLETED))
 
-    targets = _planned_times(eff)
     snapshots = [state]
     stage = _Stage(eff.grid, eff.N, fl)
     stage.u[...] = state.values

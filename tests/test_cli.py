@@ -782,13 +782,29 @@ def _never(*args):
     raise AssertionError("reached after a refusal")
 
 
+@contextlib.contextmanager
+def _address_space_cap(extra: int):
+    """Inside the block this process may map at most extra more bytes."""
+    import resource
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    cap = mapped + extra if hard == resource.RLIM_INFINITY else min(hard, mapped + extra)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _refused_for_memory(capsys, monkeypatch, argv):
-    """Exit 1 with one error line naming the memory bound, refused before
-    _planned_times (whose np.linspace would ask for snapshot_count floats) or
-    any march."""
-    monkeypatch.setattr(gradbound.solver, "_planned_times", _never)
-    monkeypatch.setattr(gradbound.solver, "run", _never)
-    code, report, err = _run(capsys, argv)
+    """Exit 1 with one error line naming the memory bound, refused from the
+    sizes alone: under a 1 GiB cap on new mappings, so np.linspace's
+    snapshot_count floats would fail with another message, and before any
+    march starts."""
+    monkeypatch.setattr(gradbound.solver, "initial_field", _never)
+    with _address_space_cap(2**30):
+        code, report, err = _run(capsys, argv)
     assert code == EXIT_INPUT and report is None
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "GiB, more than the" in err and "GiB of physical memory" in err, err
@@ -797,7 +813,7 @@ def _refused_for_memory(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("path, value", [("N", 10**12), ("grid.cells", 10**6)])
 def test_impossible_allocation_exits_1(tmp_path, capsys, monkeypatch, path, value):
     """A size inside the 64-bit range whose snapshots cannot fit in physical
-    memory: SolveConfig refuses it from the sizes alone, allocating nothing."""
+    memory: run refuses it from the sizes alone, allocating nothing."""
     cfg = _set(_heat_solve_cfg(), path, value)
     _refused_for_memory(capsys, monkeypatch, ["solve", "--config", _write(tmp_path, cfg)])
 

@@ -479,6 +479,19 @@ def test_persistence_roundtrip(tmp_path, make):
     assert np.array_equal(legacy.config.initial.values, rec.snapshots[0].values)
 
 
+def test_a_record_past_this_hosts_memory_loads_but_does_not_run(tmp_path):
+    """Whether a config is valid does not depend on the machine: a stored record
+    whose snapshot_count would not fit here (one that stopped early, say) loads,
+    and only a run of it is refused, from the sizes alone."""
+    rec = run(_config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002))
+    save_run(rec, tmp_path / "run")
+    cfg_path = tmp_path / "run" / "config.json"
+    cfg_path.write_text(json.dumps(json.loads(cfg_path.read_text()) | {"snapshot_count": 10**9}))
+    back = load_run(tmp_path / "run")
+    assert back.config.snapshot_count == 10**9 and len(back.snapshots) == len(rec.snapshots)
+    with pytest.raises(ValueError, match="GiB of physical memory"):
+        run(back.config)
+
 def test_record_snapshots_are_read_only(tmp_path):
     # the cylinder checks keep |grad u| per stored snapshot: no path may write one
     rec = run(_config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002))

@@ -204,10 +204,48 @@ def test_pool_workers_march_on_their_share_of_the_cores():
     cores = len(os.sched_getaffinity(0))
     alone = solver._processes(config)
     if os.uname().machine == solver._STORE_ORDERED:
-        assert alone == min(cores, 33**3 * 3 // solver._MIN_SLAB_VALUES)
+        assert alone == min(solver._MAX_PROCESSES, cores)
     with _ordered_map(_processes_in_worker, [config, config]) as results:
         shares = list(results)
-    assert shares == [alone] * 2 if cores == 1 else [min(alone, cores // 2)] * 2
+    assert shares == ([alone] * 2 if cores == 1 else [min(alone, cores // 2)] * 2)
+
+
+def test_process_rule_stops_at_the_measured_count(monkeypatch):
+    config = SolveConfig(grid=Grid(3, 1.0, 64), flux=FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0),
+                         rhs=RhsSpec(RhsKind.ZERO), initial=RandomSmooth(seed=0), N=3,
+                         t_end=0.01)
+    monkeypatch.setattr(solver, "_cores", 16)
+    expected = 2 if os.uname().machine == solver._STORE_ORDERED else 1
+    assert solver._MAX_PROCESSES == 2 and solver._processes(config) == expected
+
+
+def _open_files() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_failed_fork_or_pipe_marches_alone(monkeypatch, call):
+    # the second of the two children cannot be made: the first is killed and
+    # reaped, its pipe closed, and the parent marches every plane itself
+    config = SolveConfig(grid=Grid(3, 1.0, 8), flux=FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5),
+                         rhs=RhsSpec(RhsKind.ZERO), initial=RandomSmooth(seed=4), N=2,
+                         t_end=0.01)
+    _on(monkeypatch, 1)
+    serial = _record_bytes(run(config))
+    real, calls = getattr(os, call), []
+
+    def second_fails():
+        calls.append(os.getpid())
+        if len(calls) == 2:
+            raise BlockingIOError(11, f"{call}: resource temporarily unavailable")
+        return real()
+
+    _on(monkeypatch, 3)
+    monkeypatch.setattr(os, call, second_fails)
+    files = _open_files()
+    assert _record_bytes(run(config)) == serial
+    assert len(calls) == 2 and _open_files() == files
+    _no_child_left()
 
 
 def test_process_rule_keeps_small_grids_and_source_tables_on_one_process():
