@@ -223,6 +223,30 @@ def _resolve_outdir(cli_output: str | None, cfg: dict) -> Path | None:
     return Path(out) if out else None
 
 
+@contextlib.contextmanager
+def _made(outdir: Path | None) -> Iterator[None]:
+    """outdir made, with any missing parents, before the block runs anything.
+
+    So an output path that cannot be made fails before any solve.  When the
+    block raises, the directories made here are removed again while empty:
+    a refused or stopped command leaves no output directory behind.
+    """
+    if outdir is None:
+        yield
+        return
+    missing = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for made in missing:  # innermost first
+            try:
+                made.rmdir()
+            except OSError:
+                break
+        raise
+
+
 def _jsonable(obj):
     """Strict-JSON clean copy: non-finite numbers become null."""
     if isinstance(obj, dict):
@@ -242,7 +266,6 @@ def _emit(report: dict, outdir: Path | None) -> None:
     payload = json.dumps(_jsonable(report), indent=2)
     print(payload)
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(payload + "\n")
 
 
@@ -371,8 +394,31 @@ def _status_code(kind: StatusKind) -> int:
             StatusKind.DIVERGED: EXIT_DIVERGED}[kind]
 
 
+@contextlib.contextmanager
+def _replaced(target: Path) -> Iterator[Path]:
+    """A new directory that takes target's place when the block ends without raising.
+
+    It is made inside a private directory next to target, which is removed
+    however the block ends, so a block that raises leaves target as it was.
+    """
+    import shutil
+    import tempfile
+
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
+    try:
+        fresh = staging / target.name
+        fresh.mkdir()
+        yield fresh
+        if target.exists():
+            os.replace(target, staging / "previous")
+        os.replace(fresh, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def cmd_solve(cfg: dict, outdir: Path | None) -> int:
-    from .solver import RandomSmooth, SolveConfig, run, save_run
+    """March the configured problem, writing each snapshot to <outdir>/run as it is stored."""
+    from .solver import RandomSmooth, SolveConfig, _consume, _march, _Writer
 
     config = _build(SolveConfig, cfg,
                     grid=_grid_from(_need(cfg, "grid")),
@@ -381,19 +427,25 @@ def cmd_solve(cfg: dict, outdir: Path | None) -> int:
                     initial=_build(RandomSmooth, {"seed": 0} | cfg.get("initial", {}),
                                    {"seed": "initial.seed", "modes": "initial.modes"}),
                     N=cfg.get("N", _COMPONENTS), t_end=_need(cfg, "t_end"))
-    record = run(config)
     saved = None
-    if outdir is not None:
-        save_run(record, outdir / "run")
-        saved = str(outdir / "run")
+    if outdir is None:
+        times: list[float] = []
+        _, dt_history, status = _consume(_march(config),
+                                         lambda snapshot: times.append(snapshot.time))
+    else:
+        with _replaced(outdir / "run") as fresh:
+            writer = _Writer(fresh)
+            config, dt_history, status = _consume(_march(config), writer.snapshot)
+            writer.finish(config, dt_history, status)
+        times, saved = writer.times, str(outdir / "run")
     _emit({
-        "status": record.status.to_dict(),
-        "steps": int(record.dt_history.size),
-        "snapshots_stored": len(record.snapshots),
-        "final_time": float(record.snapshots[-1].time),
+        "status": status.to_dict(),
+        "steps": int(dt_history.size),
+        "snapshots_stored": len(times),
+        "final_time": float(times[-1]),
         "record": saved,
     }, outdir)
-    return _status_code(record.status.kind)
+    return _status_code(status.kind)
 
 
 # --- verify -----------------------------------------------------------------------
@@ -731,20 +783,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify" and getattr(args, "mode", None) == "oracles":
-            return cmd_oracles(_resolve_outdir(args.output, {}))
-        if args.config is None:
+            cfg, verb = {}, lambda cfg, outdir: cmd_oracles(outdir)
+        elif args.config is None:
             raise InputError(f"'{args.command}' needs --config FILE")
-        keys, verb = {"check": (lambda: _CHECK_KEYS, cmd_check),
-                      "solve": (_solve_keys, cmd_solve),
-                      "verify": (_verify_keys, cmd_verify),
-                      "counterexample": (lambda: _COUNTER_KEYS, cmd_counterexample)}[args.command]
-        cfg = _validate(_load_config(args.config), keys())
-        return verb(cfg, _resolve_outdir(args.output, cfg))
+        else:
+            keys, verb = {"check": (lambda: _CHECK_KEYS, cmd_check),
+                          "solve": (_solve_keys, cmd_solve),
+                          "verify": (_verify_keys, cmd_verify),
+                          "counterexample": (lambda: _COUNTER_KEYS, cmd_counterexample)
+                          }[args.command]
+            cfg = _validate(_load_config(args.config), keys())
+        outdir = _resolve_outdir(args.output, cfg)
+        with _made(outdir):
+            return verb(cfg, outdir)
     except _StatusExit as exc:
         print(f"stopped: {exc}", file=sys.stderr)
         return exc.code
-    # a size numpy cannot allocate or index is an input error too
-    except (InputError, ValueError, MemoryError, OverflowError) as exc:
+    # a size numpy cannot allocate or index is an input error too, and so is
+    # an output path that cannot be made or written
+    except (InputError, ValueError, MemoryError, OverflowError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 

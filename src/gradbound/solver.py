@@ -29,6 +29,13 @@ snapshots and reports Completed, BlowupDetected (any |u| or |grad u| sample
 beyond the threshold), or Diverged (non-finite samples or floored dt).
 Identical configs, including the seed, reproduce bitwise-identical records.
 
+The march is one generator, _march: it yields each stored snapshot as a
+view of the live state and returns the effective config, the step history
+and the status.  run copies each snapshot into its RunRecord.  `gradbound
+solve` writes each one to disk as it is yielded and holds none, so its
+memory does not grow with snapshot_count.  Both write through one record
+writer, _Writer, which save_run runs over a record's snapshots.
+
 Each step evaluates one stage into a workspace allocated once per run and
 rewritten every step, with the arithmetic of the public kernels'
 fresh-array calls, so records are bit-identical to them.  _flux writes
@@ -131,6 +138,7 @@ printed by that child.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
@@ -141,7 +149,7 @@ import signal
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Union
+from typing import Callable, Generator, Union
 
 import numpy as np
 
@@ -662,21 +670,30 @@ def _pickled(exc: BaseException) -> bytes:
         return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
-def run(config: SolveConfig) -> RunRecord:
-    """March to t_end storing snapshot_count evenly spaced snapshots."""
+def _march(config: SolveConfig
+           ) -> Generator[Field, None, tuple[SolveConfig, np.ndarray, RunStatus]]:
+    """The march: yields each stored snapshot, returns (config, dt_history, status).
+
+    A yielded snapshot is a view of the live state, so a consumer copies or
+    writes it before it resumes the march.  Only the parent yields: a
+    split-march child stays in here until it leaves the process.  The
+    config returned is the effective one, with a singular pure flux routed
+    through the regularized family.  Closing the generator mid-march kills
+    and reaps the children, as any other way out of the march does.
+    """
     fl = _resolve_flux(config.flux)
     eff = replace(config, flux=fl)
     targets = _planned_times(eff)
     state = initial_field(eff)
     thr = eff.blowup_threshold
+    yield state
 
     stopped = _screen(float(state.values.min()), float(state.values.max()), thr)
     if stopped is not None:
-        return RunRecord(eff, [state], np.array([]), RunStatus(stopped, 0.0))
+        return eff, np.array([]), RunStatus(stopped, 0.0)
     if eff.t_end == 0.0:
-        return RunRecord(eff, [state], np.array([]), RunStatus(StatusKind.COMPLETED))
+        return eff, np.array([]), RunStatus(StatusKind.COMPLETED)
 
-    snapshots = [state]
     stage = _Stage(eff.grid, eff.N, fl)
     stage.u[...] = state.values
     state = Field(eff.grid, stage.u, 0.0)
@@ -708,8 +725,32 @@ def run(config: SolveConfig) -> RunRecord:
             if status.kind is not StatusKind.COMPLETED:
                 break
             if team.rank == 0:
-                snapshots.append(state.copy())
-    return RunRecord(eff, snapshots, np.array(dt_history), status)
+                yield state
+    return eff, np.array(dt_history), status
+
+
+def _consume(march: Generator[Field, None, tuple[SolveConfig, np.ndarray, RunStatus]],
+             store: Callable[[Field], None]) -> tuple[SolveConfig, np.ndarray, RunStatus]:
+    """store(snapshot) for each snapshot march yields; returns what march returns.
+
+    The march is closed however this ends, so an exception in store kills
+    and reaps its children.
+    """
+    with contextlib.closing(march):
+        while True:
+            try:
+                snapshot = next(march)
+            except StopIteration as end:
+                return end.value
+            store(snapshot)
+
+
+def run(config: SolveConfig) -> RunRecord:
+    """March to t_end storing snapshot_count evenly spaced snapshots."""
+    snapshots: list[Field] = []
+    config, dt_history, status = _consume(_march(config),
+                                          lambda snapshot: snapshots.append(snapshot.copy()))
+    return RunRecord(config, snapshots, dt_history, status)
 
 
 # --- persistence --------------------------------------------------------------
@@ -752,15 +793,38 @@ def config_from_dict(d: dict, initial_values: np.ndarray | None = None) -> Solve
     })
 
 
+class _Writer:
+    """Writes one record into directory: each snapshot as it comes, the rest at the end.
+
+    The snapshot files a previous record left there are removed first, so
+    no two records mix.  finish writes config.json, dt_history.csv and,
+    last, status.json.
+    """
+
+    def __init__(self, directory: str | Path):
+        self.root = Path(directory)
+        self.times: list[float] = []
+        snapshots = self.root / "snapshots"
+        snapshots.mkdir(parents=True, exist_ok=True)
+        for stale in snapshots.glob("snap_*.bin"):
+            stale.unlink()
+
+    def snapshot(self, snap: Field) -> None:
+        save_field(snap, self.root / "snapshots" / f"snap_{len(self.times):04d}.bin")
+        self.times.append(snap.time)
+
+    def finish(self, config: SolveConfig, dt_history: np.ndarray, status: RunStatus) -> None:
+        (self.root / "config.json").write_text(json.dumps(config_to_dict(config), indent=2))
+        np.savetxt(self.root / "dt_history.csv", dt_history, header="dt", comments="")
+        (self.root / "status.json").write_text(json.dumps(status.to_dict(), indent=2))
+
+
 def save_run(record: RunRecord, directory: str | Path) -> None:
     """Persist a record: config.json, snapshots/*.bin, dt_history.csv, status.json."""
-    root = Path(directory)
-    (root / "snapshots").mkdir(parents=True, exist_ok=True)
-    (root / "config.json").write_text(json.dumps(config_to_dict(record.config), indent=2))
-    (root / "status.json").write_text(json.dumps(record.status.to_dict(), indent=2))
-    np.savetxt(root / "dt_history.csv", record.dt_history, header="dt", comments="")
-    for k, snap in enumerate(record.snapshots):
-        save_field(snap, root / "snapshots" / f"snap_{k:04d}.bin")
+    writer = _Writer(directory)
+    for snap in record.snapshots:
+        writer.snapshot(snap)
+    writer.finish(record.config, record.dt_history, record.status)
 
 
 def load_run(directory: str | Path) -> RunRecord:

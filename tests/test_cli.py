@@ -219,6 +219,21 @@ def test_solve_input_errors(tmp_path, capsys, mutate, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("verb", ["solve", "verify"])
+def test_unusable_output_exits_1_before_any_solve(tmp_path, capsys, monkeypatch, verb):
+    """An --output under a regular file is refused with one error line when the
+    directory is made, before the verb starts its first march."""
+    monkeypatch.setattr(gradbound.solver, "initial_field", _never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    cfg = _write(tmp_path, _PROBE_BASES[verb]())
+    code, report, err = _run(capsys, [verb, "--config", cfg, "--output", str(out)])
+    assert code == EXIT_INPUT and report is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
+    assert "Traceback" not in err and blocker.read_text() == ""
+
+
 # --- verify refusals ---------------------------------------------------------
 
 
@@ -695,7 +710,7 @@ def _exits_1(tmp_path, monkeypatch, verb, cfg_obj) -> str:
     """Run verb on cfg_obj in-process: exit 1 with one error line, no report,
     no traceback, no output directory and no solve.  Returns the line."""
     monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
-    monkeypatch.setattr(gradbound.solver, "run", _no_solve)
+    monkeypatch.setattr(gradbound.solver, "initial_field", _no_solve)  # every march's first call
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, cfg_obj, name="probe.json")
     out, err = io.StringIO(), io.StringIO()
@@ -829,7 +844,7 @@ def test_memory_error_exits_1(tmp_path, capsys, monkeypatch):
     def out_of_memory(config):
         raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
 
-    monkeypatch.setattr(gradbound.solver, "run", out_of_memory)
+    monkeypatch.setattr(gradbound.solver, "initial_field", out_of_memory)
     code, report, err = _run(capsys, ["solve", "--config", _write(tmp_path, _heat_solve_cfg())])
     assert code == EXIT_INPUT and report is None
     assert err == "error: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"

@@ -3,7 +3,7 @@
 import json
 import math
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -491,6 +491,18 @@ def test_a_record_past_this_hosts_memory_loads_but_does_not_run(tmp_path):
     assert back.config.snapshot_count == 10**9 and len(back.snapshots) == len(rec.snapshots)
     with pytest.raises(ValueError, match="GiB of physical memory"):
         run(back.config)
+
+def test_save_run_over_a_longer_record_keeps_no_stale_snapshot(tmp_path):
+    """A record saved where one with more snapshots was: load_run gives the new
+    record alone, not its snapshots followed by the old record's last ones."""
+    base = _config(UNIT(6), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002)
+    save_run(run(replace(base, snapshot_count=80)), tmp_path / "run")
+    rec = run(base)
+    save_run(rec, tmp_path / "run")
+    back = load_run(tmp_path / "run")
+    assert len(back.snapshots) == back.config.snapshot_count == 64
+    assert [s.time for s in back.snapshots] == [s.time for s in rec.snapshots]
+
 
 def test_record_snapshots_are_read_only(tmp_path):
     # the cylinder checks keep |grad u| per stored snapshot: no path may write one
