@@ -122,18 +122,23 @@ GIL inside these kernels, not between them) gave less: on the benchmark's
 threads took 0.77x the one-process wall time and 1.27x its CPU time with a
 blocking barrier (0.72x and 1.25x spinning), two processes 0.62x and 1.21x.
 
-No child outlives the march.  Where a pipe or a fork fails (a process or
-file limit), the parent kills and reaps the children it has and marches
-alone, as the one-process march would have.  A child leaves with os._exit
-when the march ends, stops or raises, and while it spins it polls
-os.getppid(), so it leaves when the parent is gone.  The parent kills and
-reaps every child when it leaves the march, however it leaves, and raises
-RuntimeError when a child ends without arriving at a barrier.  An
-exception in one slab's phase is posted at the next barrier and raised in
-every process; the parent raises the lowest failing slab's (a child's
-comes pickled through a pipe), so run raises the type and message the
-one-process march raises.  A numpy warning raised in a child's slab is
-printed by that child.
+No child outlives the march.  Where a fork fails (a process limit), the
+parent kills and reaps the children it has and marches alone, as the
+one-process march would have.  A child leaves with os._exit when the march
+ends, stops or raises, and while it spins it polls os.getppid(), so it
+leaves when the parent is gone.  The parent kills and reaps every child
+when it leaves the march, however it leaves, and raises RuntimeError when
+a child ends without arriving at a barrier.  An exception in one slab's
+phase is posted at the next barrier and raised in every process.  Where a
+child's slab failed, the parent kills and reaps the children and runs the
+lowest failing slab's phase itself.  At the barrier that slab's inputs are
+what they were when its phase raised: phase 1 only reads u, which no
+process writes during it, and phase 2 raises in _rate, before the slab's
+update, and reads only the slab's u and the flux planes, which phase 2
+never writes.  So run raises the type and message the one-process march
+raises.  Where the replay does not raise (a failure only the child had,
+such as a MemoryError), the parent raises RuntimeError naming the slab's
+planes.  A numpy warning raised in a child's slab is printed by that child.
 """
 
 from __future__ import annotations
@@ -144,7 +149,6 @@ import json
 import math
 import mmap
 import os
-import pickle
 import signal
 import threading
 from dataclasses import dataclass, replace
@@ -535,66 +539,52 @@ def _processes(config: SolveConfig) -> int:
 class _Team:
     """The processes one run marches on, each on its own slab of planes along axis 0.
 
-    Entering forks count - 1 children; each returns from __enter__ into the
-    caller's block with its own rank and slab, and leaves the process when it
-    leaves the block, with os._exit.  The parent (rank 0) holds the first
-    slab, and leaving the block kills and reaps every child, so none outlives
-    it.  Where a pipe or a fork fails, entering kills and reaps the children
-    made so far and the parent holds every plane alone: those children have
-    only read u and written their own slab's stage arrays, which the parent
-    rewrites.  sync is the one meeting point (see its docstring).
+    Entering cuts stage to each child's slab and forks that child; each
+    child returns from __enter__ into the caller's block with its own rank
+    and slab, and leaves the process when it leaves the block, with
+    os._exit.  The parent (rank 0) holds the first slab, and leaving the
+    block kills and reaps every child, so none outlives it.  Where a fork
+    fails, entering kills and reaps the children made so far and the parent
+    holds every plane alone: those children have only read u and written
+    their own slab's stage arrays, which the parent rewrites.  sync is the
+    one meeting point (see its docstring).
     """
 
-    def __init__(self, planes: int, count: int):
-        self.count, self.rank, self.passed = count, 0, 0
+    def __init__(self, stage: _Stage, count: int):
+        self.stage, self.count, self.rank, self.passed = stage, count, 0, 0
+        planes = stage.u.shape[0]
         self.bounds = [planes * k // count for k in range(count + 1)]
         self.board = _shared((2, count, 3))  # per barrier parity: each slab's posted pair, failed
         self.arrived = np.frombuffer(mmap.mmap(-1, 64 * count), dtype=np.int64)[::8]
         self.parent = os.getpid()
-        self.children: dict[int, tuple[int, int]] = {}  # rank -> (pid, read end of its pipe)
-        self._pipe = -1
-
-    @property
-    def planes(self) -> tuple[int, int]:
-        return self.bounds[self.rank], self.bounds[self.rank + 1]
+        self.children: dict[int, int] = {}  # rank -> pid
 
     def __enter__(self) -> "_Team":
         try:
             for rank in range(1, self.count):
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read)
-                    os.close(write)
-                    raise
+                self.stage.cut(*self.bounds[rank:rank + 2])  # the child's slab, inherited
+                pid = os.fork()
                 if pid == 0:  # nothing here can raise into the caller's frames
-                    self.rank, self._pipe, self.children = rank, write, {}
+                    self.rank, self.children = rank, {}
                     return self
-                os.close(write)
-                self.children[rank] = (pid, read)
-        except OSError:  # no pipe or no process to be had: march alone
+                self.children[rank] = pid
+        except OSError:  # no process to be had: march alone
             self._end_children()
             self.count, self.bounds = 1, [0, self.bounds[-1]]
             self.board, self.arrived = self.board[:, :1], self.arrived[:1]
+        self.stage.cut(*self.bounds[:2])
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
         if self.rank:
-            try:
-                if exc is not None:
-                    os.write(self._pipe, _pickled(exc))
-            finally:
-                os._exit(0 if exc is None else 1)
+            os._exit(0 if exc is None else 1)
         self._end_children()
 
     def _end_children(self) -> None:
-        """Close every child's pipe, and kill and reap every child not yet reaped."""
-        for pid, read in self.children.values():
-            os.close(read)
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        """Kill and reap every child not yet reaped."""
+        for pid in self.children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         self.children = {}
 
     def sync(self, work, *args) -> np.ndarray:
@@ -603,8 +593,10 @@ class _Team:
         Each process posts its pair in the board row of the barrier's parity
         and waits until every process has arrived; a process cannot post
         twice more before the slowest has read the row.  An exception in any
-        slab's work raises in every process: the lowest failing rank's, in
-        the parent, so run raises what the serial march raises.
+        slab's work raises in every process.  The parent raises its own, or
+        kills and reaps the children and runs the lowest failing slab's work
+        itself, whose inputs are as they were when it raised (see the module
+        docstring), so run raises what the serial march raises.
         """
         try:
             pair, failure = work(*args), None
@@ -617,10 +609,16 @@ class _Team:
             self._wait()
         failed = np.flatnonzero(row[:, 2])
         if failed.size:
-            first = int(failed[0])
-            if first == self.rank:
+            if self.rank:
+                raise RuntimeError("a slab failed")  # the child leaves the process
+            if failure is not None:
                 raise failure
-            raise self._collect(first) if self.rank == 0 else RuntimeError("a slab failed")
+            first, stop = self.bounds[failed[0]:failed[0] + 2]
+            self._end_children()
+            self.stage.cut(first, stop)
+            work(*args)
+            raise RuntimeError(f"the march process of planes {first} to {stop} failed, "
+                               "and its slab's work did not fail in the parent")
         return row[:, :2]
 
     def _wait(self) -> None:
@@ -644,30 +642,14 @@ class _Team:
             if os.getppid() != self.parent:
                 os._exit(1)
             return
-        for rank, (pid, read) in self.children.items():
-            if pid and self.arrived[rank] < self.passed:
+        for rank, pid in self.children.items():
+            if self.arrived[rank] < self.passed:
                 done, status = os.waitpid(pid, os.WNOHANG)
                 if done:
-                    self.children[rank] = (0, read)
+                    del self.children[rank]  # reaped: not to be killed
                     raise RuntimeError(f"the march process of planes {self.bounds[rank]} to "
                                        f"{self.bounds[rank + 1]} ended mid-step "
                                        f"(wait status {status})")
-
-    def _collect(self, rank: int) -> BaseException:
-        """The exception child rank pickled into its pipe before it left."""
-        read = self.children[rank][1]
-        chunks = []
-        while chunk := os.read(read, 65536):
-            chunks.append(chunk)
-        return pickle.loads(b"".join(chunks))
-
-
-def _pickled(exc: BaseException) -> bytes:
-    """exc pickled, or a RuntimeError with its type and message where exc does not pickle."""
-    try:
-        return pickle.dumps(exc)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
 def _march(config: SolveConfig
@@ -700,8 +682,7 @@ def _march(config: SolveConfig
     x = node_coords(eff.grid)
     dt_history: list[float] = []
     status = RunStatus(StatusKind.COMPLETED)
-    with _Team(eff.grid.node_shape[0], _processes(eff)) as team:
-        stage.cut(*team.planes)
+    with _Team(stage, _processes(eff)) as team:
         for target in targets[1:]:
             while state.time < target:
                 mag_max, d_max = np.max(team.sync(_flux, state, eff, stage), axis=0)
@@ -796,9 +777,10 @@ def config_from_dict(d: dict, initial_values: np.ndarray | None = None) -> Solve
 class _Writer:
     """Writes one record into directory: each snapshot as it comes, the rest at the end.
 
-    The snapshot files a previous record left there are removed first, so
-    no two records mix.  finish writes config.json, dt_history.csv and,
-    last, status.json.
+    The status.json and snapshot files a previous record left there are
+    removed first, so no two records mix: a write that fails part-way
+    leaves no status.json, and load_run refuses the directory.  finish
+    writes config.json, dt_history.csv and, last, status.json.
     """
 
     def __init__(self, directory: str | Path):
@@ -806,6 +788,7 @@ class _Writer:
         self.times: list[float] = []
         snapshots = self.root / "snapshots"
         snapshots.mkdir(parents=True, exist_ok=True)
+        (self.root / "status.json").unlink(missing_ok=True)
         for stale in snapshots.glob("snap_*.bin"):
             stale.unlink()
 

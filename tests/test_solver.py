@@ -504,6 +504,26 @@ def test_save_run_over_a_longer_record_keeps_no_stale_snapshot(tmp_path):
     assert [s.time for s in back.snapshots] == [s.time for s in rec.snapshots]
 
 
+def test_a_save_that_fails_over_a_record_leaves_none_that_loads(tmp_path, monkeypatch):
+    """A save_run that raises part-way over a saved record must not leave the old
+    config.json and status.json over the new record's first snapshots."""
+    base = _config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002)
+    save_run(run(base), tmp_path / "run")
+    other = run(replace(base, initial=RandomSmooth(seed=5)))
+    real, written = solver.save_field, []
+
+    def third_fails(snap, path):
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        written.append(real(snap, path))
+
+    monkeypatch.setattr(solver, "save_field", third_fails)
+    with pytest.raises(OSError, match="No space"):
+        save_run(other, tmp_path / "run")
+    with pytest.raises(FileNotFoundError, match="status.json"):
+        load_run(tmp_path / "run")
+
+
 def test_record_snapshots_are_read_only(tmp_path):
     # the cylinder checks keep |grad u| per stored snapshot: no path may write one
     rec = run(_config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002))

@@ -3,8 +3,8 @@ axis 0 each, stores the records of the one-process march byte for byte.
 
 The process count is forced by patching solver._processes, the private rule
 that picks it: the grids here are far below the rule's minimum slab.  After
-every run, whether it returned, stopped or raised, the test process has no
-child left.
+every test, whether its runs returned, stopped or raised, the test process
+has no child left.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 
 from gradbound import solver
 from gradbound.cli import _ordered_map, main
-from gradbound.flux import FluxKind, FluxSpec, RhsKind, RhsSpec
+from gradbound.flux import FluxKind, FluxSpec, RhsKind, RhsSpec, rhs_eval
 from gradbound.mesh import Boundary, Field, Grid, grad_magnitude, gradient_of, node_coords
 from gradbound.solver import Prescribed, RandomSmooth, SolveConfig, StatusKind, run
 
@@ -44,7 +44,9 @@ def _time_bound():
     signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture(autouse=True)
 def _no_child_left():
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -64,7 +66,6 @@ def _same_on_1_2_3(monkeypatch, config):
     for processes in (1, 2, 3):
         _on(monkeypatch, processes)
         records.append(run(config))
-        _no_child_left()
     first = _record_bytes(records[0])
     for processes, record in zip((2, 3), records[1:]):
         assert _record_bytes(record) == first, f"{processes} processes"
@@ -146,12 +147,12 @@ def test_singular_flux_in_the_second_slab_raises_the_serial_error(monkeypatch):
     config = SolveConfig(grid=grid, flux=FluxSpec(FluxKind.DOUBLE_POWER, 1.5, q=2.5),
                          rhs=RhsSpec(RhsKind.ZERO), initial=Prescribed(values), N=1, t_end=0.01)
     zeros = np.argwhere(grad_magnitude(gradient_of(grid, values)) == 0.0)
-    assert solver._Team(9, 3).bounds == [0, 3, 6, 9] and zeros.tolist() == [[4, 3, 3]]
+    team = solver._Team(solver._Stage(grid, 1, config.flux), 3)
+    assert team.bounds == [0, 3, 6, 9] and zeros.tolist() == [[4, 3, 3]]
     for processes in (1, 2, 3):
         _on(monkeypatch, processes)
         with pytest.raises(ValueError, match=SINGULAR):
             run(config)
-        _no_child_left()
 
 
 def test_singular_flux_in_the_second_slab_exits_1_as_serial(tmp_path, capsys, monkeypatch):
@@ -161,12 +162,11 @@ def test_singular_flux_in_the_second_slab_exits_1_as_serial(tmp_path, capsys, mo
     monkeypatch.setattr(solver, "initial_field",
                         lambda config: Field(config.grid, _plateau_field(config.grid), 0.0))
     outcomes = []
-    for processes in (1, 3):
+    for processes in (1, 2, 3):
         _on(monkeypatch, processes)
         code = main(["solve", "--config", str(cfg)])
         outcomes.append((code, capsys.readouterr()))
-        _no_child_left()
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     code, captured = outcomes[0]
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {SINGULAR}") and captured.err.count("\n") == 1
@@ -188,7 +188,47 @@ def test_a_child_that_dies_mid_step_ends_the_run(monkeypatch):
                          t_end=0.01)
     with pytest.raises(RuntimeError, match="ended mid-step"):
         run(config)
-    _no_child_left()
+
+
+ALIGNED = SolveConfig(grid=Grid(3, 1.0, (9, 6, 6)), flux=FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5),
+                      rhs=_rhs(RhsKind.POWER_ALIGNED, 2), initial=RandomSmooth(seed=5), N=2,
+                      t_end=0.01)
+
+
+def test_an_error_in_a_child_slabs_update_raises_the_serial_error(monkeypatch):
+    # f raises past t = 2e-3 on a slab reaching x_0 > 0.7: the whole grid on
+    # one process, the last slab's child on two and three, whose phase-2
+    # error the parent raises by running that slab's phase itself
+    def failing(spec, u, grad, x, t, **kwargs):
+        if t > 2e-3 and x[..., 0].max() > 0.7:
+            raise ArithmeticError(f"f refused at t = {t:.3e}")
+        return rhs_eval(spec, u, grad, x, t, **kwargs)
+
+    monkeypatch.setattr(solver, "rhs_eval", failing)
+    messages = []
+    for processes in (1, 2, 3):
+        _on(monkeypatch, processes)
+        with pytest.raises(ArithmeticError) as raised:
+            run(ALIGNED)
+        assert raised.type is ArithmeticError
+        messages.append(str(raised.value))
+    assert messages[0].startswith("f refused at t = ") and len(set(messages)) == 1
+
+
+@pytest.mark.parametrize("processes, planes", [(2, "planes 4 to 9"), (3, "planes 3 to 6")])
+def test_a_failure_only_a_child_has_ends_the_run(monkeypatch, processes, planes):
+    # a child's f raises what the parent's replay of its slab does not
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("no memory in the child")
+        return rhs_eval(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "rhs_eval", failing)
+    _on(monkeypatch, processes)
+    with pytest.raises(RuntimeError, match=f"the march process of {planes} failed"):
+        run(ALIGNED)
 
 
 def _processes_in_worker(config) -> int:
@@ -223,29 +263,27 @@ def _open_files() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-@pytest.mark.parametrize("call", ["fork", "pipe"])
-def test_a_failed_fork_or_pipe_marches_alone(monkeypatch, call):
+def test_a_failed_fork_marches_alone(monkeypatch):
     # the second of the two children cannot be made: the first is killed and
-    # reaped, its pipe closed, and the parent marches every plane itself
+    # reaped, and the parent marches every plane itself
     config = SolveConfig(grid=Grid(3, 1.0, 8), flux=FluxSpec(FluxKind.PURE_P_LAPLACE, 2.5),
                          rhs=RhsSpec(RhsKind.ZERO), initial=RandomSmooth(seed=4), N=2,
                          t_end=0.01)
     _on(monkeypatch, 1)
     serial = _record_bytes(run(config))
-    real, calls = getattr(os, call), []
+    real, calls = os.fork, []
 
     def second_fails():
         calls.append(os.getpid())
         if len(calls) == 2:
-            raise BlockingIOError(11, f"{call}: resource temporarily unavailable")
+            raise BlockingIOError(11, "fork: resource temporarily unavailable")
         return real()
 
     _on(monkeypatch, 3)
-    monkeypatch.setattr(os, call, second_fails)
+    monkeypatch.setattr(os, "fork", second_fails)
     files = _open_files()
     assert _record_bytes(run(config)) == serial
     assert len(calls) == 2 and _open_files() == files
-    _no_child_left()
 
 
 def test_process_rule_keeps_small_grids_and_source_tables_on_one_process():
