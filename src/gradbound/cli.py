@@ -598,13 +598,15 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     energy_s = cfg.get("energy_s")
     for s in energy_s or ():
         _require_s_admissible(s, params)
+    energy_skipped = None if energy_s else "'energy_s' is empty"
     if energy_s is None:
         try:
             _require_s_admissible(params.s0, params)
         except ValueError:
-            energy_s = []
+            energy_s, energy_skipped = [], (f"s0 = {params.s0} is outside the energy "
+                                            f"s-range (needs s > {_s_floor(params)})")
         else:
-            energy_s = [params.s0]
+            energy_s, energy_skipped = [params.s0], None
 
     jobs = [(seed, amplitude,
              _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs,
@@ -655,9 +657,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         "spread": {"value": spread, "max_allowed": max_spread},
         "sandwich": sandwich_rows,
         "energy": energy_rows,
-        "energy_skipped": None if energy_s else
-            f"s0 = {params.s0} is outside the energy s-range "
-            f"(needs s > {_s_floor(params)})",
+        "energy_skipped": energy_skipped,
         "chain": chain_out,
         "checks": checks,
         "passed": passed,

@@ -17,12 +17,13 @@ but for the admissibility, which the verdict holds; its rho = R0/2 always
 meets the last.
 
 The window also fixes the cylinder's spatial box (_box): the ball's index
-range per axis widened by a 2-node halo.  A sweep differentiates values[box]
-with one-sided closures at the box faces, which spoil only the halo, so
-|grad u| is exact one node beyond the ball, enough for the energy check's
-gradient of |grad u|.  Every power, cutoff and product runs on the ball's
-own nodes in row-major order, so each check returns bit for bit what the
-whole grid would.  A sweep reads only the snapshots with a nonzero weight.
+range per axis widened by a 2-node halo.  A sweep sums the squared per-axis
+derivatives of values[box] (mesh._grad_magnitude_of), whose one-sided
+closures at the box faces spoil only the halo, so |grad u| is exact one
+node beyond the ball, enough for the energy check's gradient of |grad u|.
+Every power, cutoff and product runs on the ball's own nodes in row-major
+order, so each check returns bit for bit what the whole grid would.  A
+sweep reads only the snapshots with a nonzero weight.
 
 A record differentiates each snapshot once per box.  Its private stack,
 RunRecord._magnitudes, maps a box (its per-axis index ranges, or None for
@@ -68,9 +69,9 @@ from .mesh import (
     Field,
     Grid,
     ball_mask,
-    grad_magnitude,
     gradient_of,
     node_coords,
+    _grad_magnitude_of,
     _time_weights,
     spatial_integral,
 )
@@ -156,13 +157,12 @@ class _Window:
     """A validated cylinder over one completed record.
 
     weights and inside come from _cylinder_rules, and mask is the closed
-    ball on the full grid.  Every sweep differentiates the box, values[box]:
-    the ball's bounding box widened by HALO nodes, on box_grid.
-    core locates the ball's own bounding box inside the box, and box_mask is
-    the ball cut to the box: mag[box_mask] lists the ball's nodes in the same
-    row-major order as mask does on the grid.  key names the box in the
-    record's stack of box |grad u| (record._magnitudes), which every window
-    on the same box of the same record shares.
+    ball on the full grid.  box, box_grid, box_mask and key come from _box:
+    every sweep differentiates values[box], the ball's bounding box widened
+    by HALO nodes, on box_grid, and mag[box_mask] lists the ball's nodes in
+    the same row-major order as mask does on the grid.  key names the box in
+    the record's stack of box |grad u| (record._magnitudes), which every
+    window on the same box of the same record shares.
     """
 
     mask: np.ndarray
@@ -170,7 +170,7 @@ class _Window:
     inside: np.ndarray
     box: tuple
     box_grid: Grid
-    core: tuple
+    box_mask: np.ndarray
     record: RunRecord
     key: tuple | None
 
@@ -192,8 +192,7 @@ class _Window:
         """
         mag = self.stack[k]
         if mag is None:
-            values = self.record.snapshots[k].values[self.box]
-            mag = grad_magnitude(gradient_of(self.box_grid, values))
+            mag = _grad_magnitude_of(self.box_grid, self.record.snapshots[k].values[self.box])
             mag.flags.writeable = False
             self.stack[k] = mag
         return mag
@@ -214,35 +213,25 @@ class _Window:
         """The record's |grad u| on this box, one slot per snapshot, None until read."""
         return self.record._magnitudes.setdefault(self.key, [None] * len(self.record.snapshots))
 
-    @functools.cached_property
-    def box_mask(self) -> np.ndarray:
-        """The ball cut to the box.
 
-        Halo positions are cleared: a periodic halo may repeat nodes of the core.
-        """
-        boxed = self.mask[self.box]
-        out = np.zeros_like(boxed)
-        out[self.core] = boxed[self.core]
-        return out
-
-
-def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, tuple]:
+def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, np.ndarray]:
     """Per axis, the index range of the ball's nodes widened by HALO nodes.
 
     The halo wraps on periodic axes and is clipped at Dirichlet planes, where
     the box keeps the grid's one-sided closure.  Every other box face gets a
     one-sided closure too, which only spoils the two halo planes.  When the
-    box reaches the whole grid on every axis, the grid itself is the box;
-    otherwise a periodic axis the halo overruns repeats some nodes, which
-    box_mask leaves out.  box_grid is the grid with one-sided closures: it
-    keeps the grid's extent and cells, so gradient_of, which reads only the
-    spacing and the boundary kind, sees the same h.  Returns (key, box,
-    box_grid, core), where key names the box by its per-axis index ranges,
-    or None for the whole grid: on one grid, equal keys give equal boxes.
+    box reaches the whole grid on every axis, the grid itself is the box.
+    box_grid is the grid with one-sided closures: it keeps the grid's extent
+    and cells, so a derivative, which reads only the spacing and the
+    boundary kind, sees the same h.  Returns (key, box, box_grid, box_mask),
+    where key names the box by its per-axis index ranges, or None for the
+    whole grid (on one grid, equal keys give equal boxes), and box_mask is
+    the ball cut to the box with the halo positions cleared: a periodic
+    halo the axis cannot hold repeats nodes of the ball.
     """
     whole = (slice(None),) * grid.n
     if not mask.any():
-        return None, whole, grid, whole
+        return None, whole, grid, mask
     idx, ranges, core = [], [], []
     covers = True
     for a, count in enumerate(grid.node_shape):
@@ -259,9 +248,11 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, tuple]:
         ranges.append((start, stop))
         core.append(slice(first - start, last + 1 - start))
     if covers:
-        return None, whole, grid, whole
-    return (tuple(ranges), np.ix_(*idx), replace(grid, boundary=Boundary.DIRICHLET),
-            tuple(core))
+        return None, whole, grid, mask
+    box, core = np.ix_(*idx), tuple(core)
+    box_mask = np.zeros(tuple(map(len, idx)), dtype=bool)
+    box_mask[core] = mask[box][core]
+    return tuple(ranges), box, replace(grid, boundary=Boundary.DIRICHLET), box_mask
 
 
 def _cylinder_rules(grid: Grid, times: np.ndarray, cyl: CylinderSpec
@@ -298,8 +289,8 @@ def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
     grid = record.config.grid
     weights, inside = _cylinder_rules(grid, record.times(), cyl)
     mask = ball_mask(grid, cyl.center, cyl.R)
-    key, box, box_grid, core = _box(grid, mask)
-    return _Window(mask, weights, inside, box, box_grid, core, record, key)
+    key, box, box_grid, box_mask = _box(grid, mask)
+    return _Window(mask, weights, inside, box, box_grid, box_mask, record, key)
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:

@@ -162,8 +162,8 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     last plane of the axis that pair straddles two rows, so those two planes
     hold wrong values (or none) until the wrap or one-sided closure below
     rewrites exactly them.  The shift needs C-contiguous arrays: values is
-    taken through np.ascontiguousarray, and an out of another layout gets
-    the result copied in from a contiguous buffer.  The closures see the
+    taken through np.ascontiguousarray, and an out of another layout, whose
+    flat view would be a copy, is a ValueError.  The closures see the
     arrays as (rows, axis, entries); where the rows outnumber the entries (the
     last spatial axis of (*node_shape, N) samples) they run on the reversed
     view with order="C", one inner loop across the rows per entry, where
@@ -178,9 +178,10 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
     k = math.prod(values.shape[axis + 1:])
     total = values.size // k  # k-entry planes in flat order, rows x axis length
     first, stop = (0, total) if planes is None else planes
-    target = out
-    if out is None or not out.flags.c_contiguous:
+    if out is None:
         out = np.empty_like(values if planes is None else values[first:stop])
+    elif not out.flags.c_contiguous:
+        raise ValueError("_diff_along writes only into a C-contiguous out")
     flat, oflat = values.reshape(-1), out.reshape(-1)
     lo, hi = max(first, 1) * k, min(stop, total - 1) * k
     np.subtract(flat[lo + k:hi + k], flat[lo - k:hi - k], out=oflat[lo - first * k:hi - first * k])
@@ -204,18 +205,13 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
             far -= np.multiply(v[:, -2], 4.0, order="C")
             np.add(far, v[:, -3], out=o[:, -1], order="C")
     out /= 2.0 * h
-    if target is None or target is out:
-        return out
-    target[...] = out
-    return target
+    return out
 
 
 def gradient_of(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Gradient of node samples with arbitrary trailing shape: appends an axis of length n."""
-    out = np.empty(values.shape + (grid.n,), dtype=values.dtype)
-    for a in range(grid.n):
-        _diff_along(values, a, grid.h[a], grid.boundary, out=out[..., a])
-    return out
+    return np.stack([_diff_along(values, a, grid.h[a], grid.boundary) for a in range(grid.n)],
+                    axis=-1)
 
 
 def gradient(field: Field) -> np.ndarray:
@@ -263,6 +259,16 @@ def grad_magnitude(grad: np.ndarray, out: np.ndarray | None = None,
     N, n = grad.shape[-2:]
     return _root_sum_squares([grad[..., i, a] for i in range(N) for a in range(n)],
                              out=out, square=scratch[0])
+
+
+def _grad_magnitude_of(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """grad_magnitude(gradient_of(grid, values)) bit for bit, with no (..., N, n) stack.
+
+    The per-axis derivatives are summed in grad_magnitude's (component, axis)
+    order: the bits follow the order of the terms, not their layout.
+    """
+    parts = [_diff_along(values, a, grid.h[a], grid.boundary) for a in range(grid.n)]
+    return _root_sum_squares([d[..., i] for i in range(values.shape[-1]) for d in parts])
 
 
 # --- space-time cylinders ---------------------------------------------------

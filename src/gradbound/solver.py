@@ -812,7 +812,9 @@ def save_run(record: RunRecord, directory: str | Path) -> None:
 
 def load_run(directory: str | Path) -> RunRecord:
     root = Path(directory)
-    snapshots = [load_field(p) for p in sorted((root / "snapshots").glob("snap_*.bin"))]
+    # in index order: the zero-padded names gain a digit past snap_9999
+    paths = sorted((root / "snapshots").glob("snap_*.bin"), key=lambda p: (len(p.name), p.name))
+    snapshots = [load_field(p) for p in paths]
     config = config_from_dict(json.loads((root / "config.json").read_text()),
                               snapshots[0].values if snapshots else None)
     st = json.loads((root / "status.json").read_text())

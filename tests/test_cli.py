@@ -423,6 +423,22 @@ def test_verify_campaign_passes(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("extra, skipped", [
+    ({}, None),
+    ({"energy_s": []}, "'energy_s' is empty"),
+    # a nonzero c2 puts the energy s-range at s > p - 2 = 0, above s0
+    ({"rhs": {"kind": "power_aligned", "c1": 1.0, "c2": 0.5}},
+     "s0 = -0.6000000000000001 is outside the energy s-range (needs s > 0.0)"),
+], ids=["default-s0", "empty-list", "refused-s0"])
+def test_verify_names_why_it_skipped_the_energy_check(tmp_path, capsys, extra, skipped):
+    cfg = _campaign_cfg(grid={"extent": 1.0, "cells": 8},
+                        campaign={"seeds": [0], "amplitudes": [1.0]}, **extra)
+    code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, cfg)])
+    assert code == EXIT_OK, err
+    assert report["energy_skipped"] == skipped
+    assert (report["energy"] == []) == (skipped is not None)
+
+
 # --- the campaign pool --------------------------------------------------------
 #
 # verify solves and checks each run in a worker of a fork pool sized

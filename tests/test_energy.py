@@ -29,7 +29,7 @@ from gradbound import (
     save_run,
     verify_bound,
 )
-from gradbound import energy
+from gradbound import mesh
 from gradbound.energy import _window
 from gradbound.mesh import (
     _time_weights,
@@ -166,8 +166,9 @@ def test_checks_on_a_shared_stack_match_fresh_records(heat_run_32, heat_params, 
     def no_stencil(*args, **kwargs):
         raise AssertionError("a snapshot was differentiated again")
 
-    # the sandwich and the bound fit read only the stack from here on
-    monkeypatch.setattr(energy, "gradient_of", no_stencil)
+    # the sandwich and the bound fit read only the stack from here on: every
+    # derivative, of a snapshot or of |grad u|, passes through _diff_along
+    monkeypatch.setattr(mesh, "_diff_along", no_stencil)
     assert plain(calls[0](shared)) == wants[0]
     assert plain(calls[-1](shared)) == wants[-1]
 

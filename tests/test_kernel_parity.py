@@ -44,8 +44,9 @@ from gradbound import (
     rhs_eval,
     run,
 )
+from gradbound.energy import _box
 from gradbound.flux import DELTA_U
-from gradbound.mesh import gradient_of
+from gradbound.mesh import _diff_along, _grad_magnitude_of, ball_mask, gradient_of
 from gradbound.solver import _d_max, _resolve_flux
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -100,6 +101,61 @@ def test_gradient_of_is_the_stacked_per_axis_difference(case):
     grid, u = case
     parts = [_reference_diff(u, a, grid.h[a], grid.boundary) for a in range(grid.n)]
     assert _same_bits(gradient_of(grid, u), np.stack(parts, axis=-1))
+
+
+def test_diff_along_refuses_an_out_it_would_write_through_a_copy():
+    # a flat view of a non-contiguous out is a copy: the derivative would be lost
+    grid = Grid(3, 1.0, 5)
+    u = np.random.default_rng(0).standard_normal(grid.node_shape + (2,))
+    for out in (np.zeros(u.shape + (3,))[..., 0], np.zeros(u.shape, order="F")):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _diff_along(u, 0, grid.h[0], grid.boundary, out=out)
+        assert not out.any()
+
+
+def _box_and_grid_magnitudes(grid, u, center, radius):
+    """|grad u| at the ball's nodes as a window reads it, from the ball's box,
+    and as the whole grid gives it; with the box's key and the ball."""
+    mask = ball_mask(grid, center, radius)
+    key, box, box_grid, box_mask = _box(grid, mask)
+    boxed = _grad_magnitude_of(box_grid, u[box])[box_mask]
+    return boxed, grad_magnitude(gradient_of(grid, u))[mask], key, mask
+
+
+# (boundary, center, radius) on an 8^3 unit grid, and what the box must show
+_BOXES = {
+    "periodic-wrapped-halo": (Boundary.PERIODIC, (0.0, 0.5, 0.5), 0.2,
+                              lambda key, mask: key[0][0] < 0),
+    "dirichlet-clipped": (Boundary.DIRICHLET, (0.0, 0.5, 1.0), 0.3,
+                          lambda key, mask: key[0][0] == 0 and key[2][1] == 9),
+    "covers": (Boundary.PERIODIC, (0.5, 0.5, 0.5), 0.4,
+               lambda key, mask: key is None and mask.any()),
+    "empty-ball": (Boundary.PERIODIC, (0.06, 0.06, 0.06), 0.01,
+                   lambda key, mask: key is None and not mask.any()),
+}
+
+
+@pytest.mark.parametrize("name", _BOXES)
+def test_box_magnitude_is_the_grid_magnitude_on_each_kind_of_box(name):
+    boundary, center, radius, shows = _BOXES[name]
+    grid = Grid(3, 1.0, 8, boundary)
+    u = np.random.default_rng(1).standard_normal(grid.node_shape + (2,))
+    boxed, whole, key, mask = _box_and_grid_magnitudes(grid, u, center, radius)
+    assert shows(key, mask)
+    assert _same_bits(boxed, whole)
+
+
+@SETTINGS
+@given(case=grid_and_values(), data=st.data())
+def test_box_magnitude_is_the_grid_magnitude_on_the_ball(case, data):
+    # any ball, inside the domain or not: the box's one-sided closures spoil
+    # only its halo, and the magnitude sums the per-axis derivatives in
+    # grad_magnitude's order
+    grid, u = case
+    center = [data.draw(st.floats(-0.25 * e, 1.25 * e)) for e in grid.extent]
+    radius = data.draw(st.floats(0.0, 1.5 * max(grid.extent)))
+    boxed, whole, _, _ = _box_and_grid_magnitudes(grid, u, center, radius)
+    assert _same_bits(boxed, whole)
 
 
 @SETTINGS

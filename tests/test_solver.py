@@ -504,6 +504,19 @@ def test_save_run_over_a_longer_record_keeps_no_stale_snapshot(tmp_path):
     assert [s.time for s in back.snapshots] == [s.time for s in rec.snapshots]
 
 
+def test_load_run_orders_snapshots_past_9999_by_index(tmp_path):
+    """Zero-padded snapshot names gain a digit at 10000, so snap_10000.bin sorts
+    between snap_1000.bin and snap_1001.bin: load_run reads them by index."""
+    rec = run(_config(UNIT(4), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002))
+    save_run(rec, tmp_path / "run")
+    snapshots = tmp_path / "run" / "snapshots"
+    for k in range(len(rec.snapshots)):  # 64 snapshots: indices 9990 to 10053
+        (snapshots / f"snap_{k:04d}.bin").rename(snapshots / f"snap_{9990 + k}.bin")
+    times = [s.time for s in load_run(tmp_path / "run").snapshots]
+    assert times == [s.time for s in rec.snapshots]
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
 def test_a_save_that_fails_over_a_record_leaves_none_that_loads(tmp_path, monkeypatch):
     """A save_run that raises part-way over a saved record must not leave the old
     config.json and status.json over the new record's first snapshots."""
