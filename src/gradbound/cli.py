@@ -418,7 +418,7 @@ def _replaced(target: Path) -> Iterator[Path]:
 
 def cmd_solve(cfg: dict, outdir: Path | None) -> int:
     """March the configured problem, writing each snapshot to <outdir>/run as it is stored."""
-    from .solver import RandomSmooth, SolveConfig, _consume, _march, _Writer
+    from .solver import RandomSmooth, SolveConfig, _march, _Writer
 
     config = _build(SolveConfig, cfg,
                     grid=_grid_from(_need(cfg, "grid")),
@@ -430,12 +430,11 @@ def cmd_solve(cfg: dict, outdir: Path | None) -> int:
     saved = None
     if outdir is None:
         times: list[float] = []
-        _, dt_history, status = _consume(_march(config),
-                                         lambda snapshot: times.append(snapshot.time))
+        _, dt_history, status = _march(config, lambda snapshot: times.append(snapshot.time))
     else:
         with _replaced(outdir / "run") as fresh:
             writer = _Writer(fresh)
-            config, dt_history, status = _consume(_march(config), writer.snapshot)
+            config, dt_history, status = _march(config, writer.snapshot)
             writer.finish(config, dt_history, status)
         times, saved = writer.times, str(outdir / "run")
     _emit({

@@ -32,7 +32,6 @@ deterministically.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, fields
 
 __all__ = [

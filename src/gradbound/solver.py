@@ -29,12 +29,13 @@ snapshots and reports Completed, BlowupDetected (any |u| or |grad u| sample
 beyond the threshold), or Diverged (non-finite samples or floored dt).
 Identical configs, including the seed, reproduce bitwise-identical records.
 
-The march is one generator, _march: it yields each stored snapshot as a
-view of the live state and returns the effective config, the step history
-and the status.  run copies each snapshot into its RunRecord.  `gradbound
-solve` writes each one to disk as it is yielded and holds none, so its
-memory does not grow with snapshot_count.  Both write through one record
-writer, _Writer, which save_run runs over a record's snapshots.
+The march is one call, _march(config, store): it calls store on each
+snapshot it stores, a view of the live state, and returns the effective
+config, the step history and the status.  run's store copies each snapshot
+into its RunRecord.  `gradbound solve` passes the record writer's, which
+writes each one to disk and holds none, so its memory does not grow with
+snapshot_count; save_run runs the same writer, _Writer, over a record's
+snapshots.
 
 Each step evaluates one stage into a workspace allocated once per run and
 rewritten every step, with the arithmetic of the public kernels'
@@ -143,7 +144,6 @@ planes.  A numpy warning raised in a child's slab is printed by that child.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import json
 import math
@@ -153,7 +153,7 @@ import signal
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Generator, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -652,23 +652,24 @@ class _Team:
                                        f"(wait status {status})")
 
 
-def _march(config: SolveConfig
-           ) -> Generator[Field, None, tuple[SolveConfig, np.ndarray, RunStatus]]:
-    """The march: yields each stored snapshot, returns (config, dt_history, status).
+def _march(config: SolveConfig, store: Callable[[Field], None]
+           ) -> tuple[SolveConfig, np.ndarray, RunStatus]:
+    """The march: store(snapshot) for each stored snapshot; returns (config, dt_history, status).
 
-    A yielded snapshot is a view of the live state, so a consumer copies or
-    writes it before it resumes the march.  Only the parent yields: a
-    split-march child stays in here until it leaves the process.  The
-    config returned is the effective one, with a singular pure flux routed
-    through the regularized family.  Closing the generator mid-march kills
-    and reaps the children, as any other way out of the march does.
+    store gets the initial field, then the state at each planned time the
+    march reaches.  A stored snapshot is a view of the live state, so store
+    copies or writes it before it returns.  Only the parent stores, and
+    every store after the first runs inside the team, so an exception in
+    store kills and reaps the children as any other way out of the march
+    does.  The config returned is the effective one, with a singular pure
+    flux routed through the regularized family.
     """
     fl = _resolve_flux(config.flux)
     eff = replace(config, flux=fl)
     targets = _planned_times(eff)
     state = initial_field(eff)
     thr = eff.blowup_threshold
-    yield state
+    store(state)
 
     stopped = _screen(float(state.values.min()), float(state.values.max()), thr)
     if stopped is not None:
@@ -706,31 +707,14 @@ def _march(config: SolveConfig
             if status.kind is not StatusKind.COMPLETED:
                 break
             if team.rank == 0:
-                yield state
+                store(state)
     return eff, np.array(dt_history), status
-
-
-def _consume(march: Generator[Field, None, tuple[SolveConfig, np.ndarray, RunStatus]],
-             store: Callable[[Field], None]) -> tuple[SolveConfig, np.ndarray, RunStatus]:
-    """store(snapshot) for each snapshot march yields; returns what march returns.
-
-    The march is closed however this ends, so an exception in store kills
-    and reaps its children.
-    """
-    with contextlib.closing(march):
-        while True:
-            try:
-                snapshot = next(march)
-            except StopIteration as end:
-                return end.value
-            store(snapshot)
 
 
 def run(config: SolveConfig) -> RunRecord:
     """March to t_end storing snapshot_count evenly spaced snapshots."""
     snapshots: list[Field] = []
-    config, dt_history, status = _consume(_march(config),
-                                          lambda snapshot: snapshots.append(snapshot.copy()))
+    config, dt_history, status = _march(config, lambda s: snapshots.append(s.copy()))
     return RunRecord(config, snapshots, dt_history, status)
 
 
@@ -818,5 +802,7 @@ def load_run(directory: str | Path) -> RunRecord:
     config = config_from_dict(json.loads((root / "config.json").read_text()),
                               snapshots[0].values if snapshots else None)
     st = json.loads((root / "status.json").read_text())
-    dts = np.loadtxt(root / "dt_history.csv", skiprows=1, ndmin=1)
+    # a run that stopped before its first step saved the header alone
+    steps = (root / "dt_history.csv").read_text().splitlines()[1:]
+    dts = np.loadtxt(steps, ndmin=1) if steps else np.array([])
     return RunRecord(config, snapshots, dts, RunStatus(**st | {"kind": StatusKind(st["kind"])}))

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .flux import FluxKind, FluxSpec, RhsKind, RhsSpec
-from .mesh import Boundary, Field, Grid, divergence, grad_magnitude, gradient, gradient_of, node_coords
+from .mesh import Field, Grid, divergence, grad_magnitude, gradient, gradient_of, node_coords
 from .regimes import _Report, kappa
 
 __all__ = [

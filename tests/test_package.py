@@ -1,5 +1,7 @@
-"""The package surface: names resolve on first use to their home modules' objects."""
+"""The package surface: names resolve on first use to their home modules' objects,
+and every module uses what it imports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -66,3 +68,53 @@ def test_import_loads_no_numeric_module():
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['gradbound']\n"
+
+
+def _own_nodes(scope):
+    """The nodes of scope outside the functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dead_imports(tree) -> list:
+    """Each import that no code or annotation of its scope reads, as (line, name).
+
+    With postponed annotations, an annotation is still parsed to names, so
+    the imports under `if TYPE_CHECKING:` that annotations use are read.
+    """
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    dead = []
+    for scope in scopes:
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        dead.append((node.lineno, name))
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("path", sorted((IMPORT_ROOT / "gradbound").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _dead_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_import_check_sees_a_dead_import():
+    source = ("from __future__ import annotations\n"
+              "import math, os\n"
+              "from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n"
+              "    from pathlib import Path\n"
+              "def f(x: Path) -> int:\n"
+              "    import json\n"
+              "    return os.sep\n")
+    assert _dead_imports(ast.parse(source)) == [(2, "math"), (7, "json")]

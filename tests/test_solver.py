@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -515,6 +516,26 @@ def test_load_run_orders_snapshots_past_9999_by_index(tmp_path):
     times = [s.time for s in load_run(tmp_path / "run").snapshots]
     assert times == [s.time for s in rec.snapshots]
     assert all(a < b for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("config", [
+    _config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.0),
+    # stopped by the initial screen: max |u| is past the threshold at t = 0
+    _config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0),
+            initial=RandomSmooth(seed=0, amplitude=1e3, modes=2), blowup_threshold=1.0),
+], ids=["t_end_zero", "stopped_at_t_zero"])
+def test_a_record_with_no_steps_reloads_without_a_warning(tmp_path, config):
+    """Its dt_history.csv is the header alone, which numpy's loadtxt warns about."""
+    rec = run(config)
+    assert rec.dt_history.size == 0 and len(rec.snapshots) == 1
+    save_run(rec, tmp_path / "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_run(tmp_path / "run")
+    assert back.dt_history.dtype == rec.dt_history.dtype and back.dt_history.shape == (0,)
+    assert back.status.to_dict() == rec.status.to_dict()
+    assert back.snapshots[0].time == 0.0
+    assert np.array_equal(back.snapshots[0].values, rec.snapshots[0].values)
 
 
 def test_a_save_that_fails_over_a_record_leaves_none_that_loads(tmp_path, monkeypatch):

@@ -81,6 +81,27 @@ def _rhs(kind: RhsKind, N: int) -> RhsSpec:
                    direction=tuple(range(1, N + 1)) if kind is RhsKind.POWER_FIXED_DIR else None)
 
 
+def test_only_the_parent_stores(monkeypatch, tmp_path):
+    """Each store appends its process id and the snapshot's time to a file, which a
+    child's store would reach too: every line is the parent's, one per planned time."""
+    config = SolveConfig(Grid(3, 1.0, 8, Boundary.DIRICHLET),
+                         FluxSpec(FluxKind.DOUBLE_POWER, 2.0, q=2.5),
+                         RhsSpec(RhsKind.ZERO), RandomSmooth(seed=0, amplitude=4.0, modes=3),
+                         N=3, t_end=5e-4, dt_max=1e-5)
+    log = tmp_path / "stores.txt"
+
+    def store(snapshot):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {float(snapshot.time)!r}\n")
+
+    _on(monkeypatch, 2)
+    _, _, status = solver._march(config, store)
+    assert status.kind is StatusKind.COMPLETED
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert {int(pid) for pid, _ in lines} == {os.getpid()}
+    assert [float(time) for _, time in lines] == list(solver._planned_times(config))
+
+
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("rhs_kind", list(RhsKind))
 @pytest.mark.parametrize("flux_name", list(FLUXES))
