@@ -473,33 +473,58 @@ def _verify_keys() -> dict:
 
 def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequence[float],
                   exponents: tuple[float, float], where: dict) -> dict:
-    """Solve one campaign run and check it; only its rows and bound pair come back.
+    """Solve one campaign run, checking it as it marches; only its rows and bound pair come back.
 
     job is (seed, amplitude, config, levels), with levels None on every run
-    but the first, the one the Moser chain checks.  A run that does not
-    complete returns its exit code and stop message under "stopped" instead
-    of raising, so the caller stops at the first such run in campaign order.
+    but the first, the one the Moser chain checks.  Every check reads only
+    each snapshot's time and |grad u| on the box of Q_{R0}, whose window
+    holds every other check's.  So the windows are built on the planned
+    snapshot times before the march, and the march's store keeps each
+    snapshot's time and, for the snapshots Q_{R0} reads, that |grad u|: the
+    worker holds the box stack, never the run's snapshots.  The checks are
+    the cores of the public record checks on the same windows, so the rows
+    are theirs bit for bit.  A run that does not complete returns its exit
+    code and stop message under "stopped" instead of raising, so the caller
+    stops at the first such run in campaign order.
     """
-    from .energy import (_bound_pair, energy_inequality_check, holder_sandwich_check,
-                         moser_chain_check)
-    from .solver import StatusKind, run
+    from .energy import (_bound_pair, _chain, _chain_rules, _default_center_t0, _energy,
+                         _estimate_rules, _sandwich, _window_over)
+    from .mesh import CutoffFn, CylinderSpec
+    from .solver import StatusKind, _march, _planned_times
 
     seed, amplitude, config, levels = job
-    record = run(config)
-    kind = record.status.kind
+    grid, planned = config.grid, _planned_times(config)
+    center, t0 = _default_center_t0(grid, planned, where["center"], where["t0"])
+    cyl = CylinderSpec(center, t0, R0, where["time_exponent"])
+    outer = _window_over(grid, planned, cyl)
+    times: list[float] = []
+    stack: list = [None] * planned.size
+
+    def store(snapshot) -> None:
+        if outer.weights[len(times)]:
+            stack[len(times)] = outer.magnitude(snapshot.values)
+        times.append(snapshot.time)
+
+    _, dt_history, status = _march(config, store)
     tag = {"seed": seed, "amplitude": amplitude}
-    if kind is not StatusKind.COMPLETED:
-        return {"stopped": (_status_code(kind), f"run (seed={seed}, amplitude={amplitude}) "
-                                                f"ended in {kind.value} at t = {record.status.time}")}
-    sandwich = holder_sandwich_check(record, params.s0, R0 / 2.0, R0, params.p, **where)
-    energy = [tag | energy_inequality_check(record, s, R0 / 2.0, R0, params, **where).to_dict()
-              for s in energy_s]
-    chain = None if levels is None else moser_chain_check(record, params, R0, levels, **where)
-    return {"run": tag | {"status": kind.value, "steps": int(record.dt_history.size)},
-            "sandwich": tag | sandwich.to_dict(),
-            "energy": energy,
-            "chain": chain and chain.to_dict(),
-            "pair": _bound_pair(record, R0, exponents, **where)}
+    if status.kind is not StatusKind.COMPLETED:
+        return {"stopped": (_status_code(status.kind),
+                            f"run (seed={seed}, amplitude={amplitude}) "
+                            f"ended in {status.kind.value} at t = {status.time}")}
+    if times != planned.tolist():  # finite, with no -0.0: equal values are equal bits
+        raise AssertionError("the march stored other times than the planned ones")
+    cut = CutoffFn(center, R0 / 2.0, R0, t0, cyl.time_exponent)
+    chain = None
+    if levels is not None:
+        windows = [_window_over(grid, planned, dataclasses.replace(cyl, R=r))
+                   for r in _chain_rules(grid, R0, levels)]
+        chain = _chain(windows, stack, params, _estimate_rules(params, R0).M).to_dict()
+    inner = _window_over(grid, planned, dataclasses.replace(cyl, R=R0 / 2.0))
+    return {"run": tag | {"status": status.kind.value, "steps": int(dt_history.size)},
+            "sandwich": tag | _sandwich(outer, stack, cut, params.s0, params.p).to_dict(),
+            "energy": [tag | _energy(outer, stack, cut, s, params).to_dict() for s in energy_s],
+            "chain": chain,
+            "pair": _bound_pair(outer, inner, stack, exponents)}
 
 
 @contextlib.contextmanager

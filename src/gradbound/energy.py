@@ -1,13 +1,15 @@
 """Cylinder-localized energy functionals and the gradient-bound verifier.
 
-The machinery rests on three computable objects, all evaluated on stored
-solver runs with one quadrature: node sums in the ball and, in time, the
-weights of mesh._time_weights (the endpoint-interpolated trapezoid), which
-every check, the sandwich included, applies through _Window.integrate.
+The machinery rests on three computable objects, all evaluated on solver
+runs, stored or streamed, with one quadrature: node sums in the ball and,
+in time, the weights of mesh._time_weights (the endpoint-interpolated
+trapezoid), which every check, the sandwich included, applies through
+_Window.integrate.
 Every cylinder meets the rules of _cylinder_rules: the ball lies in the
 domain, the snapshots span [t0 - R^e, t0] to within 1e-12, and at least 3
 fall inside.  They need no record, so verify applies them to a run's
-planned snapshot times before it solves; _window adds the completed run.
+planned snapshot times before it solves.  _window_over builds a window
+on a grid and snapshot times, and _window on a completed record.
 Every other rule has one home that needs no record either:
 _estimate_rules (admissible params, _radius_rule's 0 < R0 < 1), _chain_rules
 (levels >= 2, >= 8 nodes per axis across R0, beta^levels a double),
@@ -25,14 +27,27 @@ Every power, cutoff and product runs on the ball's own nodes in row-major
 order, so each check returns bit for bit what the whole grid would.  A
 sweep reads only the snapshots with a nonzero weight.
 
-A record differentiates each snapshot once per box.  Its private stack,
-RunRecord._magnitudes, maps a box (its per-axis index ranges, or None for
-the whole grid) to one read-only |grad u| per snapshot, filled the first
-time a window on that box reads the snapshot through _Window.sweep, the
-module's one loop over snapshots.  Every check verify ships shares the R0
-box: the chain's and the bound fit's inner cylinders are read from the R0
-sweep.  The stack costs box nodes x 8 B per read snapshot (~3.3 MB for a
-32^3 record at R0 = 0.24) and relies on RunRecord's read-only snapshots.
+Every functional reads only (snapshot time, |grad u| on the box), so a
+check has two sources and one sweep.  _Window.sweep, the module's one
+loop over snapshots, reads a stack: one read-only |grad u| on the box per
+snapshot, filled at least over the support.  Each public check takes a
+record and runs a private core (_energy, _sandwich, _chain, _bound_pair)
+on windows and a stack; verify's campaign worker (cli._campaign_run)
+runs the same cores on the stack it fills as the march stores each
+snapshot, so it never holds the run's snapshots.  Every check verify
+ships shares the R0 box: the chain's and the bound fit's inner cylinders
+are read from the R0 sweep.
+
+* A record differentiates each snapshot once per box.  Its private stack,
+  RunRecord._magnitudes, maps a box (its per-axis index ranges, or None
+  for the whole grid) to one |grad u| per snapshot, filled by
+  _record_stack the first time a window on that box reads the snapshot.
+  It lives as long as the record, next to the snapshots (~3.3 MB beside
+  the 34 MB of a 64-snapshot 32^3 x 2 record at R0 = 0.24 and e = 2.5),
+  and relies on RunRecord's read-only snapshots.
+* A campaign worker keeps only the R0 box's stack: box nodes x 8 B per
+  read snapshot, 4.2 MB for a run of the shipped campaign (6859 box
+  nodes, 77 of 80 snapshots read) against its 42 MB record.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
@@ -66,7 +81,6 @@ from .mesh import (
     Boundary,
     CutoffFn,
     CylinderSpec,
-    Field,
     Grid,
     ball_mask,
     gradient_of,
@@ -132,12 +146,13 @@ def _chain_rules(grid: Grid, R0: float, levels: int) -> list[float]:
     return [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
 
 
-def _default_center_t0(record: RunRecord, center, t0) -> tuple[tuple[float, ...], float]:
-    grid = record.config.grid
+def _default_center_t0(grid: Grid, times: np.ndarray, center, t0
+                       ) -> tuple[tuple[float, ...], float]:
+    """The cylinder's centre and top: the grid's centre and the last snapshot time by default."""
     if center is None:
         center = grid.center()
     if t0 is None:
-        t0 = float(record.times()[-1])
+        t0 = float(times[-1])
     return tuple(center), float(t0)
 
 
@@ -154,24 +169,28 @@ HALO = 2
 
 @dataclass(frozen=True)
 class _Window:
-    """A validated cylinder over one completed record.
+    """A validated cylinder cyl on a grid and sorted snapshot times.
 
     weights and inside come from _cylinder_rules, and mask is the closed
     ball on the full grid.  box, box_grid, box_mask and key come from _box:
-    every sweep differentiates values[box], the ball's bounding box widened
-    by HALO nodes, on box_grid, and mag[box_mask] lists the ball's nodes in
-    the same row-major order as mask does on the grid.  key names the box in
-    the record's stack of box |grad u| (record._magnitudes), which every
-    window on the same box of the same record shares.
+    magnitude differentiates a snapshot's values[box] on box_grid, and
+    mag[box_mask] lists the ball's nodes in the same row-major order as mask
+    does on the grid.  A sweep reads a stack, one |grad u| on the box per
+    snapshot, which holds at least the support: a record's
+    (_record_stack, keyed by key in record._magnitudes, which every window
+    on the same box of the same record shares), or the one a campaign
+    worker fills as the march stores each snapshot.
     """
 
+    cyl: CylinderSpec
+    grid: Grid
+    times: np.ndarray
     mask: np.ndarray
     weights: np.ndarray
     inside: np.ndarray
     box: tuple
     box_grid: Grid
     box_mask: np.ndarray
-    record: RunRecord
     key: tuple | None
 
     @functools.cached_property
@@ -184,34 +203,27 @@ class _Window:
         k = self.support
         return float(np.sum(self.weights[k] * series[k]))
 
-    def magnitude(self, k: int) -> np.ndarray:
-        """|grad u| of snapshot k on the box; exact at the ball's nodes and one node beyond.
+    def magnitude(self, values: np.ndarray) -> np.ndarray:
+        """|grad u| of one snapshot's values on the box, read-only.
 
-        Differentiated the first time any window on this box reads snapshot k,
-        then served read-only from the stack.
+        Exact at the ball's nodes and one node beyond.
         """
-        mag = self.stack[k]
-        if mag is None:
-            mag = _grad_magnitude_of(self.box_grid, self.record.snapshots[k].values[self.box])
-            mag.flags.writeable = False
-            self.stack[k] = mag
+        mag = _grad_magnitude_of(self.box_grid, values[self.box])
+        mag.flags.writeable = False
         return mag
 
-    def sweep(self, fn: Callable[[Field, np.ndarray], Sequence[float]]) -> np.ndarray:
+    def sweep(self, stack: Sequence[np.ndarray | None],
+              fn: Callable[[float, np.ndarray], Sequence[float]]) -> np.ndarray:
         """One pass over the support, one series per functional (0.0 off the support).
 
-        fn maps (snapshot, |grad u| on the box) to one scalar per functional.
+        fn maps (snapshot time, |grad u| on the box from stack) to one scalar
+        per functional.
         """
         ks = self.support
-        rows = [fn(self.record.snapshots[k], self.magnitude(k)) for k in ks]
+        rows = [fn(float(self.times[k]), stack[k]) for k in ks]
         series = np.zeros((self.weights.size, len(rows[0])))
         series[ks] = rows
         return series.T
-
-    @functools.cached_property
-    def stack(self) -> list:
-        """The record's |grad u| on this box, one slot per snapshot, None until read."""
-        return self.record._magnitudes.setdefault(self.key, [None] * len(self.record.snapshots))
 
 
 def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, np.ndarray]:
@@ -281,24 +293,40 @@ def _cylinder_rules(grid: Grid, times: np.ndarray, cyl: CylinderSpec
     return _time_weights(times, a, b), inside
 
 
+def _window_over(grid: Grid, times: np.ndarray, cyl: CylinderSpec) -> _Window:
+    """A cylinder on a grid and sorted snapshot times that meets _cylinder_rules."""
+    weights, inside = _cylinder_rules(grid, times, cyl)
+    mask = ball_mask(grid, cyl.center, cyl.R)
+    key, box, box_grid, box_mask = _box(grid, mask)
+    return _Window(cyl, grid, times, mask, weights, inside, box, box_grid, box_mask, key)
+
+
 def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
     """A cylinder on a completed record that meets _cylinder_rules."""
     if record.status.kind is not StatusKind.COMPLETED:
         raise ValueError(f"cylinder checks need a completed run, "
                          f"got status {record.status.kind.value}")
-    grid = record.config.grid
-    weights, inside = _cylinder_rules(grid, record.times(), cyl)
-    mask = ball_mask(grid, cyl.center, cyl.R)
-    key, box, box_grid, box_mask = _box(grid, mask)
-    return _Window(mask, weights, inside, box, box_grid, box_mask, record, key)
+    return _window_over(record.config.grid, record.times(), cyl)
+
+
+def _record_stack(record: RunRecord, win: _Window) -> list:
+    """The record's |grad u| on win's box, one slot per snapshot, holding win's support.
+
+    A snapshot is differentiated the first time any window on the box reads
+    it, then served read-only from the stack; the other slots stay None.
+    """
+    stack = record._magnitudes.setdefault(win.key, [None] * len(record.snapshots))
+    for k in win.support:
+        if stack[k] is None:
+            stack[k] = win.magnitude(record.snapshots[k].values)
+    return stack
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     """iint over the cylinder of |grad u|^exponent."""
-    grid = record.config.grid
     win = _window(record, cyl)
-    (series,) = win.sweep(
-        lambda s, m: (spatial_integral(grid, _powered(m[win.box_mask], exponent)),))
+    (series,) = win.sweep(_record_stack(record, win), lambda t, m: (
+        spatial_integral(win.grid, _powered(m[win.box_mask], exponent)),))
     return win.integrate(series)
 
 
@@ -341,22 +369,26 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     then records that constant and satisfied is True by construction); with
     c given, the inequality is tested as stated.
     """
-    grid = record.config.grid
-    center, t0 = _default_center_t0(record, center, t0)
+    center, t0 = _default_center_t0(record.config.grid, record.times(), center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)  # first: it refuses rho outside (0, R)
-    cyl = CylinderSpec(center, t0, R, time_exponent)
-    win = _window(record, cyl)
+    win = _window(record, CylinderSpec(center, t0, R, time_exponent))
     _require_s_admissible(s, params)
+    return _energy(win, _record_stack(record, win), cut, s, params, c)
 
+
+def _energy(win: _Window, stack: Sequence, cut: CutoffFn, s: float, params: ProblemParams,
+            c: float | None = None) -> EnergyReport:
+    """energy_inequality_check on the window of Q_R, its stack and the cutoff of Q_rho."""
+    grid, cyl = win.grid, win.cyl
     p = params.p
     M = compute_M_general(p, params.q, params.w)
     profile, dq, unit = cut._space_parts(node_coords(grid)[win.mask])
     ball = win.box_mask
     half = (p + s) / 2.0
 
-    def terms(snap: Field, mag: np.ndarray) -> tuple[float, float, float]:
+    def terms(t: float, mag: np.ndarray) -> tuple[float, float, float]:
         m = mag[ball]
-        tp = cut.time_profile(snap.time)
+        tp = cut.time_profile(t)
         eta = profile * tp
         sup = spatial_integral(grid, m ** (s + 2.0) * eta * eta)
         raw = spatial_integral(grid, 1.0 + m ** (s + M))
@@ -367,18 +399,18 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
             + (m**half)[:, None] * ((dq * tp)[:, None] * unit)
         return sup, spatial_integral(grid, np.sum(vec * vec, axis=-1)), raw
 
-    sup_series, grad_series, raw_series = win.sweep(terms)
+    sup_series, grad_series, raw_series = win.sweep(stack, terms)
     lhs_sup = float(sup_series[win.inside].max())
     lhs_grad = win.integrate(grad_series)
     rhs_raw = win.integrate(raw_series)
 
-    scale = (1.0 + s**3) / (R - rho) ** M * rhs_raw
+    scale = (1.0 + s**3) / (cyl.R - cut.rho) ** M * rhs_raw
     if c is None:
         c = (lhs_sup + lhs_grad) / scale if scale > 0.0 else math.inf
     rhs_scaled = c * scale
     satisfied = lhs_sup + lhs_grad <= rhs_scaled * (1.0 + 1e-12)
-    return EnergyReport(s, rho, cyl.R, cyl.center, cyl.t0, cyl.time_exponent, lhs_sup, lhs_grad,
-                        rhs_raw, rhs_scaled, float(c), bool(satisfied))
+    return EnergyReport(s, cut.rho, cyl.R, cyl.center, cyl.t0, cyl.time_exponent, lhs_sup,
+                        lhs_grad, rhs_raw, rhs_scaled, float(c), bool(satisfied))
 
 
 @dataclass(frozen=True)
@@ -410,28 +442,35 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     inequalities are Holder on finite sums and must hold to round-off.
     """
     grid = record.config.grid
-    n = grid.n
-    if n < 3:
+    if grid.n < 3:
         raise ValueError("the sandwich exponent 2n/(n-2) needs n >= 3")
-    center, t0 = _default_center_t0(record, center, t0)
+    center, t0 = _default_center_t0(grid, record.times(), center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
     win = _window(record, CylinderSpec(center, t0, R, time_exponent))
-    a_rho = t0 - rho**time_exponent
+    return _sandwich(win, _record_stack(record, win), cut, s, p)
+
+
+def _sandwich(win: _Window, stack: Sequence, cut: CutoffFn, s: float, p: float
+              ) -> SandwichReport:
+    """holder_sandwich_check on the window of Q_R, its stack and the cutoff of Q_rho."""
+    grid = win.grid
+    n = grid.n
+    a_rho = cut.t0 - cut.rho**cut.time_exponent
 
     profile = cut._space_parts(node_coords(grid)[win.mask])[0]
     ball = win.box_mask
-    in_rho = ball_mask(grid, center, rho)[win.mask]
+    in_rho = ball_mask(grid, cut.center, cut.rho)[win.mask]
     e_lhs = p + s + (s + 2.0) * 2.0 / n
     e_B = 2.0 * n / (n - 2.0)
 
-    def terms(snap: Field, mag: np.ndarray) -> tuple[float, float, float]:
+    def terms(t: float, mag: np.ndarray) -> tuple[float, float, float]:
         m = mag[ball]
-        eta = profile * cut.time_profile(snap.time)
-        return (spatial_integral(grid, m[in_rho] ** e_lhs) if snap.time >= a_rho else 0.0,
+        eta = profile * cut.time_profile(t)
+        return (spatial_integral(grid, m[in_rho] ** e_lhs) if t >= a_rho else 0.0,
                 spatial_integral(grid, m ** (s + 2.0) * eta * eta),
                 spatial_integral(grid, (m ** ((p + s) / 2.0) * eta) ** e_B))
 
-    L, A, B = win.sweep(terms)
+    L, A, B = win.sweep(stack, terms)
 
     lhs = win.integrate(L)
     mid = win.integrate(A ** (2.0 / n) * B ** ((n - 2.0) / n))
@@ -466,20 +505,28 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     grid = record.config.grid
     radii = _chain_rules(grid, R0, levels)
     M = _estimate_rules(params, R0).M
+    center, t0 = _default_center_t0(grid, record.times(), center, t0)
+    windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
+    return _chain(windows, _record_stack(record, windows[0]), params, M)
+
+
+def _chain(windows: Sequence[_Window], stack: Sequence, params: ProblemParams, M: float
+           ) -> MoserChainReport:
+    """moser_chain_check on the windows of Q_{R_i}, i = 0..levels, and the stack of Q_{R0}'s."""
+    levels = len(windows) - 1
     ladder = build_ladder(params.s0, params.p, M, params.n, levels)
     exponents, beta = [si + M for si in ladder.s], ladder.beta
-    center, t0 = _default_center_t0(record, center, t0)
-    windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
     # R_0 = R0 is the largest radius: every ball lies inside the outer ball,
     # and every window (so every snapshot it reads) inside the outer window
     outer = windows[0]
+    grid = outer.grid
     subsets = [win.mask[outer.mask] for win in windows]
 
-    def powered_sums(snap: Field, mag: np.ndarray) -> list[float]:
+    def powered_sums(t: float, mag: np.ndarray) -> list[float]:
         m = mag[outer.box_mask]
         return [spatial_integral(grid, _powered(m[sub], e)) for sub, e in zip(subsets, exponents)]
 
-    series = outer.sweep(powered_sums)
+    series = outer.sweep(stack, powered_sums)
     psis = [win.integrate(ser) for win, ser in zip(windows, series)]
 
     C = 1.0
@@ -496,8 +543,8 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     satisfied = feasible and all(
         psis[i + 1] <= rhs * (1.0 + 1e-12) for i, _, rhs in level_rows
     )
-    return MoserChainReport(tuple(radii), tuple(exponents), tuple(psis), beta,
-                            C, level_rows, bool(satisfied))
+    return MoserChainReport(tuple(win.cyl.R for win in windows), tuple(exponents),
+                            tuple(psis), beta, C, level_rows, bool(satisfied))
 
 
 @dataclass(frozen=True)
@@ -520,24 +567,22 @@ def _bound_exponents(params: ProblemParams, R0: float) -> tuple[float, float]:
     return bound_exponent(params.s0, params.p, report.M, params.n), params.s0 + report.M
 
 
-def _bound_pair(record: RunRecord, R0: float, exponents: tuple[float, float],
-                center=None, t0=None, time_exponent: float = 2.0) -> tuple[float, float]:
+def _bound_pair(outer: _Window, inner: _Window, stack: Sequence,
+                exponents: tuple[float, float]) -> tuple[float, float]:
     """One run's (max of |grad u| over Q_{R0/2}, psi over Q_{R0} to the bound exponent).
 
-    One sweep of the Q_{R0} window gives both: Q_{R0/2}'s ball and snapshots
-    lie inside Q_{R0}'s, so its window only validates and names its snapshots.
+    outer is Q_{R0}'s window and stack its |grad u|.  One sweep of it gives
+    both: Q_{R0/2}'s ball and snapshots lie inside Q_{R0}'s, so inner only
+    names its ball and snapshots.
     """
     exponent, psi_exp = exponents
-    c, t_top = _default_center_t0(record, center, t0)
-    outer, inner = (_window(record, CylinderSpec(c, t_top, r, time_exponent))
-                    for r in (R0, R0 / 2.0))
-    grid, sub = record.config.grid, inner.mask[outer.mask]
+    sub = inner.mask[outer.mask]
 
-    def terms(snap: Field, mag: np.ndarray) -> tuple[float, float]:
+    def terms(t: float, mag: np.ndarray) -> tuple[float, float]:
         m = mag[outer.box_mask]
-        return spatial_integral(grid, _powered(m, psi_exp)), m[sub].max()
+        return spatial_integral(outer.grid, _powered(m, psi_exp)), m[sub].max()
 
-    sums, peaks = outer.sweep(terms)
+    sums, peaks = outer.sweep(stack, terms)
     return float(peaks[inner.inside].max()), outer.integrate(sums) ** exponent
 
 
@@ -571,6 +616,11 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
     iterable of completed runs works, one record in memory at a time.
     """
     exponents = _bound_exponents(params, R0)
-    per_run = [_bound_pair(record, R0, exponents, center, t0, time_exponent)
-               for record in campaign]
-    return _bound_fit(exponents[0], per_run)
+
+    def pair(record: RunRecord) -> tuple[float, float]:
+        c, t_top = _default_center_t0(record.config.grid, record.times(), center, t0)
+        outer, inner = (_window(record, CylinderSpec(c, t_top, r, time_exponent))
+                        for r in (R0, R0 / 2.0))
+        return _bound_pair(outer, inner, _record_stack(record, outer), exponents)
+
+    return _bound_fit(exponents[0], [pair(record) for record in campaign])

@@ -270,7 +270,7 @@ class RunRecord:
 
     The snapshots' values are marked read-only here: _magnitudes holds the
     cylinder checks' private stack of box |grad u| per snapshot
-    (energy._Window), which stays true only while no stored snapshot is
+    (energy._record_stack), which stays true only while no stored snapshot is
     written.  A copied or unpickled record is rebuilt through __init__, so
     it is read-only too and starts with an empty stack.
     """
@@ -657,7 +657,8 @@ def _march(config: SolveConfig, store: Callable[[Field], None]
     """The march: store(snapshot) for each stored snapshot; returns (config, dt_history, status).
 
     store gets the initial field, then the state at each planned time the
-    march reaches.  A stored snapshot is a view of the live state, so store
+    march reaches; each snapshot's time is a Python float, bit for bit the
+    planned one.  A stored snapshot is a view of the live state, so store
     copies or writes it before it returns.  Only the parent stores, and
     every store after the first runs inside the team, so an exception in
     store kills and reaps the children as any other way out of the march
@@ -684,7 +685,8 @@ def _march(config: SolveConfig, store: Callable[[Field], None]
     dt_history: list[float] = []
     status = RunStatus(StatusKind.COMPLETED)
     with _Team(stage, _processes(eff)) as team:
-        for target in targets[1:]:
+        # as Python floats, so every stored time, step and status time is one too
+        for target in targets[1:].tolist():
             while state.time < target:
                 mag_max, d_max = np.max(team.sync(_flux, state, eff, stage), axis=0)
                 if mag_max > thr:

@@ -574,23 +574,36 @@ def test_verify_pool_stops_at_first_stopped_run(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def _raise_on_amplitude(amplitude, check):
-    def patched(record, *args, **kwargs):
-        if record.config.initial.amplitude == amplitude:
+def _raise_on_amplitude(monkeypatch, name, amplitude):
+    """Make the check core name raise in the worker that checks the run of amplitude.
+
+    A campaign worker calls the cores on windows, which do not name the run,
+    so the worker notes the amplitude of the run it marches.
+    """
+    marching, march = {}, gradbound.solver._march
+    check = getattr(gradbound.energy, name)
+
+    def noting(config, store):
+        marching["amplitude"] = config.initial.amplitude
+        return march(config, store)
+
+    def patched(*args, **kwargs):
+        if marching["amplitude"] == amplitude:
             raise ValueError(f"check refused amplitude {amplitude}")
-        return check(record, *args, **kwargs)
-    return patched
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(gradbound.solver, "_march", noting)
+    monkeypatch.setattr(gradbound.energy, name, patched)
 
 
 @pytest.mark.parametrize("name, amplitude", [
-    ("moser_chain_check", 1.0),  # the chain runs on the first run only
-    ("energy_inequality_check", 2.0),
-    ("holder_sandwich_check", 4.0),
+    ("_chain", 1.0),  # the chain runs on the first run only
+    ("_energy", 2.0),
+    ("_sandwich", 4.0),
 ], ids=["chain-first-run", "energy-second-run", "sandwich-last-run"])
 def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, amplitude):
     _cores(monkeypatch, 3)
-    monkeypatch.setattr(gradbound.energy, name,
-                        _raise_on_amplitude(amplitude, getattr(gradbound.energy, name)))
+    _raise_on_amplitude(monkeypatch, name, amplitude)
     out = tmp_path / "out"
     code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, _pool_cfg()),
                                       "--output", str(out)])

@@ -102,6 +102,20 @@ def test_only_the_parent_stores(monkeypatch, tmp_path):
     assert [float(time) for _, time in lines] == list(solver._planned_times(config))
 
 
+@pytest.mark.parametrize("processes", [1, 2])
+def test_every_stored_time_is_a_python_float(monkeypatch, processes):
+    """The targets come from np.linspace, whose elements are numpy.float64: a store
+    gets a Python float each time, whether a step lands on the target or not."""
+    config = SolveConfig(Grid(3, 1.0, 8), FLUXES["pure_2.5"], RhsSpec(RhsKind.ZERO),
+                         RandomSmooth(seed=0), N=1, t_end=0.01, dt_max=1e-4)
+    times = []
+    _on(monkeypatch, processes)
+    _, dt_history, status = solver._march(config, lambda snapshot: times.append(snapshot.time))
+    assert status.kind is StatusKind.COMPLETED and dt_history.size > 63
+    assert [type(t) for t in times] == [float] * 64
+    assert times == list(solver._planned_times(config))
+
+
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("rhs_kind", list(RhsKind))
 @pytest.mark.parametrize("flux_name", list(FLUXES))

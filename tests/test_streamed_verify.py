@@ -1,0 +1,135 @@
+"""`gradbound verify` checks each run as its march stores the snapshots.
+
+A campaign worker (cli._campaign_run) builds the cylinder windows on the
+planned snapshot times, keeps each stored snapshot's time and, where the
+R0 window reads it, its |grad u| on the R0 box, and runs the cores of the
+public record checks on that stack.  Its rows are the public checks' rows on
+run(config), bit for bit, a run that stops gives the same stop code and
+message, its memory does not grow with snapshot_count by the run's record,
+and it never builds a RunRecord through solver.run.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gradbound
+from gradbound import solver
+from gradbound.cli import EXIT_BLOWUP, EXIT_OK, _campaign_run, _regime, main
+from gradbound.energy import (_bound_exponents, energy_inequality_check, holder_sandwich_check,
+                              moser_chain_check, verify_bound)
+from gradbound.flux import FluxKind, FluxSpec, RhsKind, RhsSpec
+from gradbound.mesh import Boundary, Grid
+from gradbound.solver import RandomSmooth, SolveConfig, run
+
+SRC = Path(gradbound.__file__).resolve().parents[1]
+CAMPAIGN = SRC.parent / "configs" / "verify_campaign.json"
+R0 = 0.45
+
+
+def _job(p: float, boundary: Boundary, levels, **extra) -> tuple:
+    """(seed, amplitude, config, levels) of one 16^3 run whose R0 = 0.45 resolves the chain."""
+    config = SolveConfig(Grid(3, 1.0, 16, boundary), FluxSpec(FluxKind.PURE_P_LAPLACE, p),
+                         RhsSpec(RhsKind.POWER_ALIGNED, w=1.3, c1=1.0),
+                         RandomSmooth(seed=0, amplitude=2.0), N=1, t_end=0.21,
+                         snapshot_count=64)
+    return 0, 2.0, dataclasses.replace(config, **extra), levels
+
+
+def _record_rows(job, params, energy_s, where) -> dict:
+    """The worker's result from the public checks on run(config), as verify used to build it."""
+    seed, amplitude, config, levels = job
+    record = run(config)
+    tag = {"seed": seed, "amplitude": amplitude}
+    chain = None if levels is None else moser_chain_check(record, params, R0, levels, **where)
+    return {"run": tag | {"status": record.status.kind.value,
+                          "steps": int(record.dt_history.size)},
+            "sandwich": tag | holder_sandwich_check(record, params.s0, R0 / 2.0, R0, params.p,
+                                                    **where).to_dict(),
+            "energy": [tag | energy_inequality_check(record, s, R0 / 2.0, R0, params,
+                                                     **where).to_dict() for s in energy_s],
+            "chain": chain and chain.to_dict(),
+            "pair": verify_bound([record], params, R0, **where).per_run[0]}
+
+
+# each case: p, boundary, centre, t0, time exponent ("p" for p), levels, energy_s
+CASES = {
+    "periodic-defaults": (2.0, Boundary.PERIODIC, None, None, 2.0, 3, (0.0, 0.5)),
+    "dirichlet-explicit": (2.0, Boundary.DIRICHLET, (0.48, 0.5, 0.53), 0.207, 2.0, None,
+                           (0.5, 1.0)),
+    "periodic-explicit-p": (2.5, Boundary.PERIODIC, (0.5, 0.47, 0.5), 0.2, "p", 3, (0.0, 1.0)),
+    "dirichlet-defaults-p": (2.5, Boundary.DIRICHLET, None, None, "p", None, (0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_streamed_checks_are_the_record_checks(case):
+    p, boundary, center, t0, exponent, levels, energy_s = CASES[case]
+    _, params, violations = _regime({"p": p, "w": 1.3, "N": 1})
+    assert not violations
+    where = {"center": center, "t0": t0,
+             "time_exponent": p if exponent == "p" else exponent}
+    job = _job(p, boundary, levels)
+    streamed = _campaign_run(job, params, R0, list(energy_s), _bound_exponents(params, R0),
+                             where)
+    assert repr(streamed) == repr(_record_rows(job, params, energy_s, where))
+
+
+def test_a_stopped_run_stops_as_the_record_does():
+    """The blowup of the streamed solve's tests: the stop code and message of run(config)."""
+    config = SolveConfig(Grid(3, 1.0, 12), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0),
+                         RhsSpec(RhsKind.STRUWE_COUPLING, w=1.3),
+                         RandomSmooth(seed=0, amplitude=40.0), N=3, t_end=0.05,
+                         blowup_threshold=1e4)
+    status = run(config).status
+    assert status.kind is gradbound.StatusKind.BLOWUP
+    _, params, _ = _regime({"p": 2.0, "w": 1.3, "N": 3})
+    where = {"center": None, "t0": None, "time_exponent": 2.0}
+    result = _campaign_run((0, 40.0, config, 3), params, 0.2, [params.s0],
+                           _bound_exponents(params, 0.2), where)
+    assert result == {"stopped": (EXIT_BLOWUP, f"run (seed=0, amplitude=40.0) ended in "
+                                                f"blowup at t = {status.time}")}
+
+
+def test_a_campaign_never_builds_a_run_record(tmp_path, capsys, monkeypatch):
+    """A one-run campaign, which runs inline, with solver.run patched to raise."""
+    def refused(config):
+        raise AssertionError("the campaign called solver.run")
+
+    monkeypatch.setattr(solver, "run", refused)
+    monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
+    cfg = {"problem": {"p": 2.0, "w": 1.3}, "grid": {"extent": 1.0, "cells": 16},
+           "rhs": {"kind": "power_aligned", "c1": 1.0},
+           "campaign": {"seeds": [0], "amplitudes": [2.0]}, "cylinder": {"R0": R0},
+           "t_end": 0.21, "snapshot_count": 64, "levels": 3}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [row["status"] for row in report["runs"]] == ["completed"]
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="peak RSS is read with os.wait4")
+def test_campaign_peak_memory_does_not_grow_with_snapshot_count(tmp_path):
+    """One run of the shipped campaign at 64 and 256 snapshots: 32^3 x 2 records of
+    33.6 MB and 134 MB if held; the R0 box stack grows by ~10 MB."""
+    peaks = []
+    for count in (64, 256):
+        cfg = json.loads(CAMPAIGN.read_text())
+        cfg.update(campaign={"seeds": [0], "amplitudes": [1.0]}, snapshot_count=count)
+        path = tmp_path / f"config{count}.json"
+        path.write_text(json.dumps(cfg))
+        env = {k: v for k, v in os.environ.items() if k != "GRADBOUND_OUTPUT_DIR"}
+        env["PYTHONPATH"] = str(SRC)
+        child = subprocess.Popen([sys.executable, "-m", "gradbound.cli", "verify", "--config",
+                                  str(path)], stdout=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        assert child.returncode == EXIT_OK
+        peaks.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
+    assert abs(peaks[1] - peaks[0]) < 16.0, peaks
