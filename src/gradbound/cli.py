@@ -51,8 +51,9 @@ from .regimes import (
 )
 
 if TYPE_CHECKING:
+    from .energy import _Window
     from .flux import FluxSpec, RhsSpec
-    from .mesh import Grid
+    from .mesh import CutoffFn, Grid
     from .solver import StatusKind
 
 EXIT_OK = 0
@@ -70,9 +71,14 @@ class InputError(Exception):
 
 
 class _StatusExit(Exception):
+    """A stopped run's exit code and message; its args (code, message) let it pickle."""
+
     def __init__(self, code: int, message: str):
-        super().__init__(message)
+        super().__init__(code, message)
         self.code = code
+
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 # --- config plumbing ------------------------------------------------------------
@@ -471,34 +477,27 @@ def _verify_keys() -> dict:
     } | _RUN_KEYS
 
 
-def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequence[float],
-                  exponents: tuple[float, float], where: dict) -> dict:
+def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
+                  exponents: tuple[float, float], outer: _Window, inner: _Window,
+                  cut: CutoffFn, chain: tuple[list[_Window], float] | None) -> dict:
     """Solve one campaign run, checking it as it marches; only its rows and bound pair come back.
 
-    job is (seed, amplitude, config, levels), with levels None on every run
-    but the first, the one the Moser chain checks.  Every check reads only
-    each snapshot's time and |grad u| on the box of Q_{R0}, whose window
-    holds every other check's.  So the windows are built on the planned
-    snapshot times before the march, and the march's store keeps each
-    snapshot's time and, for the snapshots Q_{R0} reads, that |grad u|: the
-    worker holds the box stack, never the run's snapshots.  The checks are
-    the cores of the public record checks on the same windows, so the rows
-    are theirs bit for bit.  A run that does not complete returns its exit
-    code and stop message under "stopped" instead of raising, so the caller
-    stops at the first such run in campaign order.
+    job is (seed, amplitude, config, first), first True for the run the
+    Moser chain checks.  cmd_verify builds the windows once, on the planned
+    snapshot times every run shares: outer is Q_{R0}, whose box holds every
+    other window's ball, inner the bound fit's Q_{R0/2}, cut the cutoff of
+    Q_{R0/2} in Q_{R0}, and chain the chain's windows and M (None without
+    levels).  The store keeps each snapshot's time and, where outer reads
+    it, |grad u| on outer's box, never the run's snapshots.  The checks are
+    the record checks' cores on the same windows, so the rows are theirs bit
+    for bit.  A run that does not complete raises _StatusExit.
     """
-    from .energy import (_bound_pair, _chain, _chain_rules, _default_center_t0, _energy,
-                         _estimate_rules, _sandwich, _window_over)
-    from .mesh import CutoffFn, CylinderSpec
-    from .solver import StatusKind, _march, _planned_times
+    from .energy import _bound_pair, _chain, _energy, _sandwich
+    from .solver import StatusKind, _march
 
-    seed, amplitude, config, levels = job
-    grid, planned = config.grid, _planned_times(config)
-    center, t0 = _default_center_t0(grid, planned, where["center"], where["t0"])
-    cyl = CylinderSpec(center, t0, R0, where["time_exponent"])
-    outer = _window_over(grid, planned, cyl)
+    seed, amplitude, config, first = job
     times: list[float] = []
-    stack: list = [None] * planned.size
+    stack: list = [None] * outer.times.size
 
     def store(snapshot) -> None:
         if outer.weights[len(times)]:
@@ -506,24 +505,18 @@ def _campaign_run(job: tuple, params: ProblemParams, R0: float, energy_s: Sequen
         times.append(snapshot.time)
 
     _, dt_history, status = _march(config, store)
-    tag = {"seed": seed, "amplitude": amplitude}
     if status.kind is not StatusKind.COMPLETED:
-        return {"stopped": (_status_code(status.kind),
-                            f"run (seed={seed}, amplitude={amplitude}) "
-                            f"ended in {status.kind.value} at t = {status.time}")}
-    if times != planned.tolist():  # finite, with no -0.0: equal values are equal bits
+        raise _StatusExit(_status_code(status.kind),
+                          f"run (seed={seed}, amplitude={amplitude}) "
+                          f"ended in {status.kind.value} at t = {status.time}")
+    if times != outer.times.tolist():  # finite, with no -0.0: equal values are equal bits
         raise AssertionError("the march stored other times than the planned ones")
-    cut = CutoffFn(center, R0 / 2.0, R0, t0, cyl.time_exponent)
-    chain = None
-    if levels is not None:
-        windows = [_window_over(grid, planned, dataclasses.replace(cyl, R=r))
-                   for r in _chain_rules(grid, R0, levels)]
-        chain = _chain(windows, stack, params, _estimate_rules(params, R0).M).to_dict()
-    inner = _window_over(grid, planned, dataclasses.replace(cyl, R=R0 / 2.0))
+    tag = {"seed": seed, "amplitude": amplitude}
     return {"run": tag | {"status": status.kind.value, "steps": int(dt_history.size)},
             "sandwich": tag | _sandwich(outer, stack, cut, params.s0, params.p).to_dict(),
             "energy": [tag | _energy(outer, stack, cut, s, params).to_dict() for s in energy_s],
-            "chain": chain,
+            "chain": (_chain(chain[0], stack, params, chain[1]).to_dict()
+                      if first and chain is not None else None),
             "pair": _bound_pair(outer, inner, stack, exponents)}
 
 
@@ -559,9 +552,9 @@ def _share_cores(count: int) -> None:
 
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     from .energy import (_bound_exponents, _bound_fit, _bound_ratio, _chain_rules,
-                         _cylinder_rules, _radius_rule, _require_s_admissible)
+                         _estimate_rules, _radius_rule, _require_s_admissible, _window_over)
     from .flux import FluxKind
-    from .mesh import CylinderSpec
+    from .mesh import CutoffFn, CylinderSpec
     from .solver import RandomSmooth, SolveConfig, _planned_times
 
     problem_cfg = _need(cfg, "problem")
@@ -614,8 +607,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
 
     _radius_rule(R0)
     levels = cfg.get("levels")
-    if levels is not None:
-        _chain_rules(grid, R0, levels)
+    radii = [] if levels is None else _chain_rules(grid, R0, levels)
     max_spread = cfg.get("max_spread", 10.0)
     if not max_spread >= 0.0:
         raise InputError(f"'max_spread' must be >= 0, got {max_spread}")
@@ -635,27 +627,27 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     jobs = [(seed, amplitude,
              _build(SolveConfig, cfg, grid=grid, flux=flux, rhs=rhs,
                     initial=initials[seed, amplitude], N=params.N, t_end=t_end),
-             levels if k == 0 else None)
+             k == 0)
             for k, (seed, amplitude) in enumerate(itertools.product(seeds, amplitudes))]
-    # the cylinder rules on the planned snapshot times: Q_{R0} and the bound
-    # fit's Q_{R0/2}, whose window every other check's lies between
-    for radius in (R0, R0 / 2.0):
-        _cylinder_rules(grid, _planned_times(jobs[0][2]), dataclasses.replace(cyl, R=radius))
+    # every run plans the same snapshot times, and building the windows on
+    # them applies the cylinder rules before any march: Q_{R0}, the bound
+    # fit's Q_{R0/2} and the chain's Q_{R_i}, whose radii lie between the two
+    planned = _planned_times(jobs[0][2])
+    outer, inner, *chain_windows = (_window_over(grid, planned, dataclasses.replace(cyl, R=r))
+                                    for r in (R0, R0 / 2.0, *radii))
     if violations:
         _emit(refusal, outdir)
         return EXIT_NOT_COVERED
 
     # the verdict holds the estimate's regime check, and the radius rule has run
     exponents = _bound_exponents(params, R0)
-    worker = functools.partial(_campaign_run, params=params, R0=R0, energy_s=energy_s,
-                               exponents=exponents,
-                               where={"center": center, "t0": t0, "time_exponent": time_exponent})
-    done = []
+    chain = (chain_windows, _estimate_rules(params, R0).M) if levels is not None else None
+    worker = functools.partial(_campaign_run, params=params, energy_s=energy_s,
+                               exponents=exponents, outer=outer, inner=inner,
+                               cut=CutoffFn(cyl.center, R0 / 2.0, R0, cyl.t0, cyl.time_exponent),
+                               chain=chain)
     with _ordered_map(worker, jobs) as results:
-        for result in results:
-            if "stopped" in result:
-                raise _StatusExit(*result["stopped"])
-            done.append(result)
+        done = list(results)
     run_rows = [result["run"] for result in done]
     sandwich_rows = [result["sandwich"] for result in done]
     energy_rows = [row for result in done for row in result["energy"]]

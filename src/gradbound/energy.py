@@ -7,9 +7,10 @@ trapezoid), which every check, the sandwich included, applies through
 _Window.integrate.
 Every cylinder meets the rules of _cylinder_rules: the ball lies in the
 domain, the snapshots span [t0 - R^e, t0] to within 1e-12, and at least 3
-fall inside.  They need no record, so verify applies them to a run's
-planned snapshot times before it solves.  _window_over builds a window
-on a grid and snapshot times, and _window on a completed record.
+fall inside.  They need no record, so verify builds every window of its
+campaign once, on the planned snapshot times its runs share, before any
+march.  _window_over builds a window on a grid and snapshot times, and
+_window on a completed record; each refuses a ball that holds no node.
 Every other rule has one home that needs no record either:
 _estimate_rules (admissible params, _radius_rule's 0 < R0 < 1), _chain_rules
 (levels >= 2, >= 8 nodes per axis across R0, beta^levels a double),
@@ -33,10 +34,10 @@ loop over snapshots, reads a stack: one read-only |grad u| on the box per
 snapshot, filled at least over the support.  Each public check takes a
 record and runs a private core (_energy, _sandwich, _chain, _bound_pair)
 on windows and a stack; verify's campaign worker (cli._campaign_run)
-runs the same cores on the stack it fills as the march stores each
-snapshot, so it never holds the run's snapshots.  Every check verify
-ships shares the R0 box: the chain's and the bound fit's inner cylinders
-are read from the R0 sweep.
+takes verify's windows and runs the same cores on the stack it fills as
+the march stores each snapshot, so it never holds the run's snapshots.
+Every check verify ships shares the R0 box: the chain's and the bound
+fit's inner cylinders are read from the R0 sweep.
 
 * A record differentiates each snapshot once per box.  Its private stack,
   RunRecord._magnitudes, maps a box (its per-axis index ranges, or None
@@ -146,13 +147,12 @@ def _chain_rules(grid: Grid, R0: float, levels: int) -> list[float]:
     return [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
 
 
-def _default_center_t0(grid: Grid, times: np.ndarray, center, t0
-                       ) -> tuple[tuple[float, ...], float]:
+def _default_center_t0(record: RunRecord, center, t0) -> tuple[tuple[float, ...], float]:
     """The cylinder's centre and top: the grid's centre and the last snapshot time by default."""
     if center is None:
-        center = grid.center()
+        center = record.config.grid.center()
     if t0 is None:
-        t0 = float(times[-1])
+        t0 = float(record.times()[-1])
     return tuple(center), float(t0)
 
 
@@ -294,15 +294,18 @@ def _cylinder_rules(grid: Grid, times: np.ndarray, cyl: CylinderSpec
 
 
 def _window_over(grid: Grid, times: np.ndarray, cyl: CylinderSpec) -> _Window:
-    """A cylinder on a grid and sorted snapshot times that meets _cylinder_rules."""
+    """A cylinder on a grid and sorted times that meets _cylinder_rules; its ball holds a node."""
     weights, inside = _cylinder_rules(grid, times, cyl)
     mask = ball_mask(grid, cyl.center, cyl.R)
+    if not mask.any():
+        raise ValueError(f"the cylinder ball of radius R = {cyl.R} about {cyl.center} "
+                         f"holds no grid node")
     key, box, box_grid, box_mask = _box(grid, mask)
     return _Window(cyl, grid, times, mask, weights, inside, box, box_grid, box_mask, key)
 
 
 def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
-    """A cylinder on a completed record that meets _cylinder_rules."""
+    """A cylinder on a completed record that meets _cylinder_rules; its ball holds a node."""
     if record.status.kind is not StatusKind.COMPLETED:
         raise ValueError(f"cylinder checks need a completed run, "
                          f"got status {record.status.kind.value}")
@@ -369,7 +372,7 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     then records that constant and satisfied is True by construction); with
     c given, the inequality is tested as stated.
     """
-    center, t0 = _default_center_t0(record.config.grid, record.times(), center, t0)
+    center, t0 = _default_center_t0(record, center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)  # first: it refuses rho outside (0, R)
     win = _window(record, CylinderSpec(center, t0, R, time_exponent))
     _require_s_admissible(s, params)
@@ -444,7 +447,7 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     grid = record.config.grid
     if grid.n < 3:
         raise ValueError("the sandwich exponent 2n/(n-2) needs n >= 3")
-    center, t0 = _default_center_t0(grid, record.times(), center, t0)
+    center, t0 = _default_center_t0(record, center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
     win = _window(record, CylinderSpec(center, t0, R, time_exponent))
     return _sandwich(win, _record_stack(record, win), cut, s, p)
@@ -505,7 +508,7 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     grid = record.config.grid
     radii = _chain_rules(grid, R0, levels)
     M = _estimate_rules(params, R0).M
-    center, t0 = _default_center_t0(grid, record.times(), center, t0)
+    center, t0 = _default_center_t0(record, center, t0)
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
     return _chain(windows, _record_stack(record, windows[0]), params, M)
 
@@ -618,7 +621,7 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
     exponents = _bound_exponents(params, R0)
 
     def pair(record: RunRecord) -> tuple[float, float]:
-        c, t_top = _default_center_t0(record.config.grid, record.times(), center, t0)
+        c, t_top = _default_center_t0(record, center, t0)
         outer, inner = (_window(record, CylinderSpec(c, t_top, r, time_exponent))
                         for r in (R0, R0 / 2.0))
         return _bound_pair(outer, inner, _record_stack(record, outer), exponents)

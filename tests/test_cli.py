@@ -294,7 +294,7 @@ def test_outside_the_structural_model_exits_1_in_every_mode(tmp_path, monkeypatc
 
 def test_verify_reads_the_campaign_before_its_verdict(tmp_path, capsys, monkeypatch):
     # s0 = 0 breaks the budget, and the cylinder top lies past t_end
-    monkeypatch.setattr(gradbound.solver, "run", _no_solve)
+    monkeypatch.setattr(gradbound.solver, "initial_field", _no_solve)  # every march's first call
     cfg = _campaign_cfg(problem={"p": 2.0, "w": 1.3, "s0": 0.0}, cylinder={"R0": 0.24, "t0": 1.0})
     code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, cfg)])
     assert code == EXIT_INPUT and report is None
@@ -383,6 +383,9 @@ def _campaign_cfg(**extra):
     # Q_{R0} holds 5 snapshots, the bound fit's Q_{R0/2} one
     (lambda c: c["cylinder"].update(time_exponent=4.0),
      "only 1 snapshots inside the cylinder window"),
+    # Q_{R0}'s ball holds the node at the grid's centre, the bound fit's Q_{R0/2} none
+    (lambda c: c.update(cylinder={"R0": 0.04, "center": [0.53, 0.5, 0.5], "time_exponent": 1.0}),
+     "ball of radius R = 0.02 about (0.53, 0.5, 0.5) holds no grid node"),
     (lambda c: c.update(energy_s=[-5.0]), "s = -5.0 violates the energy-inequality range"),
     # the Moser chain's rules: R0 = 0.24 holds 4 nodes per axis at 16 cells,
     # and a ladder 2000 levels deep overflows beta^levels
@@ -390,7 +393,7 @@ def _campaign_cfg(**extra):
     (lambda c: c.update(levels=2000, grid={"extent": 1.0, "cells": 32}), "overflows"),
 ])
 def test_verify_campaign_input_errors(tmp_path, capsys, monkeypatch, mutate, needle):
-    monkeypatch.setattr(gradbound.solver, "run", _no_solve)
+    monkeypatch.setattr(gradbound.solver, "initial_field", _no_solve)  # every march's first call
     cfg_obj = _campaign_cfg()
     mutate(cfg_obj)
     cfg = _write(tmp_path, cfg_obj)

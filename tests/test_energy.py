@@ -101,6 +101,13 @@ def test_psi_preconditions(heat_run_32, heat_params):
     # a 2-D center on a 3-D grid is refused, not broadcast against the nodes
     with pytest.raises(ValueError, match="2 coordinates, the grid has n = 3"):
         psi(heat_run_32, CylinderSpec((0.5, 0.5), 0.1, 0.3), 2.0)
+    # a ball that holds no grid node is refused, not summed to 0.0
+    gap = (0.515, 0.5, 0.5)  # 0.015 from the nearest node
+    with pytest.raises(ValueError, match=r"R = 0.01 about \(0.515, 0.5, 0.5\) holds no grid node"):
+        psi(heat_run_32, CylinderSpec(gap, 0.05, 0.01, 1.0), 2.0)
+    with pytest.raises(ValueError, match="holds no grid node"):
+        energy_inequality_check(heat_run_32, 0.0, 0.005, 0.01, heat_params, center=gap,
+                                time_exponent=1.0)
     # every check shares psi's window: same refusal past the last snapshot
     with pytest.raises(ValueError, match="does not span the cylinder time window"):
         energy_inequality_check(heat_run_32, 0.0, 0.15, 0.3, heat_params, t0=0.5)

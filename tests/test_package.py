@@ -33,6 +33,33 @@ SURFACE = {
 }
 
 
+# every module's __all__, whole: a name made public or private shows here
+PUBLIC = {
+    "mesh": ["Boundary", "CutoffFn", "CylinderSpec", "Field", "Grid", "ball_mask", "divergence",
+             "grad_magnitude", "gradient", "gradient_of", "load_field", "save_field",
+             "spatial_integral", "time_integral"],
+    "flux": SURFACE["flux"],
+    "regimes": SURFACE["regimes"],
+    "energy": SURFACE["energy"],
+    "solver": SURFACE["solver"],
+    "verify": SURFACE["verify"],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(PUBLIC))
+def test_each_module_all_is_pinned(module_name):
+    listed = importlib.import_module(f"gradbound.{module_name}").__all__
+    assert len(listed) == len(set(listed)), listed
+    assert sorted(listed) == PUBLIC[module_name]
+
+
+def test_the_all_total_is_58():
+    assert {name: len(names) for name, names in PUBLIC.items()} == {
+        "mesh": 14, "flux": 7, "regimes": 12, "energy": 9, "solver": 10, "verify": 6}
+    modules = sorted((IMPORT_ROOT / "gradbound").glob("*.py"))
+    assert [path.stem for path in modules if "__all__" in path.read_text()] == sorted(PUBLIC)
+
+
 @pytest.mark.parametrize("module_name", sorted(SURFACE))
 def test_names_resolve_to_their_home_objects(module_name):
     home = importlib.import_module(f"gradbound.{module_name}")

@@ -1,17 +1,20 @@
 """`gradbound verify` checks each run as its march stores the snapshots.
 
-A campaign worker (cli._campaign_run) builds the cylinder windows on the
-planned snapshot times, keeps each stored snapshot's time and, where the
-R0 window reads it, its |grad u| on the R0 box, and runs the cores of the
-public record checks on that stack.  Its rows are the public checks' rows on
-run(config), bit for bit, a run that stops gives the same stop code and
-message, its memory does not grow with snapshot_count by the run's record,
-and it never builds a RunRecord through solver.run.
+verify builds the cylinder windows once, on the planned snapshot times that
+every run of the campaign shares, and hands them to each campaign worker
+(cli._campaign_run).  A worker only marches and checks: it keeps each
+stored snapshot's time and, where the R0 window reads it, its |grad u| on
+the R0 box, and runs the cores of the public record checks on that stack.
+Its rows are the public checks' rows on run(config), bit for bit, a run
+that stops raises the same stop code and message, its memory does not grow
+with snapshot_count by the run's record, and it neither builds a RunRecord
+through solver.run nor a window of its own.
 """
 
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,33 +22,45 @@ from pathlib import Path
 import pytest
 
 import gradbound
-from gradbound import solver
-from gradbound.cli import EXIT_BLOWUP, EXIT_OK, _campaign_run, _regime, main
-from gradbound.energy import (_bound_exponents, energy_inequality_check, holder_sandwich_check,
+from gradbound import energy, solver
+from gradbound.cli import EXIT_BLOWUP, EXIT_OK, _campaign_run, _regime, _StatusExit, main
+from gradbound.energy import (_bound_exponents, _chain_rules, _estimate_rules, _window_over,
+                              energy_inequality_check, holder_sandwich_check,
                               moser_chain_check, verify_bound)
 from gradbound.flux import FluxKind, FluxSpec, RhsKind, RhsSpec
-from gradbound.mesh import Boundary, Grid
-from gradbound.solver import RandomSmooth, SolveConfig, run
+from gradbound.mesh import Boundary, CutoffFn, CylinderSpec, Grid
+from gradbound.solver import RandomSmooth, SolveConfig, _planned_times, run
 
 SRC = Path(gradbound.__file__).resolve().parents[1]
 CAMPAIGN = SRC.parent / "configs" / "verify_campaign.json"
 R0 = 0.45
 
 
-def _job(p: float, boundary: Boundary, levels, **extra) -> tuple:
-    """(seed, amplitude, config, levels) of one 16^3 run whose R0 = 0.45 resolves the chain."""
-    config = SolveConfig(Grid(3, 1.0, 16, boundary), FluxSpec(FluxKind.PURE_P_LAPLACE, p),
-                         RhsSpec(RhsKind.POWER_ALIGNED, w=1.3, c1=1.0),
-                         RandomSmooth(seed=0, amplitude=2.0), N=1, t_end=0.21,
-                         snapshot_count=64)
-    return 0, 2.0, dataclasses.replace(config, **extra), levels
+def _config(p: float, boundary: Boundary) -> SolveConfig:
+    """One 16^3 run whose R0 = 0.45 resolves the chain."""
+    return SolveConfig(Grid(3, 1.0, 16, boundary), FluxSpec(FluxKind.PURE_P_LAPLACE, p),
+                       RhsSpec(RhsKind.POWER_ALIGNED, w=1.3, c1=1.0),
+                       RandomSmooth(seed=0, amplitude=2.0), N=1, t_end=0.21,
+                       snapshot_count=64)
 
 
-def _record_rows(job, params, energy_s, where) -> dict:
+def _windows(config, params, R0, levels, center, t0, time_exponent) -> dict:
+    """The worker's windows, cutoff and chain, built as cmd_verify builds them."""
+    grid, planned = config.grid, _planned_times(config)
+    cyl = CylinderSpec(grid.center() if center is None else center,
+                       float(planned[-1]) if t0 is None else t0, R0, time_exponent)
+    radii = [] if levels is None else _chain_rules(grid, R0, levels)
+    outer, inner, *chain = (_window_over(grid, planned, dataclasses.replace(cyl, R=r))
+                            for r in (R0, R0 / 2.0, *radii))
+    return {"outer": outer, "inner": inner,
+            "cut": CutoffFn(cyl.center, R0 / 2.0, R0, cyl.t0, cyl.time_exponent),
+            "chain": None if levels is None else (chain, _estimate_rules(params, R0).M)}
+
+
+def _record_rows(config, levels, params, energy_s, where) -> dict:
     """The worker's result from the public checks on run(config), as verify used to build it."""
-    seed, amplitude, config, levels = job
     record = run(config)
-    tag = {"seed": seed, "amplitude": amplitude}
+    tag = {"seed": 0, "amplitude": 2.0}
     chain = None if levels is None else moser_chain_check(record, params, R0, levels, **where)
     return {"run": tag | {"status": record.status.kind.value,
                           "steps": int(record.dt_history.size)},
@@ -74,10 +89,11 @@ def test_streamed_checks_are_the_record_checks(case):
     assert not violations
     where = {"center": center, "t0": t0,
              "time_exponent": p if exponent == "p" else exponent}
-    job = _job(p, boundary, levels)
-    streamed = _campaign_run(job, params, R0, list(energy_s), _bound_exponents(params, R0),
-                             where)
-    assert repr(streamed) == repr(_record_rows(job, params, energy_s, where))
+    config = _config(p, boundary)
+    streamed = _campaign_run((0, 2.0, config, True), params, list(energy_s),
+                             _bound_exponents(params, R0),
+                             **_windows(config, params, R0, levels, **where))
+    assert repr(streamed) == repr(_record_rows(config, levels, params, energy_s, where))
 
 
 def test_a_stopped_run_stops_as_the_record_does():
@@ -89,29 +105,71 @@ def test_a_stopped_run_stops_as_the_record_does():
     status = run(config).status
     assert status.kind is gradbound.StatusKind.BLOWUP
     _, params, _ = _regime({"p": 2.0, "w": 1.3, "N": 3})
-    where = {"center": None, "t0": None, "time_exponent": 2.0}
-    result = _campaign_run((0, 40.0, config, 3), params, 0.2, [params.s0],
-                           _bound_exponents(params, 0.2), where)
-    assert result == {"stopped": (EXIT_BLOWUP, f"run (seed=0, amplitude=40.0) ended in "
-                                                f"blowup at t = {status.time}")}
+    # no chain: the 12-cell grid resolves too few nodes across R0 = 0.2 for one
+    windows = _windows(config, params, 0.2, None, None, None, 2.0)
+    with pytest.raises(_StatusExit) as stop:
+        _campaign_run((0, 40.0, config, True), params, [params.s0],
+                      _bound_exponents(params, 0.2), **windows)
+    assert (stop.value.code, str(stop.value)) == (
+        EXIT_BLOWUP, f"run (seed=0, amplitude=40.0) ended in blowup at t = {status.time}")
+
+
+def test_a_status_exit_pickles_with_its_code_and_message():
+    """A pool worker's stopped run comes back to the parent through pickle."""
+    stop = pickle.loads(pickle.dumps(_StatusExit(EXIT_BLOWUP, "run ended in blowup")))
+    assert type(stop) is _StatusExit
+    assert (stop.code, str(stop)) == (EXIT_BLOWUP, "run ended in blowup")
+
+
+# a one-run campaign, which runs inline, with the chain
+_ONE_RUN = {"problem": {"p": 2.0, "w": 1.3}, "grid": {"extent": 1.0, "cells": 16},
+            "rhs": {"kind": "power_aligned", "c1": 1.0},
+            "campaign": {"seeds": [0], "amplitudes": [2.0]}, "cylinder": {"R0": R0},
+            "t_end": 0.21, "snapshot_count": 64, "levels": 3}
+
+
+def _verify_one_run(tmp_path, capsys, monkeypatch) -> dict:
+    monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_ONE_RUN))
+    assert main(["verify", "--config", str(path)]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
 
 
 def test_a_campaign_never_builds_a_run_record(tmp_path, capsys, monkeypatch):
-    """A one-run campaign, which runs inline, with solver.run patched to raise."""
     def refused(config):
         raise AssertionError("the campaign called solver.run")
 
     monkeypatch.setattr(solver, "run", refused)
-    monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
-    cfg = {"problem": {"p": 2.0, "w": 1.3}, "grid": {"extent": 1.0, "cells": 16},
-           "rhs": {"kind": "power_aligned", "c1": 1.0},
-           "campaign": {"seeds": [0], "amplitudes": [2.0]}, "cylinder": {"R0": R0},
-           "t_end": 0.21, "snapshot_count": 64, "levels": 3}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["verify", "--config", str(path)]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
+    report = _verify_one_run(tmp_path, capsys, monkeypatch)
     assert [row["status"] for row in report["runs"]] == ["completed"]
+
+
+def test_the_worker_builds_no_window(tmp_path, capsys, monkeypatch):
+    """Once a march starts, building a window or applying the cylinder rules raises."""
+    expected = _verify_one_run(tmp_path, capsys, monkeypatch)
+    marching = []
+    march = solver._march
+
+    def marked(config, store):
+        marching.append(config)
+        return march(config, store)
+
+    def refused(name):
+        real = getattr(energy, name)
+
+        def guard(*args):
+            if marching:
+                raise AssertionError(f"{name} was called after the march started")
+            return real(*args)
+        return guard
+
+    monkeypatch.setattr(solver, "_march", marked)
+    for name in ("_window_over", "_cylinder_rules"):
+        monkeypatch.setattr(energy, name, refused(name))
+    assert _verify_one_run(tmp_path, capsys, monkeypatch) == expected
+    assert len(marching) == 1
+    assert expected["chain"] is not None and expected["passed"]
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="peak RSS is read with os.wait4")
