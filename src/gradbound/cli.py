@@ -487,10 +487,11 @@ def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
     snapshot times every run shares: outer is Q_{R0}, whose box holds every
     other window's ball, inner the bound fit's Q_{R0/2}, cut the cutoff of
     Q_{R0/2} in Q_{R0}, and chain the chain's windows and M (None without
-    levels).  The store keeps each snapshot's time and, where outer reads
-    it, |grad u| on outer's box, never the run's snapshots.  The checks are
-    the record checks' cores on the same windows, so the rows are theirs bit
-    for bit.  A run that does not complete raises _StatusExit.
+    levels).  The store keeps each snapshot's time and, through outer.fill,
+    |grad u| on outer's box where outer reads it, never the run's
+    snapshots.  The checks are the record checks' cores on the same
+    windows, so the rows are theirs bit for bit.  A run that does not
+    complete raises _StatusExit.
     """
     from .energy import _bound_pair, _chain, _energy, _sandwich
     from .solver import StatusKind, _march
@@ -500,8 +501,7 @@ def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
     stack: list = [None] * outer.times.size
 
     def store(snapshot) -> None:
-        if outer.weights[len(times)]:
-            stack[len(times)] = outer.magnitude(snapshot.values)
+        outer.fill(stack, len(times), snapshot.values)
         times.append(snapshot.time)
 
     _, dt_history, status = _march(config, store)
@@ -520,27 +520,25 @@ def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
             "pair": _bound_pair(outer, inner, stack, exponents)}
 
 
-@contextlib.contextmanager
-def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
+def _ordered_map(fn: Callable, jobs: list) -> list:
     """fn over jobs, results in job order, on min(len(jobs), cores) forked workers.
 
-    With one worker fn runs inline through map and no pool is made; so it
-    does where the platform has no affinity mask (os.sched_getaffinity is
-    Linux's).  Each pool worker marches its runs on its share of the cores,
+    With one worker fn runs inline and no pool is made; so it does where
+    the platform has no affinity mask (os.sched_getaffinity is Linux's).
+    Each pool worker marches its runs on its share of the cores,
     cores // workers: one process each when the pool holds every core.
-    Leaving the block terminates and joins the workers, also when the
-    caller stops at a result before the last.
+    The first job to raise, in job order, raises here, and leaving the pool
+    terminates and joins its workers, so none outlives the call.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cores)
     if workers == 1:
-        yield map(fn, jobs)
-        return
+        return [fn(job) for job in jobs]
     import multiprocessing  # here: the verbs that never fork do not pay for it
 
     with multiprocessing.get_context("fork").Pool(workers, _share_cores,
                                                   (cores // workers,)) as pool:
-        yield pool.imap(fn, jobs)
+        return list(pool.imap(fn, jobs))
 
 
 def _share_cores(count: int) -> None:
@@ -551,8 +549,8 @@ def _share_cores(count: int) -> None:
 
 
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:
-    from .energy import (_bound_exponents, _bound_fit, _bound_ratio, _chain_rules,
-                         _estimate_rules, _radius_rule, _require_s_admissible, _window_over)
+    from .energy import (_bound_fit, _bound_ratio, _chain_rules, _estimate, _radius_rule,
+                         _require_s_admissible, _window_over)
     from .flux import FluxKind
     from .mesh import CutoffFn, CylinderSpec
     from .solver import RandomSmooth, SolveConfig, _planned_times
@@ -640,14 +638,13 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
         return EXIT_NOT_COVERED
 
     # the verdict holds the estimate's regime check, and the radius rule has run
-    exponents = _bound_exponents(params, R0)
-    chain = (chain_windows, _estimate_rules(params, R0).M) if levels is not None else None
+    M, exponents = _estimate(params, R0)
+    chain = (chain_windows, M) if levels is not None else None
     worker = functools.partial(_campaign_run, params=params, energy_s=energy_s,
                                exponents=exponents, outer=outer, inner=inner,
                                cut=CutoffFn(cyl.center, R0 / 2.0, R0, cyl.t0, cyl.time_exponent),
                                chain=chain)
-    with _ordered_map(worker, jobs) as results:
-        done = list(results)
+    done = _ordered_map(worker, jobs)
     run_rows = [result["run"] for result in done]
     sandwich_rows = [result["sandwich"] for result in done]
     energy_rows = [row for result in done for row in result["energy"]]

@@ -12,12 +12,12 @@ campaign once, on the planned snapshot times its runs share, before any
 march.  _window_over builds a window on a grid and snapshot times, and
 _window on a completed record; each refuses a ball that holds no node.
 Every other rule has one home that needs no record either:
-_estimate_rules (admissible params, _radius_rule's 0 < R0 < 1), _chain_rules
-(levels >= 2, >= 8 nodes per axis across R0, beta^levels a double),
-_require_s_admissible (the energy inequality's s-range) and mesh.CutoffFn
-(0 < rho < R).  verify applies the first three before its regime verdict,
-but for the admissibility, which the verdict holds; its rho = R0/2 always
-meets the last.
+_estimate (admissible params, _radius_rule's 0 < R0 < 1; it returns the
+estimate's M and exponents), _chain_rules (levels >= 2, >= 8 nodes per
+axis across R0, beta^levels a double), _require_s_admissible (the energy
+inequality's s-range) and mesh.CutoffFn (0 < rho < R).  verify applies the
+first three before its regime verdict, but for the admissibility, which
+the verdict holds; its rho = R0/2 always meets the last.
 
 The window also fixes the cylinder's spatial box (_box): the ball's index
 range per axis widened by a 2-node halo.  A sweep sums the squared per-axis
@@ -31,11 +31,12 @@ sweep reads only the snapshots with a nonzero weight.
 Every functional reads only (snapshot time, |grad u| on the box), so a
 check has two sources and one sweep.  _Window.sweep, the module's one
 loop over snapshots, reads a stack: one read-only |grad u| on the box per
-snapshot, filled at least over the support.  Each public check takes a
-record and runs a private core (_energy, _sandwich, _chain, _bound_pair)
-on windows and a stack; verify's campaign worker (cli._campaign_run)
-takes verify's windows and runs the same cores on the stack it fills as
-the march stores each snapshot, so it never holds the run's snapshots.
+snapshot, filled at least over the support by _Window.fill, the one code
+that writes a slot.  Each public check takes a record and runs a private
+core (_energy, _sandwich, _chain, _bound_pair) on windows and a stack;
+verify's campaign worker (cli._campaign_run) takes verify's windows and
+runs the same cores on the stack it fills as the march stores each
+snapshot, so it never holds the run's snapshots.
 Every check verify ships shares the R0 box: the chain's and the bound
 fit's inner cylinders are read from the R0 sweep.
 
@@ -90,7 +91,7 @@ from .mesh import (
     _time_weights,
     spatial_integral,
 )
-from .regimes import (ProblemParams, RegimeReport, _ladder_beta, _regime_check, _Report,
+from .regimes import (ProblemParams, _ladder_beta, _regime_check, _Report,
                       _s_floor, bound_exponent, build_ladder, compute_M_general)
 from .solver import RunRecord, StatusKind
 
@@ -110,10 +111,11 @@ DELTA_G = 1e-14  # |grad u| floor inside negative-exponent powers only
 _SANDWICH_TOL = 1e-10  # relative violation the Holder sandwich forgives to round-off
 
 
-def _estimate_rules(params: ProblemParams, R0: float) -> RegimeReport:
-    """The sup-gradient estimate's rules, one home for the bound fit and the chain.
+def _estimate(params: ProblemParams, R0: float) -> tuple[float, tuple[float, float]]:
+    """The sup-gradient estimate's M and exponents (1/kappa, s0 + M), once its rules hold.
 
-    Returns the regime report of the admissible params.
+    One home for the bound fit and the chain: the params must be admissible
+    and R0 must meet _radius_rule.
     """
     report = _regime_check(params)
     if not report.covered:
@@ -122,7 +124,8 @@ def _estimate_rules(params: ProblemParams, R0: float) -> RegimeReport:
             + ", ".join(report.violated_conditions)
         )
     _radius_rule(R0)
-    return report
+    M = report.M
+    return M, (bound_exponent(params.s0, params.p, M, params.n), params.s0 + M)
 
 
 def _radius_rule(R0: float) -> None:
@@ -173,10 +176,10 @@ class _Window:
 
     weights and inside come from _cylinder_rules, and mask is the closed
     ball on the full grid.  box, box_grid, box_mask and key come from _box:
-    magnitude differentiates a snapshot's values[box] on box_grid, and
+    fill differentiates a snapshot's values[box] on box_grid, and
     mag[box_mask] lists the ball's nodes in the same row-major order as mask
     does on the grid.  A sweep reads a stack, one |grad u| on the box per
-    snapshot, which holds at least the support: a record's
+    snapshot, which fill holds at least over the support: a record's
     (_record_stack, keyed by key in record._magnitudes, which every window
     on the same box of the same record shares), or the one a campaign
     worker fills as the march stores each snapshot.
@@ -203,14 +206,16 @@ class _Window:
         k = self.support
         return float(np.sum(self.weights[k] * series[k]))
 
-    def magnitude(self, values: np.ndarray) -> np.ndarray:
-        """|grad u| of one snapshot's values on the box, read-only.
+    def fill(self, stack: list, k: int, values: np.ndarray) -> None:
+        """Set stack[k] to |grad u| of snapshot k's values on the box, read-only.
 
+        Only where the time rule reads snapshot k and the slot is empty.
         Exact at the ball's nodes and one node beyond.
         """
-        mag = _grad_magnitude_of(self.box_grid, values[self.box])
-        mag.flags.writeable = False
-        return mag
+        if self.weights[k] and stack[k] is None:
+            mag = _grad_magnitude_of(self.box_grid, values[self.box])
+            mag.flags.writeable = False
+            stack[k] = mag
 
     def sweep(self, stack: Sequence[np.ndarray | None],
               fn: Callable[[float, np.ndarray], Sequence[float]]) -> np.ndarray:
@@ -319,9 +324,8 @@ def _record_stack(record: RunRecord, win: _Window) -> list:
     it, then served read-only from the stack; the other slots stay None.
     """
     stack = record._magnitudes.setdefault(win.key, [None] * len(record.snapshots))
-    for k in win.support:
-        if stack[k] is None:
-            stack[k] = win.magnitude(record.snapshots[k].values)
+    for k, snapshot in enumerate(record.snapshots):
+        win.fill(stack, k, snapshot.values)
     return stack
 
 
@@ -507,7 +511,7 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     """
     grid = record.config.grid
     radii = _chain_rules(grid, R0, levels)
-    M = _estimate_rules(params, R0).M
+    M, _ = _estimate(params, R0)
     center, t0 = _default_center_t0(record, center, t0)
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
     return _chain(windows, _record_stack(record, windows[0]), params, M)
@@ -564,12 +568,6 @@ class BoundReport(_Report):
     per_run: tuple[tuple[float, float], ...]
 
 
-def _bound_exponents(params: ProblemParams, R0: float) -> tuple[float, float]:
-    """(1/kappa, s0 + M) of the sup-gradient estimate, once its inputs are admissible."""
-    report = _estimate_rules(params, R0)
-    return bound_exponent(params.s0, params.p, report.M, params.n), params.s0 + report.M
-
-
 def _bound_pair(outer: _Window, inner: _Window, stack: Sequence,
                 exponents: tuple[float, float]) -> tuple[float, float]:
     """One run's (max of |grad u| over Q_{R0/2}, psi over Q_{R0} to the bound exponent).
@@ -618,7 +616,7 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
     regime arithmetic (single source of truth).  Campaigns stream: any
     iterable of completed runs works, one record in memory at a time.
     """
-    exponents = _bound_exponents(params, R0)
+    _, exponents = _estimate(params, R0)
 
     def pair(record: RunRecord) -> tuple[float, float]:
         c, t_top = _default_center_t0(record, center, t0)

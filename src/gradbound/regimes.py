@@ -271,18 +271,11 @@ def check_thm2(params: ProblemParams) -> RegimeReport:
     """
     M = compute_M_general(params.p, params.q, params.w)
     k = kappa(params.s0, params.p, M, params.n)
-    violated = []
-    if not params.s0 >= 0.0:
-        violated.append("s0_nonneg")
-    if not k > 0.0:
-        violated.append("kappa_positive")
-    if not params.s0 > _s_floor(params):
-        violated.append("s0_vs_c2")
-    if not params.n >= 3:
-        violated.append("dimension")
-    if violated:
-        return RegimeReport(Theorem.NOT_COVERED, M, params.s0, k, tuple(violated))
-    return RegimeReport(Theorem.THM2, M, params.s0, k)
+    rules = {"s0_nonneg": params.s0 >= 0.0,
+             "kappa_positive": k > 0.0,
+             "s0_vs_c2": params.s0 > _s_floor(params),
+             "dimension": params.n >= 3}
+    return _verdict(Theorem.THM2, params, M, k, rules)
 
 
 def check_thm3(params: ProblemParams) -> RegimeReport:
@@ -295,17 +288,18 @@ def check_thm3(params: ProblemParams) -> RegimeReport:
         raise ValueError(f"pure-window check needs q = p, got q={params.q}, p={params.p}")
     M = compute_M_general(params.p, params.p, params.w)
     k = kappa(params.s0, params.p, M, params.n)
-    violated = []
     s0_floor = max(-params.lam / params.Lam, params.p - 2.0 * params.w - 2.0)
-    if not params.s0 > s0_floor:
-        violated.append("s0_lower_bound")
-    if not k > 0.0:
-        violated.append("kappa_positive")
-    if not params.n >= 3:
-        violated.append("dimension")
-    if violated:
-        return RegimeReport(Theorem.NOT_COVERED, M, params.s0, k, tuple(violated))
-    return RegimeReport(Theorem.THM3, M, params.s0, k)
+    rules = {"s0_lower_bound": params.s0 > s0_floor,
+             "kappa_positive": k > 0.0,
+             "dimension": params.n >= 3}
+    return _verdict(Theorem.THM3, params, M, k, rules)
+
+
+def _verdict(theorem: Theorem, params: ProblemParams, M: float, k: float,
+             rules: dict[str, bool]) -> RegimeReport:
+    """theorem's report if every rule holds, else not covered, naming each failed rule in order."""
+    violated = tuple(name for name, holds in rules.items() if not holds)
+    return RegimeReport(Theorem.NOT_COVERED if violated else theorem, M, params.s0, k, violated)
 
 
 def _regime_check(params: ProblemParams) -> RegimeReport:

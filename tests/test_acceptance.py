@@ -74,8 +74,7 @@ def _campaign_configs(p: float, w: float, cells: int, seeds, amplitudes) -> list
 
 def _solved(configs: list) -> list:
     """The runs of configs in their order, solved on every core."""
-    with _ordered_map(run, configs) as results:
-        records = list(results)
+    records = _ordered_map(run, configs)
     for cfg, record in zip(configs, records):
         assert record.completed, (f"campaign run (p={cfg.flux.p}, cells={cfg.grid.cells[0]}, "
                                   f"seed={cfg.initial.seed}, amp={cfg.initial.amplitude}) "

@@ -337,7 +337,7 @@ def test_one_verdict_for_check_verify_and_the_estimate(tmp_path, capsys, problem
     else:
         # covered: a problem-only config lacks its campaign, and the estimate runs
         assert verify == EXIT_INPUT and "'campaign'" in err and "not covered" not in err
-        gradbound.energy._bound_exponents(params, 0.24)
+        gradbound.energy._estimate(params, 0.24)
 
 
 def test_verify_rejects_inconsistent_c2(tmp_path, capsys):
@@ -575,6 +575,8 @@ def test_verify_pool_stops_at_first_stopped_run(tmp_path, capsys, monkeypatch,
     assert err == f"stopped: run (seed=0, amplitude={stopped}) ended in blowup at t = {status.time}\n"
     assert report is None
     assert not out.exists()
+    with pytest.raises(ChildProcessError):  # the pool left no worker, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _raise_on_amplitude(monkeypatch, name, amplitude):
@@ -616,6 +618,8 @@ def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, a
     assert "Traceback" not in err
     assert report is None
     assert not out.exists()
+    with pytest.raises(ChildProcessError):  # the pool left no worker, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_check_imports_no_process_pool(tmp_path):

@@ -274,6 +274,45 @@ def test_thm3_rejects_general_window():
         check_thm3(params)
 
 
+# --- the order of the named violations ----------------------------------------------
+
+
+def _violations(params: ProblemParams, pure: bool) -> list[str]:
+    """check_thm3's (pure) or check_thm2's docstring rules, restated, the failed ones in order."""
+    p, q, w, s0, n = params.p, params.q, params.w, params.s0, params.n
+    M = max(2.0, p, 2.0 * q - p, w + 1.0, 2.0 * w - p + 2.0)
+    k = s0 + 2.0 + n * (p - M) / 2.0
+    if pure:
+        rules = [("s0_lower_bound", s0 > max(-params.lam / params.Lam, p - 2.0 * w - 2.0)),
+                 ("kappa_positive", k > 0.0), ("dimension", n >= 3)]
+    else:
+        floor = p - 2.0 * w - 2.0 if params.c2_zero else p - 2.0
+        rules = [("s0_nonneg", s0 >= 0.0), ("kappa_positive", k > 0.0),
+                 ("s0_vs_c2", s0 > floor), ("dimension", n >= 3)]
+    return [name for name, holds in rules if not holds]
+
+
+@settings(max_examples=300, deadline=None)
+@example(n=2, p=2.0, dq=0.0, w_frac=1.0, s0=math.nan, c2_zero=False, lam=1.0, ratio=1.0)
+@example(n=2, p=2.0, dq=0.9, w_frac=1.0, s0=-1.0, c2_zero=True, lam=1.0, ratio=1.0)
+@given(n=st.sampled_from([2, 3, 4]), p=st.floats(1.1, 3.5),
+       dq=st.one_of(st.just(0.0), st.floats(1e-6, 0.999)), w_frac=st.floats(0.0, 1.0),
+       s0=st.one_of(st.floats(-3.0, 4.0), st.just(math.nan)), c2_zero=st.booleans(),
+       lam=st.floats(0.1, 2.0), ratio=st.floats(1.0, 4.0))
+def test_thm2_and_thm3_name_every_violation_in_rule_order(n, p, dq, w_frac, s0, c2_zero,
+                                                          lam, ratio):
+    params = ProblemParams(n=n, N=1, p=p, q=p + dq, w=w_frac * p, s0=s0, c2_zero=c2_zero,
+                           lam=lam, Lam=lam * ratio)
+    checks = [(check_thm2, Theorem.THM2, False)]
+    if params.q == params.p:
+        checks.append((check_thm3, Theorem.THM3, True))
+    for check, theorem, pure in checks:
+        report = check(params)
+        violated = _violations(params, pure)
+        assert list(report.violated_conditions) == violated
+        assert report.theorem_applied is (Theorem.NOT_COVERED if violated else theorem)
+
+
 # --- parameter validation ------------------------------------------------------------
 
 

@@ -280,8 +280,7 @@ def test_pool_workers_march_on_their_share_of_the_cores():
     alone = solver._processes(config)
     if os.uname().machine == solver._STORE_ORDERED:
         assert alone == min(solver._MAX_PROCESSES, cores)
-    with _ordered_map(_processes_in_worker, [config, config]) as results:
-        shares = list(results)
+    shares = _ordered_map(_processes_in_worker, [config, config])
     assert shares == ([alone] * 2 if cores == 1 else [min(alone, cores // 2)] * 2)
 
 

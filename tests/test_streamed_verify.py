@@ -24,9 +24,8 @@ import pytest
 import gradbound
 from gradbound import energy, solver
 from gradbound.cli import EXIT_BLOWUP, EXIT_OK, _campaign_run, _regime, _StatusExit, main
-from gradbound.energy import (_bound_exponents, _chain_rules, _estimate_rules, _window_over,
-                              energy_inequality_check, holder_sandwich_check,
-                              moser_chain_check, verify_bound)
+from gradbound.energy import (_chain_rules, _estimate, _window_over, energy_inequality_check,
+                              holder_sandwich_check, moser_chain_check, verify_bound)
 from gradbound.flux import FluxKind, FluxSpec, RhsKind, RhsSpec
 from gradbound.mesh import Boundary, CutoffFn, CylinderSpec, Grid
 from gradbound.solver import RandomSmooth, SolveConfig, _planned_times, run
@@ -54,7 +53,7 @@ def _windows(config, params, R0, levels, center, t0, time_exponent) -> dict:
                             for r in (R0, R0 / 2.0, *radii))
     return {"outer": outer, "inner": inner,
             "cut": CutoffFn(cyl.center, R0 / 2.0, R0, cyl.t0, cyl.time_exponent),
-            "chain": None if levels is None else (chain, _estimate_rules(params, R0).M)}
+            "chain": None if levels is None else (chain, _estimate(params, R0)[0])}
 
 
 def _record_rows(config, levels, params, energy_s, where) -> dict:
@@ -91,7 +90,7 @@ def test_streamed_checks_are_the_record_checks(case):
              "time_exponent": p if exponent == "p" else exponent}
     config = _config(p, boundary)
     streamed = _campaign_run((0, 2.0, config, True), params, list(energy_s),
-                             _bound_exponents(params, R0),
+                             _estimate(params, R0)[1],
                              **_windows(config, params, R0, levels, **where))
     assert repr(streamed) == repr(_record_rows(config, levels, params, energy_s, where))
 
@@ -109,7 +108,7 @@ def test_a_stopped_run_stops_as_the_record_does():
     windows = _windows(config, params, 0.2, None, None, None, 2.0)
     with pytest.raises(_StatusExit) as stop:
         _campaign_run((0, 40.0, config, True), params, [params.s0],
-                      _bound_exponents(params, 0.2), **windows)
+                      _estimate(params, 0.2)[1], **windows)
     assert (stop.value.code, str(stop.value)) == (
         EXIT_BLOWUP, f"run (seed=0, amplitude=40.0) ended in blowup at t = {status.time}")
 
@@ -128,10 +127,10 @@ _ONE_RUN = {"problem": {"p": 2.0, "w": 1.3}, "grid": {"extent": 1.0, "cells": 16
             "t_end": 0.21, "snapshot_count": 64, "levels": 3}
 
 
-def _verify_one_run(tmp_path, capsys, monkeypatch) -> dict:
+def _verify_one_run(tmp_path, capsys, monkeypatch, cfg=_ONE_RUN) -> dict:
     monkeypatch.delenv("GRADBOUND_OUTPUT_DIR", raising=False)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_ONE_RUN))
+    path.write_text(json.dumps(cfg))
     assert main(["verify", "--config", str(path)]) == EXIT_OK
     return json.loads(capsys.readouterr().out)
 
@@ -170,6 +169,33 @@ def test_the_worker_builds_no_window(tmp_path, capsys, monkeypatch):
     assert _verify_one_run(tmp_path, capsys, monkeypatch) == expected
     assert len(marching) == 1
     assert expected["chain"] is not None and expected["passed"]
+
+
+def test_the_worker_differentiates_each_read_snapshot_once(tmp_path, capsys, monkeypatch):
+    """One run of the shipped campaign: the R0 window reads 77 of the 80 snapshots, the
+    worker differentiates exactly those, once each, and every other slot stays None."""
+    differentiated, filled = [], []
+    magnitude, fill = energy._grad_magnitude_of, energy._Window.fill
+
+    def counted(grid, values):
+        differentiated.append(values.shape[:-1])
+        return magnitude(grid, values)
+
+    def noted(win, stack, k, values):
+        filled.append((win, stack, k))
+        return fill(win, stack, k, values)
+
+    monkeypatch.setattr(energy, "_grad_magnitude_of", counted)
+    monkeypatch.setattr(energy._Window, "fill", noted)
+    cfg = json.loads(CAMPAIGN.read_text()) | {"campaign": {"seeds": [0], "amplitudes": [1.0]}}
+    assert _verify_one_run(tmp_path, capsys, monkeypatch, cfg)["passed"]
+    outer, stack, _ = filled[0]
+    assert all(win is outer and s is stack for win, s, _ in filled)
+    assert [k for _, _, k in filled] == list(range(len(stack))) == list(range(80))
+    assert len(differentiated) == outer.support.size == 77
+    assert set(differentiated) == {outer.box_mask.shape}  # the R0 box, never the grid
+    assert [k for k, mag in enumerate(stack) if mag is not None] == outer.support.tolist()
+    assert not any(mag.flags.writeable for mag in stack if mag is not None)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="peak RSS is read with os.wait4")
