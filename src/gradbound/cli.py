@@ -520,6 +520,9 @@ def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
             "pair": _bound_pair(outer, inner, stack, exponents)}
 
 
+_pool_fn: Callable | None = None  # in a pool worker, the fn of the _ordered_map that made it
+
+
 def _ordered_map(fn: Callable, jobs: list) -> list:
     """fn over jobs, results in job order, on min(len(jobs), cores) forked workers.
 
@@ -527,6 +530,9 @@ def _ordered_map(fn: Callable, jobs: list) -> list:
     the platform has no affinity mask (os.sched_getaffinity is Linux's).
     Each pool worker marches its runs on its share of the cores,
     cores // workers: one process each when the pool holds every core.
+    A forked worker inherits fn, and whatever it holds (a campaign's
+    windows), with the initializer's arguments, which a fork does not
+    pickle; a task carries only _pool_call and its job.
     The first job to raise, in job order, raises here, and leaving the pool
     terminates and joins its workers, so none outlives the call.
     """
@@ -536,16 +542,23 @@ def _ordered_map(fn: Callable, jobs: list) -> list:
         return [fn(job) for job in jobs]
     import multiprocessing  # here: the verbs that never fork do not pay for it
 
-    with multiprocessing.get_context("fork").Pool(workers, _share_cores,
-                                                  (cores // workers,)) as pool:
-        return list(pool.imap(fn, jobs))
+    with multiprocessing.get_context("fork").Pool(workers, _start_worker,
+                                                  (cores // workers, fn)) as pool:
+        return list(pool.imap(_pool_call, jobs))
 
 
-def _share_cores(count: int) -> None:
-    """Pool initializer: the runs of this worker march on count cores at most."""
+def _start_worker(count: int, fn: Callable) -> None:
+    """Pool initializer: this worker's runs march on count cores at most; its tasks call fn."""
+    global _pool_fn
     from . import solver
 
     solver._cores = count
+    _pool_fn = fn
+
+
+def _pool_call(job):
+    """Pool task: the fn this worker was started with, on one job."""
+    return _pool_fn(job)
 
 
 def cmd_verify(cfg: dict, outdir: Path | None) -> int:

@@ -149,19 +149,38 @@ class Field:
         return Field(self.grid, self.values.copy(), self.time)
 
 
+def _inverse_2h(h: float) -> float | None:
+    """1/(2h) where 2h is a power of two whose reciprocal is a double, else None.
+
+    Then 1/(2h) is exact, and x * (1/(2h)) and x / (2h) are one real number,
+    which IEEE 754 rounds to the same double for every x: signed zeros,
+    subnormal results, overflow to +-inf and infinities included (NaN in,
+    NaN out).  2h = 2^(e - 1) has the reciprocal 2^(1 - e), a double for
+    e >= -1022; a zero, infinite or subnormal-reciprocal 2h gives None.
+    """
+    mantissa, e = math.frexp(2.0 * h)
+    return math.ldexp(1.0, 1 - e) if mantissa == 0.5 and e >= -1022 else None
+
+
 def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
-                out: np.ndarray | None = None, planes: tuple[int, int] | None = None
-                ) -> np.ndarray:
+                out: np.ndarray | None = None, planes: tuple[int, int] | None = None,
+                scaled: bool = True) -> np.ndarray:
     """Second-order first derivative along one spatial axis of an arbitrary array.
 
     The differences are written into out (a fresh array when omitted) and
-    divided by 2h in place.  The interior central difference is one subtract
-    over the flattened arrays, shifted by the axis's element stride k:
-    flat[2k:] - flat[:-2k] into out's flat[k:-k], one long inner loop where
-    per-plane slices of the last axis run short ones.  On plane 0 and the
-    last plane of the axis that pair straddles two rows, so those two planes
-    hold wrong values (or none) until the wrap or one-sided closure below
-    rewrites exactly them.  The shift needs C-contiguous arrays: values is
+    then, if scaled, scaled by 1/(2h) in place.  Where 2h = 2^m with
+    -1023 <= m <= 1023 (_inverse_2h; every unit-extent grid of 2^k cells)
+    that is a multiply by the exact 1/(2h), which gives the divide's bits for
+    every double; any other 2h (48 cells, an extent of 3.0) divides.  With
+    scaled false they stay unscaled differences, for _divergence_of to scale
+    their sum once.
+
+    The interior central difference is one subtract over the flattened
+    arrays, shifted by the axis's element stride k: flat[2k:] - flat[:-2k]
+    into out's flat[k:-k], one long inner loop where per-plane slices of the
+    last axis run short ones.  On plane 0 and the last plane of the axis that
+    pair straddles two rows, so those two planes hold wrong values (or none)
+    until the wrap or one-sided closure below rewrites exactly them.  The shift needs C-contiguous arrays: values is
     taken through np.ascontiguousarray, and an out of another layout, whose
     flat view would be a copy, is a ValueError.  The closures see the
     arrays as (rows, axis, entries); where the rows outnumber the entries (the
@@ -204,7 +223,12 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
             far = np.multiply(v[:, -1], 3.0, order="C")
             far -= np.multiply(v[:, -2], 4.0, order="C")
             np.add(far, v[:, -3], out=o[:, -1], order="C")
-    out /= 2.0 * h
+    if scaled:
+        inverse = _inverse_2h(h)
+        if inverse is None:
+            out /= 2.0 * h
+        else:
+            out *= inverse
     return out
 
 
@@ -219,14 +243,39 @@ def gradient(field: Field) -> np.ndarray:
     return gradient_of(field.grid, field.values)
 
 
+def _divergence_of(grid: Grid, slots: Sequence[np.ndarray], out: np.ndarray | None = None,
+                   term: np.ndarray | None = None, planes: tuple[int, int] | None = None
+                   ) -> np.ndarray:
+    """The derivatives of slots[a] along axis a, summed from axis 0.
+
+    out receives the sum and term each further derivative, both fresh when
+    omitted; planes is _diff_along's, for axis 0.  Where every axis has the
+    same h, 2h is a power of two and 1/(2h) >= 1, the unscaled differences
+    d_a are summed and the sum is multiplied once by the exact 1/(2h);
+    elsewhere each difference is scaled before it is added.  Scaling up by a
+    power of two is exact and commutes with rounding, and a sum of doubles
+    that lands in the subnormal range is exact, so the scale-once sum has the
+    bits of d_0 / (2h) + ... + d_{n-1} / (2h) unless that per-axis sum
+    overflows on the way: a |d_a| past DBL_MAX * 2h, whose scaled term is
+    past DBL_MAX, or a running sum past DBL_MAX.  There the per-axis sum
+    holds +-inf or NaN and the scale-once sum may stay finite.
+    """
+    h = grid.h[0]
+    inverse = _inverse_2h(h)
+    once = inverse is not None and inverse >= 1.0 and all(g == h for g in grid.h)
+    out = _diff_along(slots[0], 0, h, grid.boundary, out=out, planes=planes, scaled=not once)
+    for a in range(1, grid.n):
+        out += _diff_along(slots[a], a, grid.h[a], grid.boundary, out=term, scaled=not once)
+    if once:
+        out *= inverse
+    return out
+
+
 def divergence(grid: Grid, flux_values: np.ndarray) -> np.ndarray:
     """Adjoint central-difference divergence of (*node_shape, N, n) samples."""
     if flux_values.shape[-1] != grid.n:
         raise ValueError("last axis of flux samples must have length n")
-    out = _diff_along(flux_values[..., 0], 0, grid.h[0], grid.boundary)
-    for a in range(1, grid.n):
-        out += _diff_along(flux_values[..., a], a, grid.h[a], grid.boundary)
-    return out
+    return _divergence_of(grid, [flux_values[..., a] for a in range(grid.n)])
 
 
 def _root_sum_squares(parts: list[np.ndarray], out: np.ndarray | None = None,

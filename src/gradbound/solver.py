@@ -164,6 +164,7 @@ from .mesh import (
     Field,
     Grid,
     _diff_along,
+    _divergence_of,
     grad_magnitude,
     node_coords,
     save_field,
@@ -436,16 +437,15 @@ def _rate(state: Field, config: SolveConfig, x: np.ndarray, stage: _Stage) -> np
     """The slab's div A(grad u) + f, from _flux's arrays; returns stage.rate.
 
     The divergence along axis 0 reads the flux planes next to the slab, so
-    every slab's _flux must have run.  On Dirichlet grids the rate's boundary
-    planes hold whatever the stencil gives there: _advance freezes the
-    planes of the increment.
+    every slab's _flux must have run.  mesh._divergence_of sums the axis
+    differences, as mesh.divergence does.  On Dirichlet grids the rate's
+    boundary planes hold whatever the stencil gives there: _advance freezes
+    the planes of the increment.
     """
     grid, (first, stop) = state.grid, stage.planes
     flux = stage.grad if stage.flux is None else stage.flux
-    rate = _diff_along(stage.axis0, 0, grid.h[0], grid.boundary, out=stage.rate,
-                       planes=stage.planes)
-    for a in range(1, grid.n):
-        rate += _diff_along(flux[..., a], a, grid.h[a], grid.boundary, out=stage.term)
+    rate = _divergence_of(grid, [stage.axis0] + [flux[..., a] for a in range(1, grid.n)],
+                          out=stage.rate, term=stage.term, planes=stage.planes)
     rate += rhs_eval(config.rhs, state.values[first:stop], stage.grad, x[first:stop],
                      state.time, mag=stage.mag, out=stage.term, scratch=stage.scratch)
     return rate

@@ -547,6 +547,34 @@ def test_verify_one_core_runs_inline(tmp_path, capsys, monkeypatch):
     assert made == []  # no pool either way
 
 
+def _stop_before_the_march(job, **windows):
+    raise ValueError("stopped before the march")
+
+
+def test_verify_pool_tasks_leave_the_windows_to_the_fork(capsys, monkeypatch):
+    # the shipped campaign's windows weighed 232 KB in each pickled task; now
+    # a task is the trampoline and one job, and the forked workers read the
+    # windows they inherit.  Each run stops at once, so no run marches.
+    from multiprocessing.reduction import ForkingPickler
+
+    sizes = []
+    dumps = ForkingPickler.dumps
+
+    def spy(obj, protocol=None):
+        data = dumps(obj, protocol)
+        if isinstance(obj, tuple) and len(obj) == 5:  # (job id, index, fn, args, kwargs)
+            sizes.append(len(data))
+        return data
+
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(ForkingPickler, "dumps", spy)
+    monkeypatch.setattr(gradbound.cli, "_campaign_run", _stop_before_the_march)
+    code, _, err = _run(capsys, ["verify", "--config", _repo_config("verify_campaign.json")])
+    assert code == EXIT_INPUT and "stopped before the march" in err
+    assert sizes and max(sizes) < 8 * 1024, sizes
+    assert gradbound.cli._pool_fn is None
+
+
 # Under the struwe coupling f = u |grad u|^2 and a threshold of 1e4, amplitude 2
 # blows up at t ~ 0.0098 and amplitude 20 within two steps; amplitude 1 completes.
 _BLOWUP = {"problem": {"p": 2.0, "w": 1.3, "N": 3}, "rhs": {"kind": "struwe_coupling"},

@@ -8,10 +8,14 @@ compute the same arithmetic in the same order without temporaries, one
 component or axis slot at a time, so they must agree exactly, and so must
 their out= results in any buffer layout.  The one exception is grad_magnitude from 8 terms on, where numpy's
 pairwise summation and the kernel's running sum group the squares differently.
+The references divide by 2h; where 2h is a power of two the kernels multiply
+by the exact 1/(2h), and the divergence may scale its summed differences
+once, which the scaling tests show gives the quotient's bits.
 
 The march itself is checked the same way: `run`, which writes every kernel
 into one stage of reused axis-major buffers and updates u in place, against
-the plain Adams-Bashforth 2 loop over fresh kernel results.
+the plain Adams-Bashforth 2 loop over fresh kernel results and the
+reference divergence.
 """
 
 import math
@@ -44,9 +48,10 @@ from gradbound import (
     rhs_eval,
     run,
 )
+from gradbound import mesh, solver
 from gradbound.energy import _box
 from gradbound.flux import DELTA_U
-from gradbound.mesh import _diff_along, _grad_magnitude_of, ball_mask, gradient_of
+from gradbound.mesh import _diff_along, _grad_magnitude_of, _inverse_2h, ball_mask, gradient_of
 from gradbound.solver import _d_max, _resolve_flux
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -54,9 +59,18 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 @st.composite
 def grids(draw):
+    """Any extents, or power-of-two spacings h = 2^-k, one for every axis or
+    one per axis: there the stencil multiplies by the exact 1/(2h), and with
+    one h and 1/(2h) >= 1 the divergence scales its summed differences once."""
     n = draw(st.sampled_from((2, 3)))
     cells = tuple(draw(st.integers(4, 7)) for _ in range(n))
-    extent = tuple(draw(st.floats(0.3, 3.0)) for _ in range(n))
+    spacing = draw(st.sampled_from(("any", "shared", "per-axis")))
+    if spacing == "any":
+        extent = tuple(draw(st.floats(0.3, 3.0)) for _ in range(n))
+    else:
+        powers = st.integers(-1, 5)
+        ks = [draw(powers)] * n if spacing == "shared" else [draw(powers) for _ in range(n)]
+        extent = tuple(c * 2.0**-k for c, k in zip(cells, ks))
     return Grid(n, extent, cells, draw(st.sampled_from(tuple(Boundary))))
 
 
@@ -95,8 +109,13 @@ def _same_bits(a, b):
     return np.shape(a) == np.shape(b) and np.array_equal(_bits(a), _bits(b))
 
 
+# uniform 2h = 1/8 on a 4^3 grid: the multiply and the scale-once paths
+EIGHTH = Grid(3, 0.25, 4)
+
+
 @SETTINGS
 @given(case=grid_and_values())
+@example(case=(EIGHTH, np.random.default_rng(0).standard_normal((4, 4, 4, 2))))
 def test_gradient_of_is_the_stacked_per_axis_difference(case):
     grid, u = case
     parts = [_reference_diff(u, a, grid.h[a], grid.boundary) for a in range(grid.n)]
@@ -158,14 +177,133 @@ def test_box_magnitude_is_the_grid_magnitude_on_the_ball(case, data):
     assert _same_bits(boxed, whole)
 
 
-@SETTINGS
-@given(case=grid_and_values(flux_axis=True))
-def test_divergence_is_the_summed_per_axis_difference(case):
-    grid, F = case
+def _reference_divergence(grid, F):
     out = _reference_diff(F[..., 0], 0, grid.h[0], grid.boundary)
     for a in range(1, grid.n):
         out = out + _reference_diff(F[..., a], a, grid.h[a], grid.boundary)
-    assert _same_bits(divergence(grid, F), out)
+    return out
+
+
+@SETTINGS
+@given(case=grid_and_values(flux_axis=True))
+@example(case=(EIGHTH, np.random.default_rng(0).standard_normal((4, 4, 4, 2, 3))))
+def test_divergence_is_the_summed_per_axis_difference(case):
+    grid, F = case
+    assert _same_bits(divergence(grid, F), _reference_divergence(grid, F))
+
+
+# --- the stencil's scale ---------------------------------------------------------
+
+DBL_MAX = float(np.finfo(np.float64).max)
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -3.0,
+            DBL_MAX, -DBL_MAX, np.nextafter(DBL_MAX, 0.0), 2.0**1020, math.inf, -math.inf,
+            math.nan)
+
+
+def _same_or_nan(a, b):
+    """Bit for bit, except that a NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(_bits(a)[~nan], _bits(b)[~nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(-12, 3),
+       x=st.lists(st.floats() | st.sampled_from(EXTREMES), min_size=1, max_size=40))
+@example(k=-12, x=list(EXTREMES))
+@example(k=3, x=list(EXTREMES))
+def test_multiplying_by_the_exact_inverse_is_dividing(k, x):
+    # 2h = 2^k: signed zeros, subnormal quotients, overflow, infinities and NaN
+    step = 2.0**k
+    inverse = _inverse_2h(step / 2.0)
+    assert inverse == 2.0**-k
+    quotient, product = np.array(x), np.array(x)
+    with np.errstate(over="ignore"):
+        quotient /= step
+        product *= inverse
+    assert _same_or_nan(product, quotient)
+
+
+def test_only_a_power_of_two_2h_with_a_double_reciprocal_multiplies():
+    assert _inverse_2h(2.0**-1024) == 2.0**1023  # 2h = 2^-1023, subnormal
+    assert _inverse_2h(2.0**1022) == 2.0**-1023  # a subnormal reciprocal is exact too
+    for h in (1.0 / 48.0, 3.0 / 32.0, 0.0, math.inf, 2.0**-1074, 2.0**-1025):
+        assert _inverse_2h(h) is None, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(-12, 0), n=st.integers(2, 3), data=st.data())
+@example(k=-4, n=3, data=None)
+def test_scaling_the_sum_once_is_scaling_each_term(k, n, data):
+    # 1/(2h) = 2^-k >= 1 and finite differences: equal wherever the per-axis
+    # sum stays finite, that is wherever no scaled term or running sum overflows
+    step, finite = 2.0**k, st.floats(allow_nan=False, allow_infinity=False)
+    if data is None:  # subnormal terms and sums, and sums just inside DBL_MAX
+        d = np.array([[5e-324, -1e-310, 1e-308, DBL_MAX * step, 0.0],
+                      [5e-324, 3e-310, -1e-308, -DBL_MAX * step / 2.0, -0.0],
+                      [-5e-324, -2e-310, 5e-324, DBL_MAX * step / 2.0, -0.0]])
+    else:
+        d = np.array(data.draw(st.lists(st.tuples(*[finite] * n), min_size=1, max_size=40))).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_axis = d[0] / step
+        once = d[0].copy()
+        for a in range(1, n):
+            per_axis += d[a] / step
+            once += d[a]
+        once *= _inverse_2h(step / 2.0)
+    kept = np.isfinite(per_axis)
+    assert _same_bits(once[kept], per_axis[kept])
+    if data is None:
+        assert kept.all()
+
+
+def test_scaling_once_can_stay_finite_where_the_per_axis_sum_overflows():
+    # the documented corner, through divergence on a uniform 2h = 1/8 grid: at
+    # node (0, 0) the axis differences are DBL_MAX / 4 and -DBL_MAX / 8, so the
+    # first scaled term is 2 DBL_MAX, past DBL_MAX, while the sum scales to
+    # DBL_MAX; node (2, 2) is its mirror image
+    grid = Grid(2, 0.25, 4)
+    F = np.zeros(grid.node_shape + (1, 2))
+    F[1, :, 0, 0], F[3, :, 0, 0] = DBL_MAX / 8.0, -DBL_MAX / 8.0
+    F[:, 1, 0, 1], F[:, 3, 0, 1] = -DBL_MAX / 16.0, DBL_MAX / 16.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_axis = _reference_divergence(grid, F)
+        once = divergence(grid, F)
+    assert (per_axis[0, 0, 0], once[0, 0, 0]) == (math.inf, DBL_MAX)
+    assert (per_axis[2, 2, 0], once[2, 2, 0]) == (-math.inf, -DBL_MAX)
+    kept = np.isfinite(per_axis)
+    assert kept.sum() == 8 and _same_bits(once[kept], per_axis[kept])
+
+
+@pytest.mark.parametrize("grid, multiplies, once", [
+    (Grid(2, 1.0, 48), False, False),
+    (Grid(2, 3.0, 32), False, False),
+    (Grid(2, 1.0, (32, 16)), True, False),
+    (Grid(2, 0.5, 8, Boundary.DIRICHLET), True, True),
+], ids=["48-cells", "extent-3", "unequal-h", "uniform-2h-eighth"])
+def test_the_scaling_path_each_grid_takes(grid, multiplies, once, monkeypatch):
+    # a 48-cell grid and an extent of 3.0 divide by 2h and scale each axis;
+    # power-of-two spacings multiply, and scale once only where h is shared
+    inverses, scaled = [], []
+    real_inverse, real_diff = mesh._inverse_2h, mesh._diff_along
+
+    def inverse_spy(h):
+        inverses.append(real_inverse(h))
+        return inverses[-1]
+
+    def diff_spy(*args, **kwargs):
+        scaled.append(kwargs.get("scaled", True))
+        return real_diff(*args, **kwargs)
+
+    monkeypatch.setattr(mesh, "_inverse_2h", inverse_spy)
+    monkeypatch.setattr(mesh, "_diff_along", diff_spy)
+    monkeypatch.setattr(solver, "_diff_along", diff_spy)
+    F = np.random.default_rng(0).standard_normal(grid.node_shape + (2, grid.n))
+    divergence(grid, F)
+    run(SolveConfig(grid=grid, flux=FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0),
+                    rhs=RhsSpec(RhsKind.ZERO), initial=RandomSmooth(seed=0), N=1, t_end=1e-5))
+    assert inverses and all((inverse is not None) is multiplies for inverse in inverses)
+    assert (False in scaled) is once
 
 
 @SETTINGS
@@ -339,7 +477,7 @@ def _reference_run(config):
         while state.time < target:
             grad = gradient(state)
             mag = grad_magnitude(grad)
-            rate = divergence(grid, flux_eval(flux, grad, mag=mag))
+            rate = _reference_divergence(grid, flux_eval(flux, grad, mag=mag))
             rate += rhs_eval(config.rhs, state.values, grad, x, state.time, mag=mag)
             if grid.boundary is Boundary.DIRICHLET:
                 for a in range(grid.n):
@@ -407,8 +545,14 @@ def test_run_matches_the_plain_march(flux_name, rhs_kind, boundary):
     f, r, b = list(MARCH_FLUXES).index(flux_name), list(RhsKind).index(rhs_kind), \
         list(Boundary).index(boundary)
     n, N, index = 2 + (r + b) % 2, 1 + (f + r) % 3, 10 * f + 2 * r + b
-    grid = Grid(n, tuple(0.8 + 0.1 * a for a in range(n)), tuple(5 + a for a in range(n)),
-                boundary)
+    # pure p = 2 marches on h = 1/8 on every axis, where the divergence scales
+    # its summed differences once, and the double power on h = (1/8, 1/16[, 1/8]),
+    # where each axis multiplies by its own exact 1/(2h); the others divide
+    cells = tuple(5 + a for a in range(n))
+    extent = {"pure_2": tuple(c / 8.0 for c in cells),
+              "double": tuple(c / (8.0 * (1 + a % 2)) for a, c in enumerate(cells))
+              }.get(flux_name, tuple(0.8 + 0.1 * a for a in range(n)))
+    grid = Grid(n, extent, cells, boundary)
     flux = MARCH_FLUXES[flux_name]
     config = SolveConfig(grid=grid, flux=flux, rhs=_march_rhs(rhs_kind, N),
                          initial=RandomSmooth(seed=index), N=N, t_end=1.0)
