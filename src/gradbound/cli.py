@@ -487,21 +487,27 @@ def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
     snapshot times every run shares: outer is Q_{R0}, whose box holds every
     other window's ball, inner the bound fit's Q_{R0/2}, cut the cutoff of
     Q_{R0/2} in Q_{R0}, and chain the chain's windows and M (None without
-    levels).  The store keeps each snapshot's time and, through outer.fill,
-    |grad u| on outer's box where outer reads it, never the run's
-    snapshots.  The checks are the record checks' cores on the same
-    windows, so the rows are theirs bit for bit.  A run that does not
-    complete raises _StatusExit.
+    levels).  The checks are the record checks' cores on the same windows,
+    built before the march, so the reports are theirs bit for bit.  Where
+    outer reads a snapshot, the store differentiates it on outer's box,
+    feeds every core's row and drops the array: it keeps only the times.
+    A run that does not complete raises _StatusExit.
     """
     from .energy import _bound_pair, _chain, _energy, _sandwich
     from .solver import StatusKind, _march
 
     seed, amplitude, config, first = job
+    checks_chain = first and chain is not None
+    feed, reports = outer.rows([
+        _sandwich(outer, cut, params.s0, params.p),
+        *(_energy(outer, cut, s, params) for s in energy_s),
+        *([_chain(chain[0], params, chain[1])] if checks_chain else []),
+        _bound_pair(outer, inner, exponents)])
     times: list[float] = []
-    stack: list = [None] * outer.times.size
 
     def store(snapshot) -> None:
-        outer.fill(stack, len(times), snapshot.values)
+        if outer.weights[len(times)]:
+            feed(len(times), outer.magnitude(snapshot.values))
         times.append(snapshot.time)
 
     _, dt_history, status = _march(config, store)
@@ -511,13 +517,13 @@ def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
                           f"ended in {status.kind.value} at t = {status.time}")
     if times != outer.times.tolist():  # finite, with no -0.0: equal values are equal bits
         raise AssertionError("the march stored other times than the planned ones")
+    sandwich, *energy, pair = reports()
+    chain_report = energy.pop().to_dict() if checks_chain else None
     tag = {"seed": seed, "amplitude": amplitude}
     return {"run": tag | {"status": status.kind.value, "steps": int(dt_history.size)},
-            "sandwich": tag | _sandwich(outer, stack, cut, params.s0, params.p).to_dict(),
-            "energy": [tag | _energy(outer, stack, cut, s, params).to_dict() for s in energy_s],
-            "chain": (_chain(chain[0], stack, params, chain[1]).to_dict()
-                      if first and chain is not None else None),
-            "pair": _bound_pair(outer, inner, stack, exponents)}
+            "sandwich": tag | sandwich.to_dict(),
+            "energy": [tag | report.to_dict() for report in energy],
+            "chain": chain_report, "pair": pair}
 
 
 _pool_fn: Callable | None = None  # in a pool worker, the fn of the _ordered_map that made it

@@ -1,10 +1,9 @@
 """Cylinder-localized energy functionals and the gradient-bound verifier.
 
 The machinery rests on three computable objects, all evaluated on solver
-runs, stored or streamed, with one quadrature: node sums in the ball and,
-in time, the weights of mesh._time_weights (the endpoint-interpolated
-trapezoid), which every check, the sandwich included, applies through
-_Window.integrate.
+runs, stored or streamed, with one quadrature: node sums in the ball and, in
+time, the weights of mesh._time_weights (the endpoint-interpolated trapezoid),
+which every check, the sandwich included, applies through _Window.integrate.
 Every cylinder meets the rules of _cylinder_rules: the ball lies in the
 domain, the snapshots span [t0 - R^e, t0] to within 1e-12, and at least 3
 fall inside.  They need no record, so verify builds every window of its
@@ -20,36 +19,31 @@ first three before its regime verdict, but for the admissibility, which
 the verdict holds; its rho = R0/2 always meets the last.
 
 The window also fixes the cylinder's spatial box (_box): the ball's index
-range per axis widened by a 2-node halo.  A sweep sums the squared per-axis
-derivatives of values[box] (mesh._grad_magnitude_of), whose one-sided
-closures at the box faces spoil only the halo, so |grad u| is exact one
-node beyond the ball, enough for the energy check's gradient of |grad u|.
-Every power, cutoff and product runs on the ball's own nodes in row-major
-order, so each check returns bit for bit what the whole grid would.  A
-sweep reads only the snapshots with a nonzero weight.
+range per axis widened by a 2-node halo.  _Window.magnitude sums the
+squared per-axis derivatives of values[box] (mesh._grad_magnitude_of),
+whose one-sided closures at the box faces spoil only the halo, so |grad u|
+is exact one node beyond the ball, enough for the energy check's gradient
+of |grad u|.  Every power, cutoff and product runs on the ball's own nodes
+in row-major order, so each check returns bit for bit what the whole grid
+would.  A check reads only the snapshots with a nonzero weight.
 
-Every functional reads only (snapshot time, |grad u| on the box), so a
-check has two sources and one sweep.  _Window.sweep, the module's one
-loop over snapshots, reads a stack: one read-only |grad u| on the box per
-snapshot, filled at least over the support by _Window.fill, the one code
-that writes a slot.  Each public check takes a record and runs a private
-core (_energy, _sandwich, _chain, _bound_pair) on windows and a stack;
-verify's campaign worker (cli._campaign_run) takes verify's windows and
-runs the same cores on the stack it fills as the march stores each
-snapshot, so it never holds the run's snapshots.
-Every check verify ships shares the R0 box: the chain's and the bound
-fit's inner cylinders are read from the R0 sweep.
+Every functional reads only (snapshot time, |grad u| on the box), so each
+check is a private core (_energy, _sandwich, _chain, _bound_pair, psi's
+functional) that returns (terms, finish): terms(t, mag) maps one snapshot
+to a row of scalars, and finish(series) reduces the support's rows to the
+report.  _Window.rows, the one row path, feeds them from two sources:
 
-* A record differentiates each snapshot once per box.  Its private stack,
-  RunRecord._magnitudes, maps a box (its per-axis index ranges, or None
-  for the whole grid) to one |grad u| per snapshot, filled by
-  _record_stack the first time a window on that box reads the snapshot.
-  It lives as long as the record, next to the snapshots (~3.3 MB beside
-  the 34 MB of a 64-snapshot 32^3 x 2 record at R0 = 0.24 and e = 2.5),
+* A record, through _record_check: its private cache RunRecord._magnitudes
+  maps a box (per-axis index ranges, or None for the whole grid) to one
+  read-only |grad u| per snapshot, differentiated the first time a window
+  on that box reads it.  It lives as long as the record (~3.3 MB beside
+  the 34 MB of a 64-snapshot 32^3 x 2 record at R0 = 0.24 and e = 2.5)
   and relies on RunRecord's read-only snapshots.
-* A campaign worker keeps only the R0 box's stack: box nodes x 8 B per
-  read snapshot, 4.2 MB for a run of the shipped campaign (6859 box
-  nodes, 77 of 80 snapshots read) against its 42 MB record.
+* A march: verify's campaign worker (cli._campaign_run) builds the cores
+  on verify's windows before it marches; its store differentiates each
+  snapshot the R0 window reads, feeds the rows and drops the array.
+Every check verify ships shares the R0 box: the chain's and the bound
+fit's inner cylinders are read from the R0 rows.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
 
@@ -176,13 +170,10 @@ class _Window:
 
     weights and inside come from _cylinder_rules, and mask is the closed
     ball on the full grid.  box, box_grid, box_mask and key come from _box:
-    fill differentiates a snapshot's values[box] on box_grid, and
+    magnitude differentiates a snapshot's values[box] on box_grid, and
     mag[box_mask] lists the ball's nodes in the same row-major order as mask
-    does on the grid.  A sweep reads a stack, one |grad u| on the box per
-    snapshot, which fill holds at least over the support: a record's
-    (_record_stack, keyed by key in record._magnitudes, which every window
-    on the same box of the same record shares), or the one a campaign
-    worker fills as the march stores each snapshot.
+    does on the grid.  rows feeds that |grad u| to the cores' terms, from a
+    record's cache (every window on the box shares key's entry) or a march.
     """
 
     cyl: CylinderSpec
@@ -206,29 +197,32 @@ class _Window:
         k = self.support
         return float(np.sum(self.weights[k] * series[k]))
 
-    def fill(self, stack: list, k: int, values: np.ndarray) -> None:
-        """Set stack[k] to |grad u| of snapshot k's values on the box, read-only.
+    def magnitude(self, values: np.ndarray) -> np.ndarray:
+        """|grad u| of a snapshot's values on the box: exact at the ball's nodes and one beyond."""
+        return _grad_magnitude_of(self.box_grid, values[self.box])
 
-        Only where the time rule reads snapshot k and the slot is empty.
-        Exact at the ball's nodes and one node beyond.
+    def rows(self, cores: Sequence[tuple[Callable, Callable]]) -> tuple[Callable, Callable]:
+        """The one row path of (terms, finish) cores: returns (feed, reports).
+
+        feed(k, mag) appends each core's row terms(t_k, mag), mag being snapshot k's |grad u|
+        on the box, for the support's snapshots in order and only those.  reports()
+        returns each core's finish(series): one series per functional, 0.0 off the support.
         """
-        if self.weights[k] and stack[k] is None:
-            mag = _grad_magnitude_of(self.box_grid, values[self.box])
-            mag.flags.writeable = False
-            stack[k] = mag
+        rows: list[list] = [[] for _ in cores]
 
-    def sweep(self, stack: Sequence[np.ndarray | None],
-              fn: Callable[[float, np.ndarray], Sequence[float]]) -> np.ndarray:
-        """One pass over the support, one series per functional (0.0 off the support).
+        def feed(k: int, mag: np.ndarray) -> None:
+            for (terms, _), out in zip(cores, rows):
+                out.append(terms(float(self.times[k]), mag))
 
-        fn maps (snapshot time, |grad u| on the box from stack) to one scalar
-        per functional.
-        """
-        ks = self.support
-        rows = [fn(float(self.times[k]), stack[k]) for k in ks]
-        series = np.zeros((self.weights.size, len(rows[0])))
-        series[ks] = rows
-        return series.T
+        def reports() -> list:
+            done = []
+            for (_, finish), out in zip(cores, rows):
+                series = np.zeros((self.weights.size, len(out[0])))
+                series[self.support] = out
+                done.append(finish(series.T))
+            return done
+
+        return feed, reports
 
 
 def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, np.ndarray]:
@@ -317,24 +311,27 @@ def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
     return _window_over(record.config.grid, record.times(), cyl)
 
 
-def _record_stack(record: RunRecord, win: _Window) -> list:
-    """The record's |grad u| on win's box, one slot per snapshot, holding win's support.
+def _record_check(record: RunRecord, win: _Window, core: tuple[Callable, Callable]):
+    """core's report on a record, fed from its cache of |grad u| on win's box.
 
-    A snapshot is differentiated the first time any window on the box reads
-    it, then served read-only from the stack; the other slots stay None.
+    record._magnitudes[win.key] keeps each read snapshot's |grad u|, read-only, for the box.
     """
-    stack = record._magnitudes.setdefault(win.key, [None] * len(record.snapshots))
-    for k, snapshot in enumerate(record.snapshots):
-        win.fill(stack, k, snapshot.values)
-    return stack
+    cache = record._magnitudes.setdefault(win.key, [None] * len(record.snapshots))
+    feed, reports = win.rows([core])
+    for k in win.support:
+        if cache[k] is None:
+            cache[k] = win.magnitude(record.snapshots[k].values)
+            cache[k].flags.writeable = False
+        feed(k, cache[k])
+    return reports()[0]
 
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     """iint over the cylinder of |grad u|^exponent."""
     win = _window(record, cyl)
-    (series,) = win.sweep(_record_stack(record, win), lambda t, m: (
-        spatial_integral(win.grid, _powered(m[win.box_mask], exponent)),))
-    return win.integrate(series)
+    return _record_check(record, win, (
+        lambda t, m: (spatial_integral(win.grid, _powered(m[win.box_mask], exponent)),),
+        lambda series: win.integrate(series[0])))
 
 
 @dataclass(frozen=True)
@@ -380,18 +377,17 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     cut = CutoffFn(center, rho, R, t0, time_exponent)  # first: it refuses rho outside (0, R)
     win = _window(record, CylinderSpec(center, t0, R, time_exponent))
     _require_s_admissible(s, params)
-    return _energy(win, _record_stack(record, win), cut, s, params, c)
+    return _record_check(record, win, _energy(win, cut, s, params, c))
 
 
-def _energy(win: _Window, stack: Sequence, cut: CutoffFn, s: float, params: ProblemParams,
-            c: float | None = None) -> EnergyReport:
-    """energy_inequality_check on the window of Q_R, its stack and the cutoff of Q_rho."""
+def _energy(win: _Window, cut: CutoffFn, s: float, params: ProblemParams,
+            c: float | None = None) -> tuple[Callable, Callable]:
+    """energy_inequality_check's core on the window of Q_R and the cutoff of Q_rho."""
     grid, cyl = win.grid, win.cyl
-    p = params.p
-    M = compute_M_general(p, params.q, params.w)
+    M = compute_M_general(params.p, params.q, params.w)
     profile, dq, unit = cut._space_parts(node_coords(grid)[win.mask])
     ball = win.box_mask
-    half = (p + s) / 2.0
+    half = (params.p + s) / 2.0
 
     def terms(t: float, mag: np.ndarray) -> tuple[float, float, float]:
         m = mag[ball]
@@ -406,18 +402,19 @@ def _energy(win: _Window, stack: Sequence, cut: CutoffFn, s: float, params: Prob
             + (m**half)[:, None] * ((dq * tp)[:, None] * unit)
         return sup, spatial_integral(grid, np.sum(vec * vec, axis=-1)), raw
 
-    sup_series, grad_series, raw_series = win.sweep(stack, terms)
-    lhs_sup = float(sup_series[win.inside].max())
-    lhs_grad = win.integrate(grad_series)
-    rhs_raw = win.integrate(raw_series)
+    def finish(series: np.ndarray) -> EnergyReport:
+        sup_series, grad_series, raw_series = series
+        lhs_sup = float(sup_series[win.inside].max())
+        lhs_grad = win.integrate(grad_series)
+        rhs_raw = win.integrate(raw_series)
+        scale = (1.0 + s**3) / (cyl.R - cut.rho) ** M * rhs_raw
+        fit = c if c is not None else (lhs_sup + lhs_grad) / scale if scale > 0.0 else math.inf
+        rhs_scaled = fit * scale
+        satisfied = lhs_sup + lhs_grad <= rhs_scaled * (1.0 + 1e-12)
+        return EnergyReport(s, cut.rho, cyl.R, cyl.center, cyl.t0, cyl.time_exponent, lhs_sup,
+                            lhs_grad, rhs_raw, rhs_scaled, float(fit), bool(satisfied))
 
-    scale = (1.0 + s**3) / (cyl.R - cut.rho) ** M * rhs_raw
-    if c is None:
-        c = (lhs_sup + lhs_grad) / scale if scale > 0.0 else math.inf
-    rhs_scaled = c * scale
-    satisfied = lhs_sup + lhs_grad <= rhs_scaled * (1.0 + 1e-12)
-    return EnergyReport(s, cut.rho, cyl.R, cyl.center, cyl.t0, cyl.time_exponent, lhs_sup,
-                        lhs_grad, rhs_raw, rhs_scaled, float(c), bool(satisfied))
+    return terms, finish
 
 
 @dataclass(frozen=True)
@@ -448,20 +445,17 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     the same ball sums, and sup_t runs over the snapshots they read, so both
     inequalities are Holder on finite sums and must hold to round-off.
     """
-    grid = record.config.grid
-    if grid.n < 3:
+    if record.config.grid.n < 3:
         raise ValueError("the sandwich exponent 2n/(n-2) needs n >= 3")
     center, t0 = _default_center_t0(record, center, t0)
     cut = CutoffFn(center, rho, R, t0, time_exponent)
     win = _window(record, CylinderSpec(center, t0, R, time_exponent))
-    return _sandwich(win, _record_stack(record, win), cut, s, p)
+    return _record_check(record, win, _sandwich(win, cut, s, p))
 
 
-def _sandwich(win: _Window, stack: Sequence, cut: CutoffFn, s: float, p: float
-              ) -> SandwichReport:
-    """holder_sandwich_check on the window of Q_R, its stack and the cutoff of Q_rho."""
-    grid = win.grid
-    n = grid.n
+def _sandwich(win: _Window, cut: CutoffFn, s: float, p: float) -> tuple[Callable, Callable]:
+    """holder_sandwich_check's core on the window of Q_R and the cutoff of Q_rho."""
+    grid, n = win.grid, win.grid.n
     a_rho = cut.t0 - cut.rho**cut.time_exponent
 
     profile = cut._space_parts(node_coords(grid)[win.mask])[0]
@@ -477,14 +471,16 @@ def _sandwich(win: _Window, stack: Sequence, cut: CutoffFn, s: float, p: float
                 spatial_integral(grid, m ** (s + 2.0) * eta * eta),
                 spatial_integral(grid, (m ** ((p + s) / 2.0) * eta) ** e_B))
 
-    L, A, B = win.sweep(stack, terms)
+    def finish(series: np.ndarray) -> SandwichReport:
+        L, A, B = series
+        lhs = win.integrate(L)
+        mid = win.integrate(A ** (2.0 / n) * B ** ((n - 2.0) / n))
+        rhs = float(A[win.support].max() ** (2.0 / n) * win.integrate(B ** ((n - 2.0) / n)))
+        scale = max(abs(lhs), abs(mid), abs(rhs), 1e-300)
+        rel_violation = max(lhs - mid, mid - rhs, 0.0) / scale
+        return SandwichReport(s, lhs, mid, rhs, rel_violation, rel_violation <= _SANDWICH_TOL)
 
-    lhs = win.integrate(L)
-    mid = win.integrate(A ** (2.0 / n) * B ** ((n - 2.0) / n))
-    rhs = float(A[win.support].max() ** (2.0 / n) * win.integrate(B ** ((n - 2.0) / n)))
-    scale = max(abs(lhs), abs(mid), abs(rhs), 1e-300)
-    rel_violation = max(lhs - mid, mid - rhs, 0.0) / scale
-    return SandwichReport(s, lhs, mid, rhs, rel_violation, rel_violation <= _SANDWICH_TOL)
+    return terms, finish
 
 
 @dataclass(frozen=True)
@@ -509,49 +505,46 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     with the ladder exponents from the admissible params.  The i = 0 link is
     C-free; if it fails no constant exists and the report says so.
     """
-    grid = record.config.grid
-    radii = _chain_rules(grid, R0, levels)
+    radii = _chain_rules(record.config.grid, R0, levels)
     M, _ = _estimate(params, R0)
     center, t0 = _default_center_t0(record, center, t0)
     windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
-    return _chain(windows, _record_stack(record, windows[0]), params, M)
+    return _record_check(record, windows[0], _chain(windows, params, M))
 
 
-def _chain(windows: Sequence[_Window], stack: Sequence, params: ProblemParams, M: float
-           ) -> MoserChainReport:
-    """moser_chain_check on the windows of Q_{R_i}, i = 0..levels, and the stack of Q_{R0}'s."""
+def _chain(windows: Sequence[_Window], params: ProblemParams, M: float
+           ) -> tuple[Callable, Callable]:
+    """moser_chain_check's core on the windows of Q_{R_i}, i = 0..levels, fed Q_{R0}'s rows."""
     levels = len(windows) - 1
     ladder = build_ladder(params.s0, params.p, M, params.n, levels)
     exponents, beta = [si + M for si in ladder.s], ladder.beta
     # R_0 = R0 is the largest radius: every ball lies inside the outer ball,
     # and every window (so every snapshot it reads) inside the outer window
     outer = windows[0]
-    grid = outer.grid
     subsets = [win.mask[outer.mask] for win in windows]
 
     def powered_sums(t: float, mag: np.ndarray) -> list[float]:
         m = mag[outer.box_mask]
-        return [spatial_integral(grid, _powered(m[sub], e)) for sub, e in zip(subsets, exponents)]
+        return [spatial_integral(outer.grid, _powered(m[sub], e))
+                for sub, e in zip(subsets, exponents)]
 
-    series = outer.sweep(stack, powered_sums)
-    psis = [win.integrate(ser) for win, ser in zip(windows, series)]
+    def finish(series: np.ndarray) -> MoserChainReport:
+        psis = [win.integrate(ser) for win, ser in zip(windows, series)]
+        C = 1.0
+        feasible = psis[1] <= psis[0] ** beta + 1.0
+        for i in range(1, levels):
+            need = psis[i + 1] / (psis[i] ** beta + 1.0)
+            if need > 1.0:
+                C = max(C, need ** (1.0 / i))
+        if not feasible:
+            C = math.inf
+        level_rows = tuple((i, psis[i], C**i * psis[i] ** beta + C**i) for i in range(levels))
+        satisfied = feasible and all(psis[i + 1] <= rhs * (1.0 + 1e-12)
+                                     for i, _, rhs in level_rows)
+        return MoserChainReport(tuple(win.cyl.R for win in windows), tuple(exponents),
+                                tuple(psis), beta, C, level_rows, bool(satisfied))
 
-    C = 1.0
-    feasible = psis[1] <= psis[0] ** beta + 1.0
-    for i in range(1, levels):
-        need = psis[i + 1] / (psis[i] ** beta + 1.0)
-        if need > 1.0:
-            C = max(C, need ** (1.0 / i))
-    if not feasible:
-        C = math.inf
-    level_rows = tuple(
-        (i, psis[i], C**i * psis[i] ** beta + C**i) for i in range(levels)
-    )
-    satisfied = feasible and all(
-        psis[i + 1] <= rhs * (1.0 + 1e-12) for i, _, rhs in level_rows
-    )
-    return MoserChainReport(tuple(win.cyl.R for win in windows), tuple(exponents),
-                            tuple(psis), beta, C, level_rows, bool(satisfied))
+    return powered_sums, finish
 
 
 @dataclass(frozen=True)
@@ -568,13 +561,11 @@ class BoundReport(_Report):
     per_run: tuple[tuple[float, float], ...]
 
 
-def _bound_pair(outer: _Window, inner: _Window, stack: Sequence,
-                exponents: tuple[float, float]) -> tuple[float, float]:
-    """One run's (max of |grad u| over Q_{R0/2}, psi over Q_{R0} to the bound exponent).
+def _bound_pair(outer: _Window, inner: _Window, exponents: tuple[float, float]
+                ) -> tuple[Callable, Callable]:
+    """The core of one run's (max of |grad u| over Q_{R0/2}, psi over Q_{R0} to the 1/kappa).
 
-    outer is Q_{R0}'s window and stack its |grad u|.  One sweep of it gives
-    both: Q_{R0/2}'s ball and snapshots lie inside Q_{R0}'s, so inner only
-    names its ball and snapshots.
+    Q_{R0}'s window outer feeds both: Q_{R0/2}'s ball and snapshots lie in it.
     """
     exponent, psi_exp = exponents
     sub = inner.mask[outer.mask]
@@ -583,8 +574,11 @@ def _bound_pair(outer: _Window, inner: _Window, stack: Sequence,
         m = mag[outer.box_mask]
         return spatial_integral(outer.grid, _powered(m, psi_exp)), m[sub].max()
 
-    sums, peaks = outer.sweep(stack, terms)
-    return float(peaks[inner.inside].max()), outer.integrate(sums) ** exponent
+    def finish(series: np.ndarray) -> tuple[float, float]:
+        sums, peaks = series
+        return float(peaks[inner.inside].max()), outer.integrate(sums) ** exponent
+
+    return terms, finish
 
 
 def _bound_ratio(lhs: float, rhs_base: float) -> float:
@@ -622,6 +616,6 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
         c, t_top = _default_center_t0(record, center, t0)
         outer, inner = (_window(record, CylinderSpec(c, t_top, r, time_exponent))
                         for r in (R0, R0 / 2.0))
-        return _bound_pair(outer, inner, _record_stack(record, outer), exponents)
+        return _record_check(record, outer, _bound_pair(outer, inner, exponents))
 
     return _bound_fit(exponents[0], [pair(record) for record in campaign])

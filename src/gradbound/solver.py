@@ -270,10 +270,10 @@ class RunRecord:
     """Time-ordered snapshots plus step history and the final status.
 
     The snapshots' values are marked read-only here: _magnitudes holds the
-    cylinder checks' private stack of box |grad u| per snapshot
-    (energy._record_stack), which stays true only while no stored snapshot is
-    written.  A copied or unpickled record is rebuilt through __init__, so
-    it is read-only too and starts with an empty stack.
+    cylinder checks' private cache of box |grad u| per snapshot, which
+    energy._record_check fills and reads, and which stays true only while no
+    stored snapshot is written.  A copied or unpickled record is rebuilt
+    through __init__, so it is read-only too and starts with an empty cache.
     """
 
     __slots__ = ("config", "snapshots", "dt_history", "status", "_magnitudes")

@@ -607,36 +607,53 @@ def test_verify_pool_stops_at_first_stopped_run(tmp_path, capsys, monkeypatch,
         os.waitpid(-1, os.WNOHANG)
 
 
-def _raise_on_amplitude(monkeypatch, name, amplitude):
+def _raise_on_amplitude(monkeypatch, name, amplitude, where):
     """Make the check core name raise in the worker that checks the run of amplitude.
 
-    A campaign worker calls the cores on windows, which do not name the run,
-    so the worker notes the amplitude of the run it marches.
+    A campaign worker builds its cores on windows, which do not name the run,
+    before it marches, so the worker notes the amplitude of the run it
+    marches.  where is "finish", which raises once the march has ended, or
+    "terms", which raises inside the store halfway through the march.
     """
     marching, march = {}, gradbound.solver._march
-    check = getattr(gradbound.energy, name)
+    core = getattr(gradbound.energy, name)
 
     def noting(config, store):
         marching["amplitude"] = config.initial.amplitude
         return march(config, store)
 
-    def patched(*args, **kwargs):
-        if marching["amplitude"] == amplitude:
+    def refuse(now: bool) -> None:
+        if now and marching["amplitude"] == amplitude:
             raise ValueError(f"check refused amplitude {amplitude}")
-        return check(*args, **kwargs)
+
+    def patched(*args, **kwargs):
+        terms, finish = core(*args, **kwargs)
+
+        def patched_terms(t, mag):
+            refuse(where == "terms" and t > _POOL_T_END / 2.0)
+            return terms(t, mag)
+
+        def patched_finish(series):
+            refuse(where == "finish")
+            return finish(series)
+
+        return patched_terms, patched_finish
 
     monkeypatch.setattr(gradbound.solver, "_march", noting)
     monkeypatch.setattr(gradbound.energy, name, patched)
 
 
-@pytest.mark.parametrize("name, amplitude", [
-    ("_chain", 1.0),  # the chain runs on the first run only
-    ("_energy", 2.0),
-    ("_sandwich", 4.0),
-], ids=["chain-first-run", "energy-second-run", "sandwich-last-run"])
-def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, amplitude):
+@pytest.mark.parametrize("name, amplitude, where", [
+    ("_chain", 1.0, "finish"),  # the chain runs on the first run only
+    ("_energy", 2.0, "finish"),
+    ("_sandwich", 4.0, "finish"),
+    ("_bound_pair", 2.0, "terms"),
+], ids=["chain-first-run", "energy-second-run", "sandwich-last-run",
+        "bound-pair-mid-march"])
+def test_verify_pool_worker_error_exits_1(tmp_path, capsys, monkeypatch, name, amplitude,
+                                          where):
     _cores(monkeypatch, 3)
-    _raise_on_amplitude(monkeypatch, name, amplitude)
+    _raise_on_amplitude(monkeypatch, name, amplitude, where)
     out = tmp_path / "out"
     code, report, err = _run(capsys, ["verify", "--config", _write(tmp_path, _pool_cfg()),
                                       "--output", str(out)])

@@ -145,3 +145,50 @@ def test_the_import_check_sees_a_dead_import():
               "    import json\n"
               "    return os.sep\n")
     assert _dead_imports(ast.parse(source)) == [(2, "math"), (7, "json")]
+
+
+def _private_definitions(trees) -> list:
+    """Each private function, class or method (dunders aside), as (module, line, name)."""
+    return sorted((module, node.lineno, node.name) for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _dead_private_names(trees) -> list:
+    """The private definitions that no Name, Attribute, import alias or string constant reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.update({node.name, node.asname})
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [d for d in _private_definitions(trees) if d[2] not in read]
+
+
+def test_every_private_definition_is_used():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((IMPORT_ROOT / "gradbound").glob("*.py"))}
+    assert _private_definitions(trees)  # the walk sees the package's definitions
+    assert _dead_private_names(trees) == []
+
+
+def test_the_private_name_check_sees_a_dead_definition():
+    source = ("def _used(): return 1\n"
+              "def _named(): return 2\n"
+              "class _Shape:\n"
+              "    def _area(self): return self._side()\n"
+              "    def _side(self): return _used()\n"
+              "    def __len__(self): return 0\n"
+              "def _dead(): return 3\n"
+              "TABLE = {'named': '_named'}\n"
+              "from os import path as _alias\n"
+              "def _alias(): return 4\n")
+    assert _dead_private_names({"m.py": ast.parse(source)}) == [
+        ("m.py", 3, "_Shape"), ("m.py", 4, "_area"), ("m.py", 7, "_dead")]
