@@ -53,7 +53,7 @@ from .regimes import (
 if TYPE_CHECKING:
     from .energy import _Window
     from .flux import FluxSpec, RhsSpec
-    from .mesh import CutoffFn, Grid
+    from .mesh import Grid
     from .solver import StatusKind
 
 EXIT_OK = 0
@@ -479,19 +479,20 @@ def _verify_keys() -> dict:
 
 def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
                   exponents: tuple[float, float], outer: _Window, inner: _Window,
-                  cut: CutoffFn, chain: tuple[list[_Window], float] | None) -> dict:
+                  chain: tuple[list[_Window], float] | None) -> dict:
     """Solve one campaign run, checking it as it marches; only its rows and bound pair come back.
 
     job is (seed, amplitude, config, first), first True for the run the
     Moser chain checks.  cmd_verify builds the windows once, on the planned
     snapshot times every run shares: outer is Q_{R0}, whose box holds every
-    other window's ball, inner the bound fit's Q_{R0/2}, cut the cutoff of
-    Q_{R0/2} in Q_{R0}, and chain the chain's windows and M (None without
-    levels).  The checks are the record checks' cores on the same windows,
-    built before the march, so the reports are theirs bit for bit.  Where
-    outer reads a snapshot, the store differentiates it on outer's box,
-    feeds every core's row and drops the array: it keeps only the times.
-    A run that does not complete raises _StatusExit.
+    other window's ball, inner the bound fit's Q_{R0/2}, which is also the
+    sandwich's and the energy inequality's Q_rho, and chain the chain's
+    windows and M (None without levels).  The checks are the record checks'
+    cores on the same windows, built before the march, so the reports are
+    theirs bit for bit.  Where outer reads a snapshot, the store
+    differentiates it on outer's box, feeds every core's row and drops the
+    array: it keeps only the times.  A run that does not complete raises
+    _StatusExit.
     """
     from .energy import _bound_pair, _chain, _energy, _sandwich
     from .solver import StatusKind, _march
@@ -499,8 +500,8 @@ def _campaign_run(job: tuple, params: ProblemParams, energy_s: Sequence[float],
     seed, amplitude, config, first = job
     checks_chain = first and chain is not None
     feed, reports = outer.rows([
-        _sandwich(outer, cut, params.s0, params.p),
-        *(_energy(outer, cut, s, params) for s in energy_s),
+        _sandwich(outer, inner.cyl.R, params.s0, params.p),
+        *(_energy(outer, inner.cyl.R, s, params) for s in energy_s),
         *([_chain(chain[0], params, chain[1])] if checks_chain else []),
         _bound_pair(outer, inner, exponents)])
     times: list[float] = []
@@ -571,7 +572,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     from .energy import (_bound_fit, _bound_ratio, _chain_rules, _estimate, _radius_rule,
                          _require_s_admissible, _window_over)
     from .flux import FluxKind
-    from .mesh import CutoffFn, CylinderSpec
+    from .mesh import CylinderSpec
     from .solver import RandomSmooth, SolveConfig, _planned_times
 
     problem_cfg = _need(cfg, "problem")
@@ -660,9 +661,7 @@ def cmd_verify(cfg: dict, outdir: Path | None) -> int:
     M, exponents = _estimate(params, R0)
     chain = (chain_windows, M) if levels is not None else None
     worker = functools.partial(_campaign_run, params=params, energy_s=energy_s,
-                               exponents=exponents, outer=outer, inner=inner,
-                               cut=CutoffFn(cyl.center, R0 / 2.0, R0, cyl.t0, cyl.time_exponent),
-                               chain=chain)
+                               exponents=exponents, outer=outer, inner=inner, chain=chain)
     done = _ordered_map(worker, jobs)
     run_rows = [result["run"] for result in done]
     sandwich_rows = [result["sandwich"] for result in done]
@@ -779,12 +778,9 @@ def cmd_counterexample(cfg: dict, outdir: Path | None) -> int:
     from .mesh import Boundary, Grid
     from .verify import struwe_residual
 
-    try:
-        grid = Grid(cfg.get("n", _DIM), cfg.get("extent", 4.0), cfg.get("cells", 48),
-                    Boundary.DIRICHLET)
-        rep = struwe_residual(grid, cfg.get("annulus", (0.5, 1.5)))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    grid = Grid(cfg.get("n", _DIM), cfg.get("extent", 4.0), cfg.get("cells", 48),
+                Boundary.DIRICHLET)
+    rep = struwe_residual(grid, cfg.get("annulus", (0.5, 1.5)))
     ok = ORDER_WINDOW[0] <= rep.order_estimate <= ORDER_WINDOW[1]
     _emit(rep.to_dict() | {"order_window": list(ORDER_WINDOW), "ok": ok}, outdir)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -8,15 +8,17 @@ Every cylinder meets the rules of _cylinder_rules: the ball lies in the
 domain, the snapshots span [t0 - R^e, t0] to within 1e-12, and at least 3
 fall inside.  They need no record, so verify builds every window of its
 campaign once, on the planned snapshot times its runs share, before any
-march.  _window_over builds a window on a grid and snapshot times, and
-_window on a completed record; each refuses a ball that holds no node.
+march.  _window_over builds a window on a grid and snapshot times and
+refuses a ball that holds no node; _record_windows builds a record check's
+windows, about the grid's centre and last snapshot time by default.
 Every other rule has one home that needs no record either:
 _estimate (admissible params, _radius_rule's 0 < R0 < 1; it returns the
 estimate's M and exponents), _chain_rules (levels >= 2, >= 8 nodes per
 axis across R0, beta^levels a double), _require_s_admissible (the energy
-inequality's s-range) and mesh.CutoffFn (0 < rho < R).  verify applies the
-first three before its regime verdict, but for the admissibility, which
-the verdict holds; its rho = R0/2 always meets the last.
+inequality's s-range) and mesh.CutoffFn (0 < rho < R), which _energy and
+_sandwich build from Q_R's window.  verify applies the first three before
+its regime verdict, but for the admissibility, which the verdict holds;
+its rho = R0/2 always meets the last.
 
 The window also fixes the cylinder's spatial box (_box): the ball's index
 range per axis widened by a 2-node halo.  _Window.magnitude sums the
@@ -142,15 +144,6 @@ def _chain_rules(grid: Grid, R0: float, levels: int) -> list[float]:
             )
     _ladder_beta(grid.n, levels)
     return [(R0 / 2.0) * (1.0 + 2.0**-i) for i in range(levels + 1)]
-
-
-def _default_center_t0(record: RunRecord, center, t0) -> tuple[tuple[float, ...], float]:
-    """The cylinder's centre and top: the grid's centre and the last snapshot time by default."""
-    if center is None:
-        center = record.config.grid.center()
-    if t0 is None:
-        t0 = float(record.times()[-1])
-    return tuple(center), float(t0)
 
 
 def _powered(mag: np.ndarray, exponent: float) -> np.ndarray:
@@ -303,12 +296,20 @@ def _window_over(grid: Grid, times: np.ndarray, cyl: CylinderSpec) -> _Window:
     return _Window(cyl, grid, times, mask, weights, inside, box, box_grid, box_mask, key)
 
 
-def _window(record: RunRecord, cyl: CylinderSpec) -> _Window:
-    """A cylinder on a completed record that meets _cylinder_rules; its ball holds a node."""
+def _record_windows(record: RunRecord, radii: Sequence[float], center=None, t0=None,
+                    time_exponent: float = 2.0) -> list[_Window]:
+    """One window per radius on a completed record, about one centre and top t0.
+
+    They default to the grid's centre and the last snapshot time.  The
+    cylinder's own rules come before the run's status, then _window_over's.
+    """
+    grid, times = record.config.grid, record.times()
+    cyl = CylinderSpec(grid.center() if center is None else center,
+                       float(times[-1]) if t0 is None else float(t0), radii[0], time_exponent)
     if record.status.kind is not StatusKind.COMPLETED:
         raise ValueError(f"cylinder checks need a completed run, "
                          f"got status {record.status.kind.value}")
-    return _window_over(record.config.grid, record.times(), cyl)
+    return [_window_over(grid, times, replace(cyl, R=r)) for r in radii]
 
 
 def _record_check(record: RunRecord, win: _Window, core: tuple[Callable, Callable]):
@@ -328,7 +329,7 @@ def _record_check(record: RunRecord, win: _Window, core: tuple[Callable, Callabl
 
 def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     """iint over the cylinder of |grad u|^exponent."""
-    win = _window(record, cyl)
+    (win,) = _record_windows(record, [cyl.R], cyl.center, cyl.t0, cyl.time_exponent)
     return _record_check(record, win, (
         lambda t, m: (spatial_integral(win.grid, _powered(m[win.box_mask], exponent)),),
         lambda series: win.integrate(series[0])))
@@ -373,17 +374,16 @@ def energy_inequality_check(record: RunRecord, s: float, rho: float, R: float,
     then records that constant and satisfied is True by construction); with
     c given, the inequality is tested as stated.
     """
-    center, t0 = _default_center_t0(record, center, t0)
-    cut = CutoffFn(center, rho, R, t0, time_exponent)  # first: it refuses rho outside (0, R)
-    win = _window(record, CylinderSpec(center, t0, R, time_exponent))
+    (win,) = _record_windows(record, [R], center, t0, time_exponent)
     _require_s_admissible(s, params)
-    return _record_check(record, win, _energy(win, cut, s, params, c))
+    return _record_check(record, win, _energy(win, rho, s, params, c))
 
 
-def _energy(win: _Window, cut: CutoffFn, s: float, params: ProblemParams,
+def _energy(win: _Window, rho: float, s: float, params: ProblemParams,
             c: float | None = None) -> tuple[Callable, Callable]:
-    """energy_inequality_check's core on the window of Q_R and the cutoff of Q_rho."""
+    """energy_inequality_check's core on the window of Q_R and Q_rho's radius."""
     grid, cyl = win.grid, win.cyl
+    cut = CutoffFn(cyl.center, rho, cyl.R, cyl.t0, cyl.time_exponent)
     M = compute_M_general(params.p, params.q, params.w)
     profile, dq, unit = cut._space_parts(node_coords(grid)[win.mask])
     ball = win.box_mask
@@ -447,15 +447,14 @@ def holder_sandwich_check(record: RunRecord, s: float, rho: float, R: float,
     """
     if record.config.grid.n < 3:
         raise ValueError("the sandwich exponent 2n/(n-2) needs n >= 3")
-    center, t0 = _default_center_t0(record, center, t0)
-    cut = CutoffFn(center, rho, R, t0, time_exponent)
-    win = _window(record, CylinderSpec(center, t0, R, time_exponent))
-    return _record_check(record, win, _sandwich(win, cut, s, p))
+    (win,) = _record_windows(record, [R], center, t0, time_exponent)
+    return _record_check(record, win, _sandwich(win, rho, s, p))
 
 
-def _sandwich(win: _Window, cut: CutoffFn, s: float, p: float) -> tuple[Callable, Callable]:
-    """holder_sandwich_check's core on the window of Q_R and the cutoff of Q_rho."""
-    grid, n = win.grid, win.grid.n
+def _sandwich(win: _Window, rho: float, s: float, p: float) -> tuple[Callable, Callable]:
+    """holder_sandwich_check's core on the window of Q_R and Q_rho's radius."""
+    grid, n, cyl = win.grid, win.grid.n, win.cyl
+    cut = CutoffFn(cyl.center, rho, cyl.R, cyl.t0, cyl.time_exponent)
     a_rho = cut.t0 - cut.rho**cut.time_exponent
 
     profile = cut._space_parts(node_coords(grid)[win.mask])[0]
@@ -507,8 +506,7 @@ def moser_chain_check(record: RunRecord, params: ProblemParams, R0: float,
     """
     radii = _chain_rules(record.config.grid, R0, levels)
     M, _ = _estimate(params, R0)
-    center, t0 = _default_center_t0(record, center, t0)
-    windows = [_window(record, CylinderSpec(center, t0, r, time_exponent)) for r in radii]
+    windows = _record_windows(record, radii, center, t0, time_exponent)
     return _record_check(record, windows[0], _chain(windows, params, M))
 
 
@@ -613,9 +611,7 @@ def verify_bound(campaign: Iterable[RunRecord], params: ProblemParams, R0: float
     _, exponents = _estimate(params, R0)
 
     def pair(record: RunRecord) -> tuple[float, float]:
-        c, t_top = _default_center_t0(record, center, t0)
-        outer, inner = (_window(record, CylinderSpec(c, t_top, r, time_exponent))
-                        for r in (R0, R0 / 2.0))
+        outer, inner = _record_windows(record, (R0, R0 / 2.0), center, t0, time_exponent)
         return _record_check(record, outer, _bound_pair(outer, inner, exponents))
 
     return _bound_fit(exponents[0], [pair(record) for record in campaign])

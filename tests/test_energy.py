@@ -30,7 +30,7 @@ from gradbound import (
     verify_bound,
 )
 from gradbound import mesh
-from gradbound.energy import _window
+from gradbound.energy import _record_windows
 from gradbound.mesh import (
     _time_weights,
     CutoffFn,
@@ -123,6 +123,48 @@ def test_psi_preconditions(heat_run_32, heat_params):
         holder_sandwich_check(blowup, 0.0, 0.15, 0.3, 2.0)
 
 
+# each case: check, stopped run, s, rho, R, message; w = 0 puts the s-range at s > 0
+RHO_REFUSALS = {
+    "rho>=R-energy": ("energy", False, 0.5, 0.3, 0.3, "need 0 < rho < R"),
+    "rho>=R-sandwich": ("sandwich", False, 0.5, 0.3, 0.3, "need 0 < rho < R"),
+    "R<=0-energy": ("energy", False, 0.5, 0.15, 0.0, "cylinder radius must be positive"),
+    "R<=0-sandwich": ("sandwich", False, 0.5, 0.15, -0.3, "cylinder radius must be positive"),
+    "rho>=R-stopped-energy": ("energy", True, 0.5, 0.3, 0.3, "completed"),
+    "rho>=R-stopped-sandwich": ("sandwich", True, 0.5, 0.3, 0.3, "completed"),
+    "rho>=R-bad-s": ("energy", False, 0.0, 0.3, 0.3,
+                     r"s = 0.0 violates the energy-inequality range \(needs s > 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(RHO_REFUSALS))
+def test_record_check_refusal_order(case):
+    """The window's rules (radius, completed run) come first, then the s-range, then rho < R."""
+    check, stopped, s, rho, R, needle = RHO_REFUSALS[case]
+    record = _linear_record(cells=16)
+    if stopped:
+        record = RunRecord(record.config, record.snapshots, record.dt_history,
+                           RunStatus(StatusKind.BLOWUP, 0.2))
+    params = ProblemParams(n=3, N=1, p=2.0, w=0.0, s0=0.5)
+    with pytest.raises(ValueError, match=needle):
+        if check == "energy":
+            energy_inequality_check(record, s, rho, R, params)
+        else:
+            holder_sandwich_check(record, s, rho, R, params.p)
+
+
+def test_record_checks_read_the_window_cylinder():
+    """Q_rho's cutoff takes Q_R's centre, top and exponent, by default and given."""
+    record = _linear_record(cells=16)  # snapshots end at t = 0.2
+    params = ProblemParams(n=3, N=1, p=2.0, w=1.0, s0=0.0)
+    for where, center, t0 in (({}, CENTER, 0.2),
+                              ({"center": [0.48, 0.5, 0.5], "t0": 0.19}, (0.48, 0.5, 0.5), 0.19)):
+        rep = energy_inequality_check(record, 0.0, 0.15, 0.3, params, time_exponent=2.5, **where)
+        assert (rep.center, rep.t0, rep.R, rep.time_exponent, rep.rho) == (
+            center, t0, 0.3, 2.5, 0.15)
+        assert holder_sandwich_check(record, 0.0, 0.15, 0.3, 2.0, time_exponent=2.5, **where) \
+            == holder_sandwich_check(record, 0.0, 0.15, 0.3, 2.0, center, t0, 2.5)
+
+
 EDGE_SLACK = st.one_of(st.floats(0.0, 0.9e-12), st.floats(1.1e-12, 1e-9))
 
 
@@ -142,9 +184,9 @@ def test_window_edges_within_1e12_of_snapshot_times(start, span, count, below, a
     rec = prescribed_record(Grid(3, 1.0, 4), lambda x, t: np.zeros(x.shape[:-1] + (1,)), times)
     if max(below, above) > 1e-12:
         with pytest.raises(ValueError, match="does not span"):
-            _window(rec, cyl)
+            _record_windows(rec, [R], CENTER, cyl.t0, cyl.time_exponent)
         return
-    win = _window(rec, cyl)
+    (win,) = _record_windows(rec, [R], CENTER, cyl.t0, cyl.time_exponent)
     assert np.array_equal(win.weights, _time_weights(times, times[0], times[-1]))
     assert np.array_equal(win.inside, np.arange(count))
 

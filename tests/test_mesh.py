@@ -24,7 +24,7 @@ from gradbound import (
     psi,
     save_field,
 )
-from gradbound.energy import _window
+from gradbound.energy import _record_windows
 from gradbound.mesh import (
     _time_weights,
     spatial_integral,
@@ -200,7 +200,7 @@ def test_cylinder_preconditions():
 
 def _window_sup(record, cyl):
     """Largest ball integral of u over the snapshots inside the window."""
-    win = _window(record, cyl)
+    (win,) = _record_windows(record, [cyl.R], cyl.center, cyl.t0, cyl.time_exponent)
     grid = record.config.grid
     return max(spatial_integral(grid, record.snapshots[k].values[..., 0][win.mask])
                for k in win.inside)
@@ -224,7 +224,8 @@ def test_sup_slice_separable_oracle():
     times = record.times()
     a, _ = cyl.time_window()
     first = int(np.nonzero(times >= a)[0][0])
-    assert _window(record, cyl).inside[0] == first
+    (win,) = _record_windows(record, [cyl.R], cyl.center, cyl.t0, cyl.time_exponent)
+    assert win.inside[0] == first
     grid = record.config.grid
     ball = ball_mask(grid, cyl.center, cyl.R)
     expect = spatial_integral(grid, record.snapshots[first].values[..., 0][ball])

@@ -28,7 +28,7 @@ from gradbound.cli import EXIT_BLOWUP, EXIT_OK, _campaign_run, _regime, _StatusE
 from gradbound.energy import (_chain_rules, _estimate, _window_over, energy_inequality_check,
                               holder_sandwich_check, moser_chain_check, verify_bound)
 from gradbound.flux import FluxKind, FluxSpec, RhsKind, RhsSpec
-from gradbound.mesh import Boundary, CutoffFn, CylinderSpec, Grid
+from gradbound.mesh import Boundary, CylinderSpec, Grid
 from gradbound.solver import RandomSmooth, SolveConfig, _planned_times, run
 
 SRC = Path(gradbound.__file__).resolve().parents[1]
@@ -45,7 +45,7 @@ def _config(p: float, boundary: Boundary) -> SolveConfig:
 
 
 def _windows(config, params, R0, levels, center, t0, time_exponent) -> dict:
-    """The worker's windows, cutoff and chain, built as cmd_verify builds them."""
+    """The worker's windows and chain, built as cmd_verify builds them."""
     grid, planned = config.grid, _planned_times(config)
     cyl = CylinderSpec(grid.center() if center is None else center,
                        float(planned[-1]) if t0 is None else t0, R0, time_exponent)
@@ -53,7 +53,6 @@ def _windows(config, params, R0, levels, center, t0, time_exponent) -> dict:
     outer, inner, *chain = (_window_over(grid, planned, dataclasses.replace(cyl, R=r))
                             for r in (R0, R0 / 2.0, *radii))
     return {"outer": outer, "inner": inner,
-            "cut": CutoffFn(cyl.center, R0 / 2.0, R0, cyl.t0, cyl.time_exponent),
             "chain": None if levels is None else (chain, _estimate(params, R0)[0])}
 
 
