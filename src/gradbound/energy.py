@@ -21,13 +21,19 @@ its regime verdict, but for the admissibility, which the verdict holds;
 its rho = R0/2 always meets the last.
 
 The window also fixes the cylinder's spatial box (_box): the ball's index
-range per axis widened by a 2-node halo.  _Window.magnitude sums the
-squared per-axis derivatives of values[box] (mesh._grad_magnitude_of),
-whose one-sided closures at the box faces spoil only the halo, so |grad u|
-is exact one node beyond the ball, enough for the energy check's gradient
-of |grad u|.  Every power, cutoff and product runs on the ball's own nodes
-in row-major order, so each check returns bit for bit what the whole grid
-would.  A check reads only the snapshots with a nonzero weight.
+range per axis widened by a 2-node halo.  values[box] is a basic slice of
+the snapshot, copied once to a C-contiguous array, unless a periodic halo
+wraps, where it is an np.ix_ gather.  _Window.magnitude sums the squared
+per-axis derivatives of that copy (mesh._grad_magnitude_of), whose
+one-sided closures at the box faces spoil only the halo, so |grad u| is
+exact one node beyond the ball.  The energy check's gradient term needs
+the derivative of |grad u| at the ball's nodes alone: mesh._diff_at gathers
+each axis's central difference there, with the box's one-sided closure at
+ball nodes on a clipped Dirichlet face, and the term's vector and its
+squared sum are built one axis column at a time.  Every power, cutoff and
+product runs on the ball's own nodes in row-major order, so each check
+returns bit for bit what the whole grid would.  A check reads only the
+snapshots with a nonzero weight.
 
 Every functional reads only (snapshot time, |grad u| on the box), so each
 check is a private core (_energy, _sandwich, _chain, _bound_pair, psi's
@@ -38,9 +44,10 @@ report.  _Window.rows, the one row path, feeds them from two sources:
 * A record, through _record_check: its private cache RunRecord._magnitudes
   maps a box (per-axis index ranges, or None for the whole grid) to one
   read-only |grad u| per snapshot, differentiated the first time a window
-  on that box reads it.  It lives as long as the record (~3.3 MB beside
-  the 34 MB of a 64-snapshot 32^3 x 2 record at R0 = 0.24 and e = 2.5)
-  and relies on RunRecord's read-only snapshots.
+  on that box reads it.  It lives as long as the record: ~3.3 MB of fresh
+  box arrays (19^3 nodes x 8 B x 61 read snapshots) beside the 34 MB block
+  that solver.load_run reads a 64-snapshot 32^3 x 2 record into, at
+  R0 = 0.24 and e = 2.5.  It relies on RunRecord's read-only snapshots.
 * A march: verify's campaign worker (cli._campaign_run) builds the cores
   on verify's windows before it marches; its store differentiates each
   snapshot the R0 window reads, feeds the rows and drops the array.
@@ -81,8 +88,8 @@ from .mesh import (
     CylinderSpec,
     Grid,
     ball_mask,
-    gradient_of,
     node_coords,
+    _diff_at,
     _grad_magnitude_of,
     _time_weights,
     spatial_integral,
@@ -163,10 +170,12 @@ class _Window:
 
     weights and inside come from _cylinder_rules, and mask is the closed
     ball on the full grid.  box, box_grid, box_mask and key come from _box:
-    magnitude differentiates a snapshot's values[box] on box_grid, and
-    mag[box_mask] lists the ball's nodes in the same row-major order as mask
-    does on the grid.  rows feeds that |grad u| to the cores' terms, from a
-    record's cache (every window on the box shares key's entry) or a march.
+    box is basic slices, or an np.ix_ gather where a periodic halo wraps.
+    magnitude differentiates a C-contiguous copy of a snapshot's values[box]
+    on box_grid, and mag[box_mask] lists the ball's nodes in the same
+    row-major order as mask does on the grid.  rows feeds that |grad u| to
+    the cores' terms, from a record's cache (every window on the box shares
+    key's entry) or a march.
     """
 
     cyl: CylinderSpec
@@ -191,8 +200,11 @@ class _Window:
         return float(np.sum(self.weights[k] * series[k]))
 
     def magnitude(self, values: np.ndarray) -> np.ndarray:
-        """|grad u| of a snapshot's values on the box: exact at the ball's nodes and one beyond."""
-        return _grad_magnitude_of(self.box_grid, values[self.box])
+        """|grad u| of a snapshot's values on the box: exact at the ball's nodes and one beyond.
+
+        values[box] is copied to one C-contiguous array once, for every axis's derivative.
+        """
+        return _grad_magnitude_of(self.box_grid, np.ascontiguousarray(values[self.box]))
 
     def rows(self, cores: Sequence[tuple[Callable, Callable]]) -> tuple[Callable, Callable]:
         """The one row path of (terms, finish) cores: returns (feed, reports).
@@ -225,6 +237,9 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, np.ndarray]:
     the box keeps the grid's one-sided closure.  Every other box face gets a
     one-sided closure too, which only spoils the two halo planes.  When the
     box reaches the whole grid on every axis, the grid itself is the box.
+    The box is a tuple of basic slices, whose values[box] is a view, unless
+    a periodic halo wraps past either end of its axis: then it is the
+    np.ix_ gather of the wrapped index ranges on every axis.
     box_grid is the grid with one-sided closures: it keeps the grid's extent
     and cells, so a derivative, which reads only the spacing and the
     boundary kind, sees the same h.  Returns (key, box, box_grid, box_mask),
@@ -236,25 +251,29 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, np.ndarray]:
     whole = (slice(None),) * grid.n
     if not mask.any():
         return None, whole, grid, mask
-    idx, ranges, core = [], [], []
-    covers = True
+    ranges, core = [], []
+    covers, wraps = True, False
     for a, count in enumerate(grid.node_shape):
         hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(grid.n) if b != a)))
         first, last = int(hit[0]), int(hit[-1])
         start, stop = first - HALO, last + HALO + 1
         if grid.boundary is Boundary.PERIODIC:
-            idx.append(np.arange(start, stop) % count)
             covers = covers and stop - start >= count
+            wraps = wraps or start < 0 or stop > count
         else:
             start, stop = max(start, 0), min(stop, count)
-            idx.append(np.arange(start, stop))
             covers = covers and stop - start == count
         ranges.append((start, stop))
         core.append(slice(first - start, last + 1 - start))
     if covers:
         return None, whole, grid, mask
-    box, core = np.ix_(*idx), tuple(core)
-    box_mask = np.zeros(tuple(map(len, idx)), dtype=bool)
+    if wraps:
+        box = np.ix_(*(np.arange(start, stop) % count
+                       for (start, stop), count in zip(ranges, grid.node_shape)))
+    else:
+        box = tuple(slice(start, stop) for start, stop in ranges)
+    core = tuple(core)
+    box_mask = np.zeros(tuple(stop - start for start, stop in ranges), dtype=bool)
     box_mask[core] = mask[box][core]
     return tuple(ranges), box, replace(grid, boundary=Boundary.DIRICHLET), box_mask
 
@@ -386,7 +405,8 @@ def _energy(win: _Window, rho: float, s: float, params: ProblemParams,
     cut = CutoffFn(cyl.center, rho, cyl.R, cyl.t0, cyl.time_exponent)
     M = compute_M_general(params.p, params.q, params.w)
     profile, dq, unit = cut._space_parts(node_coords(grid)[win.mask])
-    ball = win.box_mask
+    unit = np.ascontiguousarray(unit.T)
+    ball, diff = win.box_mask, _diff_at(win.box_grid, win.box_mask)
     half = (params.p + s) / 2.0
 
     def terms(t: float, mag: np.ndarray) -> tuple[float, float, float]:
@@ -397,10 +417,15 @@ def _energy(win: _Window, rho: float, s: float, params: ProblemParams,
         raw = spatial_integral(grid, 1.0 + m ** (s + M))
         if tp == 0.0:  # eta and its gradient vanish: so does the grad term
             return sup, 0.0, raw
-        gm = gradient_of(win.box_grid, mag)[ball]
-        vec = (half * _powered(m, half - 1.0) * eta)[:, None] * gm \
-            + (m**half)[:, None] * ((dq * tp)[:, None] * unit)
-        return sup, spatial_integral(grid, np.sum(vec * vec, axis=-1)), raw
+        # |vec|^2 with vec = grad(m^half eta), one axis column at a time in the
+        # order of np.sum(vec * vec, axis=-1)
+        inner, outer, slope = half * _powered(m, half - 1.0) * eta, m**half, dq * tp
+        total = None
+        for gm, u in zip(diff(mag), unit):
+            column = inner * gm + outer * (slope * u)
+            column *= column
+            total = column if total is None else np.add(total, column, out=total)
+        return sup, spatial_integral(grid, total), raw
 
     def finish(series: np.ndarray) -> EnergyReport:
         sup_series, grad_series, raw_series = series

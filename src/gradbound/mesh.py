@@ -31,7 +31,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -223,13 +223,60 @@ def _diff_along(values: np.ndarray, axis: int, h: float, boundary: Boundary,
             far = np.multiply(v[:, -1], 3.0, order="C")
             far -= np.multiply(v[:, -2], 4.0, order="C")
             np.add(far, v[:, -3], out=o[:, -1], order="C")
-    if scaled:
-        inverse = _inverse_2h(h)
-        if inverse is None:
-            out /= 2.0 * h
-        else:
-            out *= inverse
+    return _scale_2h(out, h) if scaled else out
+
+
+def _scale_2h(out: np.ndarray, h: float) -> np.ndarray:
+    """out scaled by 1/(2h) in place: a multiply by the exact 1/(2h) where _inverse_2h has one."""
+    inverse = _inverse_2h(h)
+    if inverse is None:
+        out /= 2.0 * h
+    else:
+        out *= inverse
     return out
+
+
+def _diff_at(grid: Grid, mask: np.ndarray) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """diff(values) lists, per axis, the derivative of scalar node samples at mask's nodes.
+
+    diff(values)[a] is gradient_of(grid, values)[mask][:, a] bit for bit, in
+    row-major order: the central difference of the node's two neighbours
+    along axis a (wrapped on a periodic grid), and on a Dirichlet boundary
+    plane _diff_along's one-sided closure, rewritten over the gathered
+    difference as _diff_along rewrites its end planes; then _scale_2h.
+    values has mask's shape.  The flat index arrays are built once and hold
+    one entry per node of the mask.
+    """
+    nodes = np.nonzero(mask)
+
+    def flat(a: int, shift: int) -> np.ndarray:
+        moved = list(nodes)
+        moved[a] = (nodes[a] + shift) % mask.shape[a]
+        return np.ravel_multi_index(moved, mask.shape)
+
+    plans = []
+    for a, count in enumerate(mask.shape):
+        ends = []
+        if grid.boundary is Boundary.DIRICHLET:
+            # (-3 v0 + 4 v1) - v2 and (3 v[-1] - 4 v[-2]) + v[-3]; x - y rounds as x + (-1.0 * y)
+            for plane, step, weights in ((0, 1, (-3.0, 4.0, -1.0)),
+                                         (count - 1, -1, (3.0, -4.0, 1.0))):
+                on = np.flatnonzero(nodes[a] == plane)
+                if on.size:
+                    ends.append((on, [flat(a, i * step)[on] for i in range(3)], weights))
+        plans.append((flat(a, 1), flat(a, -1), ends))
+
+    def diff(values: np.ndarray) -> list[np.ndarray]:
+        v = values.reshape(-1)
+        out = []
+        for h, (ahead, behind, ends) in zip(grid.h, plans):
+            d = np.subtract(v[ahead], v[behind])
+            for on, (k0, k1, k2), (w0, w1, w2) in ends:
+                d[on] = v[k0] * w0 + v[k1] * w1 + v[k2] * w2
+            out.append(_scale_2h(d, h))
+        return out
+
+    return diff
 
 
 def gradient_of(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -505,6 +552,37 @@ def _read_header(fh, fmt: str, path: str | Path) -> tuple:
     return struct.unpack(fmt, raw)
 
 
+def _field_header(fh, path: str | Path) -> tuple[Grid, int, float]:
+    """The header of an open field file: (grid, N, time), with fh left at the payload.
+
+    The boundary kind is inferred from the payload size.  A damaged header,
+    or a payload of no boundary layout, is a ValueError that names path.
+    """
+    n, N = _read_header(fh, "<2q", path)
+    if n not in (2, 3) or N < 1:
+        raise ValueError(f"field file {path}: corrupt field header: n={n}, N={N}")
+    head = _read_header(fh, f"<{n}q{n}dd", path)
+    cells, extent, time = head[:n], head[n:2 * n], head[-1]
+    size, odd = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), 8)
+    if odd == 0 and size == math.prod(cells) * N:
+        boundary = Boundary.PERIODIC
+    elif odd == 0 and size == math.prod(c + 1 for c in cells) * N:
+        boundary = Boundary.DIRICHLET
+    else:
+        raise ValueError(f"field file {path}: payload of {8 * size + odd} bytes "
+                         "matches no boundary layout")
+    try:
+        return Grid(n, extent, cells, boundary), N, time
+    except ValueError as exc:
+        raise ValueError(f"field file {path}: {exc}") from exc
+
+
+def _read_payload(fh, out: np.ndarray, path: str | Path) -> None:
+    """The payload of fh, past _field_header, read straight into out's '<f8' buffer."""
+    if fh.readinto(out) != out.nbytes:
+        raise ValueError(f"field file {path} was truncated while reading")
+
+
 def load_field(path: str | Path) -> Field:
     """Inverse of save_field; the boundary kind is inferred from the payload size.
 
@@ -512,24 +590,7 @@ def load_field(path: str | Path) -> Field:
     A damaged file is a ValueError that names it.
     """
     with open(path, "rb") as fh:
-        n, N = _read_header(fh, "<2q", path)
-        if n not in (2, 3) or N < 1:
-            raise ValueError(f"field file {path}: corrupt field header: n={n}, N={N}")
-        head = _read_header(fh, f"<{n}q{n}dd", path)
-        cells, extent, time = head[:n], head[n:2 * n], head[-1]
-        size, odd = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), 8)
-        if odd == 0 and size == math.prod(cells) * N:
-            boundary = Boundary.PERIODIC
-        elif odd == 0 and size == math.prod(c + 1 for c in cells) * N:
-            boundary = Boundary.DIRICHLET
-        else:
-            raise ValueError(f"field file {path}: payload of {8 * size + odd} bytes "
-                             "matches no boundary layout")
-        try:
-            grid = Grid(n, extent, cells, boundary)
-        except ValueError as exc:
-            raise ValueError(f"field file {path}: {exc}") from exc
+        grid, N, time = _field_header(fh, path)
         values = np.empty(grid.node_shape + (N,), dtype="<f8")
-        if fh.readinto(values) != values.nbytes:
-            raise ValueError(f"field file {path} was truncated while reading")
+        _read_payload(fh, values, path)
     return Field(grid, values, time)

@@ -167,8 +167,9 @@ from .mesh import (
     _divergence_of,
     grad_magnitude,
     node_coords,
+    _field_header,
+    _read_payload,
     save_field,
-    load_field,
 )
 from .regimes import _Report
 
@@ -797,14 +798,42 @@ def save_run(record: RunRecord, directory: str | Path) -> None:
 
 
 def load_run(directory: str | Path) -> RunRecord:
+    """The record save_run wrote in directory; one without status.json is refused unread.
+
+    Every snapshot payload is read into one read-only (count, *node_shape, N)
+    block, and each snapshot's values are a C-contiguous view of it, so a
+    snapshot kept after its record is dropped holds the whole block.  Every
+    snapshot file must carry the first one's grid and N: the first that does
+    not is a ValueError that names it.
+    """
     root = Path(directory)
+    st = json.loads((root / "status.json").read_text())
     # in index order: the zero-padded names gain a digit past snap_9999
     paths = sorted((root / "snapshots").glob("snap_*.bin"), key=lambda p: (len(p.name), p.name))
-    snapshots = [load_field(p) for p in paths]
+    snapshots = _load_snapshots(paths)
     config = config_from_dict(json.loads((root / "config.json").read_text()),
                               snapshots[0].values if snapshots else None)
-    st = json.loads((root / "status.json").read_text())
     # a run that stopped before its first step saved the header alone
     steps = (root / "dt_history.csv").read_text().splitlines()[1:]
     dts = np.loadtxt(steps, ndmin=1) if steps else np.array([])
     return RunRecord(config, snapshots, dts, RunStatus(**st | {"kind": StatusKind(st["kind"])}))
+
+
+def _load_snapshots(paths: list[Path]) -> list[Field]:
+    """The snapshot files at paths as views of one block, read-only once every payload is in."""
+    block, times = None, []
+    for k, path in enumerate(paths):
+        with open(path, "rb") as fh:
+            grid, N, time = _field_header(fh, path)
+            if block is None:
+                first = grid, N
+                block = np.empty((len(paths),) + grid.node_shape + (N,), dtype="<f8")
+            elif (grid, N) != first:
+                raise ValueError(f"snapshot file {path}: grid {grid} with N = {N} differs from "
+                                 f"{paths[0].name}'s grid {first[0]} with N = {first[1]}")
+            _read_payload(fh, block[k], path)
+        times.append(time)
+    if block is None:
+        return []
+    block.flags.writeable = False
+    return [Field(first[0], values, t) for values, t in zip(block, times)]

@@ -51,7 +51,8 @@ from gradbound import (
 from gradbound import mesh, solver
 from gradbound.energy import _box
 from gradbound.flux import DELTA_U
-from gradbound.mesh import _diff_along, _grad_magnitude_of, _inverse_2h, ball_mask, gradient_of
+from gradbound.mesh import (_diff_along, _diff_at, _grad_magnitude_of, _inverse_2h, ball_mask,
+                            gradient_of)
 from gradbound.solver import _d_max, _resolve_flux
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -175,6 +176,68 @@ def test_box_magnitude_is_the_grid_magnitude_on_the_ball(case, data):
     radius = data.draw(st.floats(0.0, 1.5 * max(grid.extent)))
     boxed, whole, _, _ = _box_and_grid_magnitudes(grid, u, center, radius)
     assert _same_bits(boxed, whole)
+
+
+@pytest.mark.parametrize("name", _BOXES)
+def test_box_is_slices_unless_a_halo_wraps(name):
+    # u[box] is the np.ix_ gather of the box's index ranges, wrapped on periodic axes
+    boundary, center, radius, _ = _BOXES[name]
+    grid = Grid(3, 1.0, 8, boundary)
+    u = np.random.default_rng(1).standard_normal(grid.node_shape + (2,))
+    key, box, _, _ = _box(grid, ball_mask(grid, center, radius))
+    ranges = key or [(0, count) for count in grid.node_shape]
+    gather = np.ix_(*(np.arange(a, b) % count for (a, b), count in zip(ranges, grid.node_shape)))
+    assert _same_bits(u[box], u[gather])
+    wraps = any(a < 0 or b > count for (a, b), count in zip(ranges, grid.node_shape))
+    assert wraps == (name == "periodic-wrapped-halo")
+    assert all(isinstance(b, slice) for b in box) != wraps
+
+
+def _ball_derivatives_and_box_gradient(grid, u, center, radius):
+    """The per-axis derivatives of |grad u| gathered at the ball's nodes of its
+    box, and the box's whole gradient of |grad u| cut to the ball; with the
+    ball cut to the box."""
+    _, box, box_grid, box_mask = _box(grid, ball_mask(grid, center, radius))
+    mag = _grad_magnitude_of(box_grid, np.ascontiguousarray(u[box]))
+    return _diff_at(box_grid, box_mask)(mag), gradient_of(box_grid, mag)[box_mask], box_mask
+
+
+def _same_per_axis(gathered, whole):
+    return len(gathered) == whole.shape[-1] and all(
+        _same_bits(d, whole[:, a]) for a, d in enumerate(gathered))
+
+
+# Dirichlet balls on a wall, where the one-sided closure applies: one about a
+# face's centre node, one tangent to a face, and a 2-D one tangent to the far
+# face; 2h = 0.75 and 2h = 0.4 divide
+_WALLS = {"on-two-faces": (Grid(3, 1.0, 8, Boundary.DIRICHLET), (0.0, 0.5, 1.0), 0.3),
+          "tangent": (Grid(3, (1.0, 1.5, 3.0), (8, 4, 8), Boundary.DIRICHLET),
+                      (0.25, 0.75, 1.5), 0.25),
+          "tangent-far-2d": (Grid(2, (3.0, 1.0), (6, 5), Boundary.DIRICHLET), (2.5, 0.6), 0.5)}
+
+
+@pytest.mark.parametrize("name", _WALLS)
+def test_ball_node_derivative_at_a_dirichlet_wall(name):
+    grid, center, radius = _WALLS[name]
+    u = np.random.default_rng(2).standard_normal(grid.node_shape + (2,))
+    gathered, whole, box_mask = _ball_derivatives_and_box_gradient(grid, u, center, radius)
+    on_wall = [np.flatnonzero(box_mask.any(axis=tuple(b for b in range(grid.n) if b != a)))
+               for a in range(grid.n)]
+    assert any(hit[0] == 0 or hit[-1] == box_mask.shape[a] - 1 for a, hit in enumerate(on_wall))
+    assert _same_per_axis(gathered, whole)
+
+
+@SETTINGS
+@given(case=grid_and_values(), data=st.data())
+def test_ball_node_derivative_is_the_box_gradient_on_the_ball(case, data):
+    # any ball on any grid of grids(): periodic and Dirichlet, spacings whose
+    # 2h is a power of two (multiply) or not (divide), balls that wrap, clip
+    # or cover the grid
+    grid, u = case
+    center = [data.draw(st.floats(-0.25 * e, 1.25 * e)) for e in grid.extent]
+    radius = data.draw(st.floats(0.0, 1.5 * max(grid.extent)))
+    gathered, whole, _ = _ball_derivatives_and_box_gradient(grid, u, center, radius)
+    assert _same_per_axis(gathered, whole)
 
 
 def _reference_divergence(grid, F):

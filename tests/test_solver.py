@@ -536,6 +536,7 @@ def test_a_record_with_no_steps_reloads_without_a_warning(tmp_path, config):
     assert back.status.to_dict() == rec.status.to_dict()
     assert back.snapshots[0].time == 0.0
     assert np.array_equal(back.snapshots[0].values, rec.snapshots[0].values)
+    assert back.snapshots[0].values.base.shape == (1,) + config.grid.node_shape + (config.N,)
 
 
 def test_a_save_that_fails_over_a_record_leaves_none_that_loads(tmp_path, monkeypatch):
@@ -554,8 +555,51 @@ def test_a_save_that_fails_over_a_record_leaves_none_that_loads(tmp_path, monkey
     monkeypatch.setattr(solver, "save_field", third_fails)
     with pytest.raises(OSError, match="No space"):
         save_run(other, tmp_path / "run")
+    assert len(list((tmp_path / "run" / "snapshots").glob("snap_*.bin"))) == 2
+    # the directory is refused before any snapshot file is parsed, let alone read
+    parsed = []
+    monkeypatch.setattr(solver, "_field_header", lambda fh, path: parsed.append(path))
     with pytest.raises(FileNotFoundError, match="status.json"):
         load_run(tmp_path / "run")
+    assert parsed == []
+
+
+@pytest.mark.parametrize("other", [
+    Field(UNIT(6), np.zeros(UNIT(6).node_shape + (1,))),
+    Field(Grid(3, (1.0, 1.0, 2.0), 8), np.zeros(UNIT(8).node_shape + (1,))),
+    Field(UNIT(8, Boundary.DIRICHLET), np.zeros(UNIT(8, Boundary.DIRICHLET).node_shape + (1,))),
+    Field(UNIT(8), np.zeros(UNIT(8).node_shape + (2,))),
+], ids=["cells", "extent", "boundary", "N"])
+def test_load_run_names_the_first_snapshot_file_that_disagrees(tmp_path, other):
+    """Snapshot files of another grid or N would load as arrays that disagree
+    and fail later on numpy shapes: load_run refuses them at the first."""
+    save_run(run(_config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), t_end=0.002)),
+             tmp_path / "run")
+    for k in (3, 5):
+        solver.save_field(other, tmp_path / "run" / "snapshots" / f"snap_{k:04d}.bin")
+    with pytest.raises(ValueError, match=r"snap_0003\.bin: grid .* differs from snap_0000\.bin"):
+        load_run(tmp_path / "run")
+
+
+def test_loaded_snapshots_are_read_only_views_of_one_block(tmp_path):
+    cfg = _config(UNIT(8), FluxSpec(FluxKind.PURE_P_LAPLACE, 2.0), N=2, t_end=0.002)
+    rec = run(cfg)
+    save_run(rec, tmp_path / "run")
+    back = load_run(tmp_path / "run")
+    block = back.snapshots[0].values.base
+    assert block.shape == (len(rec.snapshots),) + cfg.grid.node_shape + (2,)
+    assert not block.flags.writeable
+    for snap, saved in zip(back.snapshots, rec.snapshots):
+        assert snap.values.base is block and snap.values.flags.c_contiguous
+        assert not snap.values.flags.writeable
+        assert snap.time == saved.time and np.array_equal(snap.values, saved.values)
+    again = pickle.loads(pickle.dumps(back))
+    assert solver.config_to_dict(again.config) == solver.config_to_dict(back.config)
+    assert again.status == back.status
+    assert np.array_equal(again.dt_history, back.dt_history)
+    for snap, loaded in zip(again.snapshots, back.snapshots):
+        assert snap.grid == loaded.grid and snap.time == loaded.time
+        assert np.array_equal(snap.values, loaded.values) and not snap.values.flags.writeable
 
 
 def test_record_snapshots_are_read_only(tmp_path):
