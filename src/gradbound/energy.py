@@ -26,32 +26,36 @@ the snapshot, copied once to a C-contiguous array, unless a periodic halo
 wraps, where it is an np.ix_ gather.  _Window.magnitude sums the squared
 per-axis derivatives of that copy (mesh._grad_magnitude_of), whose
 one-sided closures at the box faces spoil only the halo, so |grad u| is
-exact one node beyond the ball.  The energy check's gradient term needs
-the derivative of |grad u| at the ball's nodes alone: mesh._diff_at gathers
-each axis's central difference there, with the box's one-sided closure at
-ball nodes on a clipped Dirichlet face, and the term's vector and its
-squared sum are built one axis column at a time.  Every power, cutoff and
-product runs on the ball's own nodes in row-major order, so each check
-returns bit for bit what the whole grid would.  A check reads only the
-snapshots with a nonzero weight.
+exact one node beyond the ball.  Of that box it keeps only the read set:
+the ball's nodes first, in row-major order, then the other nodes the
+energy check's gradient term reads (mesh._diff_at's plan: the axis
+neighbours, and the closure's two inward nodes at a Dirichlet wall), as
+one 1-D row.  A core reads the ball as the view row[:nb]; the gradient
+term gathers each axis's central difference of |grad u| at the ball's
+nodes from the row, with the box's one-sided closure at ball nodes on a
+clipped Dirichlet face, and builds the term's vector and its squared sum
+one axis column at a time.  Every power, cutoff and product runs on the
+ball's own nodes in row-major order, so each check returns bit for bit
+what the whole grid would.  A check reads only the snapshots with a
+nonzero weight.
 
-Every functional reads only (snapshot time, |grad u| on the box), so each
-check is a private core (_energy, _sandwich, _chain, _bound_pair, psi's
-functional) that returns (terms, finish): terms(t, mag) maps one snapshot
+Every functional reads only (snapshot time, |grad u| row), so each check
+is a private core (_energy, _sandwich, _chain, _bound_pair, psi's
+functional) that returns (terms, finish): terms(t, row) maps one snapshot
 to a row of scalars, and finish(series) reduces the support's rows to the
 report.  _Window.rows, the one row path, feeds them from two sources:
 
 * A record, through _record_check: its private cache RunRecord._magnitudes
-  maps a box (per-axis index ranges, or None for the whole grid) to one
-  read-only |grad u| per snapshot, differentiated the first time a window
-  on that box reads it.  It lives as long as the record: ~3.3 MB of fresh
-  box arrays (19^3 nodes x 8 B x 61 read snapshots) beside the 34 MB block
-  that solver.load_run reads a 64-snapshot 32^3 x 2 record into, at
+  maps a ball (the window's key) to one read-only |grad u| row per
+  snapshot, differentiated the first time a window on that ball reads it.
+  It lives as long as the record: ~1.2 MB of rows (2517 read-set nodes,
+  1863 of them the ball's, x 8 B x 61 read snapshots) beside the 34 MB
+  block that solver.load_run reads a 64-snapshot 32^3 x 2 record into, at
   R0 = 0.24 and e = 2.5.  It relies on RunRecord's read-only snapshots.
 * A march: verify's campaign worker (cli._campaign_run) builds the cores
   on verify's windows before it marches; its store differentiates each
-  snapshot the R0 window reads, feeds the rows and drops the array.
-Every check verify ships shares the R0 box: the chain's and the bound
+  snapshot the R0 window reads, feeds its row and drops it.
+Every check verify ships shares the R0 ball: the chain's and the bound
 fit's inner cylinders are read from the R0 rows.
 
 * the Caccioppoli-type energy inequality on nested cylinders Q_rho < Q_R,
@@ -88,7 +92,6 @@ from .mesh import (
     CylinderSpec,
     Grid,
     ball_mask,
-    node_coords,
     _diff_at,
     _grad_magnitude_of,
     _time_weights,
@@ -169,12 +172,16 @@ class _Window:
     """A validated cylinder cyl on a grid and sorted snapshot times.
 
     weights and inside come from _cylinder_rules, and mask is the closed
-    ball on the full grid.  box, box_grid, box_mask and key come from _box:
-    box is basic slices, or an np.ix_ gather where a periodic halo wraps.
-    magnitude differentiates a C-contiguous copy of a snapshot's values[box]
-    on box_grid, and mag[box_mask] lists the ball's nodes in the same
-    row-major order as mask does on the grid.  rows feeds that |grad u| to
-    the cores' terms, from a record's cache (every window on the box shares
+    ball on the full grid.  box, box_grid and box_mask come from _box: box
+    is basic slices, or an np.ix_ gather where a periodic halo wraps, and
+    box_mask lists the ball's nodes in the same row-major order as mask
+    does on the grid.  key names the ball: the box's index ranges (None for
+    the whole grid) and box_mask's bits.  plan holds the read set, the flat
+    box indices of the ball's nb nodes and then of the other nodes diff
+    reads.  magnitude differentiates a C-contiguous copy of a snapshot's
+    values[box] on box_grid and returns its |grad u| at the read set, one
+    1-D row whose first nb entries are the ball's.  rows feeds that row to
+    the cores' terms, from a record's cache (every window on the ball shares
     key's entry) or a march.
     """
 
@@ -187,7 +194,22 @@ class _Window:
     box: tuple
     box_grid: Grid
     box_mask: np.ndarray
-    key: tuple | None
+    key: tuple
+
+    @functools.cached_property
+    def plan(self) -> tuple[np.ndarray, Callable[[np.ndarray], list[np.ndarray]]]:
+        """mesh._diff_at on the box: the read set's flat box indices, ball first, and diff."""
+        return _diff_at(self.box_grid, self.box_mask)
+
+    @functools.cached_property
+    def nb(self) -> int:
+        """The ball's node count: a row's ball is row[:nb]."""
+        return int(np.count_nonzero(self.box_mask))
+
+    def ball_coords(self) -> np.ndarray:
+        """node_coords(grid)[mask] bit for bit, (nb, n), built from the axes' coordinates."""
+        return np.stack([self.grid.axis_coords(a)[i] for a, i in enumerate(np.nonzero(self.mask))],
+                        axis=-1)
 
     @functools.cached_property
     def support(self) -> np.ndarray:
@@ -200,24 +222,27 @@ class _Window:
         return float(np.sum(self.weights[k] * series[k]))
 
     def magnitude(self, values: np.ndarray) -> np.ndarray:
-        """|grad u| of a snapshot's values on the box: exact at the ball's nodes and one beyond.
+        """A snapshot's |grad u| row: the box's |grad u| at the read set, 1-D and C-contiguous.
 
-        values[box] is copied to one C-contiguous array once, for every axis's derivative.
+        values[box] is copied to one C-contiguous array once, for every axis's
+        derivative; its |grad u| is exact at the ball's nodes and one beyond,
+        which holds every node of the read set.
         """
-        return _grad_magnitude_of(self.box_grid, np.ascontiguousarray(values[self.box]))
+        mag = _grad_magnitude_of(self.box_grid, np.ascontiguousarray(values[self.box]))
+        return mag.reshape(-1).take(self.plan[0])
 
     def rows(self, cores: Sequence[tuple[Callable, Callable]]) -> tuple[Callable, Callable]:
         """The one row path of (terms, finish) cores: returns (feed, reports).
 
-        feed(k, mag) appends each core's row terms(t_k, mag), mag being snapshot k's |grad u|
-        on the box, for the support's snapshots in order and only those.  reports()
+        feed(k, row) appends each core's terms(t_k, row), row being snapshot k's |grad u| row
+        (magnitude), for the support's snapshots in order and only those.  reports()
         returns each core's finish(series): one series per functional, 0.0 off the support.
         """
         rows: list[list] = [[] for _ in cores]
 
-        def feed(k: int, mag: np.ndarray) -> None:
+        def feed(k: int, row: np.ndarray) -> None:
             for (terms, _), out in zip(cores, rows):
-                out.append(terms(float(self.times[k]), mag))
+                out.append(terms(float(self.times[k]), row))
 
         def reports() -> list:
             done = []
@@ -234,19 +259,21 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, np.ndarray]:
     """Per axis, the index range of the ball's nodes widened by HALO nodes.
 
     The halo wraps on periodic axes and is clipped at Dirichlet planes, where
-    the box keeps the grid's one-sided closure.  Every other box face gets a
-    one-sided closure too, which only spoils the two halo planes.  When the
-    box reaches the whole grid on every axis, the grid itself is the box.
+    the box keeps the grid's one-sided closure; a ball one plane thick on
+    such a plane keeps three more, which that closure's |grad u| reads.
+    Every other box face gets a one-sided closure too, which only spoils the
+    two halo planes.  When the box reaches the whole grid on every axis, the
+    grid itself is the box.
     The box is a tuple of basic slices, whose values[box] is a view, unless
     a periodic halo wraps past either end of its axis: then it is the
     np.ix_ gather of the wrapped index ranges on every axis.
     box_grid is the grid with one-sided closures: it keeps the grid's extent
     and cells, so a derivative, which reads only the spacing and the
-    boundary kind, sees the same h.  Returns (key, box, box_grid, box_mask),
-    where key names the box by its per-axis index ranges, or None for the
-    whole grid (on one grid, equal keys give equal boxes), and box_mask is
-    the ball cut to the box with the halo positions cleared: a periodic
-    halo the axis cannot hold repeats nodes of the ball.
+    boundary kind, sees the same h.  Returns (ranges, box, box_grid,
+    box_mask), where ranges name the box by its per-axis index ranges, or
+    None for the whole grid (on one grid, equal ranges give equal boxes),
+    and box_mask is the ball cut to the box with the halo positions cleared:
+    a periodic halo the axis cannot hold repeats nodes of the ball.
     """
     whole = (slice(None),) * grid.n
     if not mask.any():
@@ -262,6 +289,10 @@ def _box(grid: Grid, mask: np.ndarray) -> tuple[tuple, tuple, Grid, np.ndarray]:
             wraps = wraps or start < 0 or stop > count
         else:
             start, stop = max(start, 0), min(stop, count)
+            # a ball node on a wall reads |grad u| two planes in, so u three
+            # planes in: a ball one plane thick there needs one more plane
+            stop = max(stop, 4) if first == 0 else stop
+            start = min(start, count - 4) if last == count - 1 else start
             covers = covers and stop - start == count
         ranges.append((start, stop))
         core.append(slice(first - start, last + 1 - start))
@@ -311,7 +342,8 @@ def _window_over(grid: Grid, times: np.ndarray, cyl: CylinderSpec) -> _Window:
     if not mask.any():
         raise ValueError(f"the cylinder ball of radius R = {cyl.R} about {cyl.center} "
                          f"holds no grid node")
-    key, box, box_grid, box_mask = _box(grid, mask)
+    ranges, box, box_grid, box_mask = _box(grid, mask)
+    key = (ranges, np.packbits(box_mask).tobytes())  # the ball: equal keys give equal rows
     return _Window(cyl, grid, times, mask, weights, inside, box, box_grid, box_mask, key)
 
 
@@ -332,9 +364,10 @@ def _record_windows(record: RunRecord, radii: Sequence[float], center=None, t0=N
 
 
 def _record_check(record: RunRecord, win: _Window, core: tuple[Callable, Callable]):
-    """core's report on a record, fed from its cache of |grad u| on win's box.
+    """core's report on a record, fed from its cache of |grad u| rows on win's ball.
 
-    record._magnitudes[win.key] keeps each read snapshot's |grad u|, read-only, for the box.
+    record._magnitudes[win.key] keeps each read snapshot's row (win.magnitude), read-only:
+    read-set nodes x 8 B per snapshot a window on the ball has read.
     """
     cache = record._magnitudes.setdefault(win.key, [None] * len(record.snapshots))
     feed, reports = win.rows([core])
@@ -350,7 +383,7 @@ def psi(record: RunRecord, cyl: CylinderSpec, exponent: float) -> float:
     """iint over the cylinder of |grad u|^exponent."""
     (win,) = _record_windows(record, [cyl.R], cyl.center, cyl.t0, cyl.time_exponent)
     return _record_check(record, win, (
-        lambda t, m: (spatial_integral(win.grid, _powered(m[win.box_mask], exponent)),),
+        lambda t, row: (spatial_integral(win.grid, _powered(row[:win.nb], exponent)),),
         lambda series: win.integrate(series[0])))
 
 
@@ -404,13 +437,13 @@ def _energy(win: _Window, rho: float, s: float, params: ProblemParams,
     grid, cyl = win.grid, win.cyl
     cut = CutoffFn(cyl.center, rho, cyl.R, cyl.t0, cyl.time_exponent)
     M = compute_M_general(params.p, params.q, params.w)
-    profile, dq, unit = cut._space_parts(node_coords(grid)[win.mask])
+    profile, dq, unit = cut._space_parts(win.ball_coords())
     unit = np.ascontiguousarray(unit.T)
-    ball, diff = win.box_mask, _diff_at(win.box_grid, win.box_mask)
+    nb, diff = win.nb, win.plan[1]
     half = (params.p + s) / 2.0
 
-    def terms(t: float, mag: np.ndarray) -> tuple[float, float, float]:
-        m = mag[ball]
+    def terms(t: float, row: np.ndarray) -> tuple[float, float, float]:
+        m = row[:nb]
         tp = cut.time_profile(t)
         eta = profile * tp
         sup = spatial_integral(grid, m ** (s + 2.0) * eta * eta)
@@ -421,7 +454,7 @@ def _energy(win: _Window, rho: float, s: float, params: ProblemParams,
         # order of np.sum(vec * vec, axis=-1)
         inner, outer, slope = half * _powered(m, half - 1.0) * eta, m**half, dq * tp
         total = None
-        for gm, u in zip(diff(mag), unit):
+        for gm, u in zip(diff(row), unit):
             column = inner * gm + outer * (slope * u)
             column *= column
             total = column if total is None else np.add(total, column, out=total)
@@ -482,14 +515,14 @@ def _sandwich(win: _Window, rho: float, s: float, p: float) -> tuple[Callable, C
     cut = CutoffFn(cyl.center, rho, cyl.R, cyl.t0, cyl.time_exponent)
     a_rho = cut.t0 - cut.rho**cut.time_exponent
 
-    profile = cut._space_parts(node_coords(grid)[win.mask])[0]
-    ball = win.box_mask
+    profile = cut._space_parts(win.ball_coords())[0]
+    nb = win.nb
     in_rho = ball_mask(grid, cut.center, cut.rho)[win.mask]
     e_lhs = p + s + (s + 2.0) * 2.0 / n
     e_B = 2.0 * n / (n - 2.0)
 
-    def terms(t: float, mag: np.ndarray) -> tuple[float, float, float]:
-        m = mag[ball]
+    def terms(t: float, row: np.ndarray) -> tuple[float, float, float]:
+        m = row[:nb]
         eta = profile * cut.time_profile(t)
         return (spatial_integral(grid, m[in_rho] ** e_lhs) if t >= a_rho else 0.0,
                 spatial_integral(grid, m ** (s + 2.0) * eta * eta),
@@ -546,8 +579,8 @@ def _chain(windows: Sequence[_Window], params: ProblemParams, M: float
     outer = windows[0]
     subsets = [win.mask[outer.mask] for win in windows]
 
-    def powered_sums(t: float, mag: np.ndarray) -> list[float]:
-        m = mag[outer.box_mask]
+    def powered_sums(t: float, row: np.ndarray) -> list[float]:
+        m = row[:outer.nb]
         return [spatial_integral(outer.grid, _powered(m[sub], e))
                 for sub, e in zip(subsets, exponents)]
 
@@ -593,8 +626,8 @@ def _bound_pair(outer: _Window, inner: _Window, exponents: tuple[float, float]
     exponent, psi_exp = exponents
     sub = inner.mask[outer.mask]
 
-    def terms(t: float, mag: np.ndarray) -> tuple[float, float]:
-        m = mag[outer.box_mask]
+    def terms(t: float, row: np.ndarray) -> tuple[float, float]:
+        m = row[:outer.nb]
         return spatial_integral(outer.grid, _powered(m, psi_exp)), m[sub].max()
 
     def finish(series: np.ndarray) -> tuple[float, float]:

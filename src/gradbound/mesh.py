@@ -91,8 +91,9 @@ class Grid:
         if any(c < 4 for c in self.cells):
             raise ValueError(f"need >= 4 cells per axis, got {self.cells}")
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
+        """The spacing per axis, computed once: the march reads it several times a step."""
         return tuple(e / c for e, c in zip(self.extent, self.cells))
 
     @property
@@ -116,9 +117,8 @@ class Grid:
         return tuple(e / 2.0 for e in self.extent)
 
 
-@functools.lru_cache(maxsize=32)
 def node_coords(grid: Grid) -> np.ndarray:
-    """Node coordinate stack of shape (*node_shape, n)."""
+    """Node coordinate stack of shape (*node_shape, n), a fresh array on each call."""
     axes = [grid.axis_coords(a) for a in range(grid.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1)
@@ -236,28 +236,37 @@ def _scale_2h(out: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _diff_at(grid: Grid, mask: np.ndarray) -> Callable[[np.ndarray], list[np.ndarray]]:
-    """diff(values) lists, per axis, the derivative of scalar node samples at mask's nodes.
+def _diff_at(grid: Grid, mask: np.ndarray
+             ) -> tuple[np.ndarray, Callable[[np.ndarray], list[np.ndarray]]]:
+    """(read, diff): the nodes a derivative at mask's nodes reads, and that derivative.
 
-    diff(values)[a] is gradient_of(grid, values)[mask][:, a] bit for bit, in
-    row-major order: the central difference of the node's two neighbours
-    along axis a (wrapped on a periodic grid), and on a Dirichlet boundary
-    plane _diff_along's one-sided closure, rewritten over the gathered
-    difference as _diff_along rewrites its end planes; then _scale_2h.
-    values has mask's shape.  The flat index arrays are built once and hold
-    one entry per node of the mask.
+    read lists flat indices into mask's shape: mask's nodes first, in
+    row-major order, then, ascending, every other node the plan gathers: the
+    axis neighbours (wrapped on a periodic grid) and, at a Dirichlet
+    boundary plane, the two inward nodes of the one-sided closure.  A row is
+    scalar node samples at read, values.reshape(-1)[read]; its first
+    mask.sum() entries are the samples at mask's nodes.  diff(row) lists per
+    axis gradient_of(grid, values)[mask][:, a] bit for bit: the central
+    difference of the node's two neighbours along axis a, and on a Dirichlet
+    boundary plane _diff_along's one-sided closure, rewritten over the
+    gathered difference as _diff_along rewrites its end planes; then
+    _scale_2h.  The index arrays into the row are built once and hold one
+    entry per node of the mask.
     """
     nodes = np.nonzero(mask)
+    periodic = grid.boundary is Boundary.PERIODIC
 
     def flat(a: int, shift: int) -> np.ndarray:
+        # a Dirichlet plane's missing neighbour is the node itself: the closure rewrites it
         moved = list(nodes)
-        moved[a] = (nodes[a] + shift) % mask.shape[a]
+        moved[a] = (nodes[a] + shift) % mask.shape[a] if periodic else np.clip(
+            nodes[a] + shift, 0, mask.shape[a] - 1)
         return np.ravel_multi_index(moved, mask.shape)
 
     plans = []
     for a, count in enumerate(mask.shape):
         ends = []
-        if grid.boundary is Boundary.DIRICHLET:
+        if not periodic:
             # (-3 v0 + 4 v1) - v2 and (3 v[-1] - 4 v[-2]) + v[-3]; x - y rounds as x + (-1.0 * y)
             for plane, step, weights in ((0, 1, (-3.0, 4.0, -1.0)),
                                          (count - 1, -1, (3.0, -4.0, 1.0))):
@@ -265,18 +274,27 @@ def _diff_at(grid: Grid, mask: np.ndarray) -> Callable[[np.ndarray], list[np.nda
                 if on.size:
                     ends.append((on, [flat(a, i * step)[on] for i in range(3)], weights))
         plans.append((flat(a, 1), flat(a, -1), ends))
+    others = np.zeros(mask.size, dtype=bool)
+    for ahead, behind, ends in plans:
+        for k in (ahead, behind, *(k for _, ks, _ in ends for k in ks)):
+            others[k] = True
+    others[mask.reshape(-1)] = False
+    read = np.concatenate((np.flatnonzero(mask), np.flatnonzero(others)))
+    at = np.empty(mask.size, dtype=np.intp)  # a flat index's position in the row
+    at[read] = np.arange(read.size)
+    plans = [(at[ahead], at[behind], [(on, [at[k] for k in ks], w) for on, ks, w in ends])
+             for ahead, behind, ends in plans]
 
-    def diff(values: np.ndarray) -> list[np.ndarray]:
-        v = values.reshape(-1)
+    def diff(row: np.ndarray) -> list[np.ndarray]:
         out = []
         for h, (ahead, behind, ends) in zip(grid.h, plans):
-            d = np.subtract(v[ahead], v[behind])
+            d = np.subtract(row[ahead], row[behind])
             for on, (k0, k1, k2), (w0, w1, w2) in ends:
-                d[on] = v[k0] * w0 + v[k1] * w1 + v[k2] * w2
+                d[on] = row[k0] * w0 + row[k1] * w1 + row[k2] * w2
             out.append(_scale_2h(d, h))
         return out
 
-    return diff
+    return read, diff
 
 
 def gradient_of(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -406,19 +424,23 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     Distances are summed only over the ball's index range: per axis, the
     nodes with (x_a - c_a)^2 <= radius^2.  Outside it one term of the sum
     already exceeds radius^2, and a rounded sum of nonnegative terms is never
-    below one of them, so the mask is the one the whole grid gives.
+    below one of them, so the mask is the one the whole grid gives.  The
+    range's coordinate stack is node_coords' layout, built from the axes'
+    coordinates on the range alone.
     """
     c = np.asarray(center, dtype=np.float64)
     r2 = radius * radius
     mask = np.zeros(grid.node_shape, dtype=bool)
-    box = []
+    box, axes = [], []
     for a in range(grid.n):
-        d = grid.axis_coords(a) - c[a]
+        x = grid.axis_coords(a)
+        d = x - c[a]
         hit = np.flatnonzero(d * d <= r2)
         if hit.size == 0:
             return mask
         box.append(slice(hit[0], hit[-1] + 1))
-    d = node_coords(grid)[tuple(box)] - c
+        axes.append(x[box[-1]])
+    d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) - c
     mask[tuple(box)] = np.sum(d * d, axis=-1) <= r2
     return mask
 

@@ -271,9 +271,10 @@ class RunRecord:
     """Time-ordered snapshots plus step history and the final status.
 
     The snapshots' values are marked read-only here: _magnitudes holds the
-    cylinder checks' private cache of box |grad u| per snapshot, which
-    energy._record_check fills and reads, and which stays true only while no
-    stored snapshot is written.  A copied or unpickled record is rebuilt
+    cylinder checks' private cache, one |grad u| row per ball and read
+    snapshot (a ball's read-set nodes x 8 B), which energy._record_check
+    fills and reads, and which stays true only while no stored snapshot is
+    written.  A copied or unpickled record is rebuilt
     through __init__, so it is read-only too and starts with an empty cache.
     """
 
@@ -434,20 +435,23 @@ def _flux(state: Field, config: SolveConfig, stage: _Stage) -> tuple[float, floa
     return float(mag.max()), d_max
 
 
-def _rate(state: Field, config: SolveConfig, x: np.ndarray, stage: _Stage) -> np.ndarray:
+def _rate(state: Field, config: SolveConfig, x: np.ndarray | None, stage: _Stage
+          ) -> np.ndarray:
     """The slab's div A(grad u) + f, from _flux's arrays; returns stage.rate.
 
     The divergence along axis 0 reads the flux planes next to the slab, so
     every slab's _flux must have run.  mesh._divergence_of sums the axis
     differences, as mesh.divergence does.  On Dirichlet grids the rate's
     boundary planes hold whatever the stencil gives there: _advance freezes
-    the planes of the increment.
+    the planes of the increment.  x is node_coords(grid), or None where the
+    source reads no coordinates (every kind but MANUFACTURED).
     """
     grid, (first, stop) = state.grid, stage.planes
     flux = stage.grad if stage.flux is None else stage.flux
     rate = _divergence_of(grid, [stage.axis0] + [flux[..., a] for a in range(1, grid.n)],
                           out=stage.rate, term=stage.term, planes=stage.planes)
-    rate += rhs_eval(config.rhs, state.values[first:stop], stage.grad, x[first:stop],
+    rate += rhs_eval(config.rhs, state.values[first:stop], stage.grad,
+                     None if x is None else x[first:stop],
                      state.time, mag=stage.mag, out=stage.term, scratch=stage.scratch)
     return rate
 
@@ -470,7 +474,7 @@ def _d_max(flux: FluxSpec, mag: np.ndarray, scratch: np.ndarray
     return float(np.maximum(radial.max(), tangential.max())), tangential
 
 
-def _advance(state: Field, config: SolveConfig, x: np.ndarray, stage: _Stage, dt: float,
+def _advance(state: Field, config: SolveConfig, x: np.ndarray | None, stage: _Stage, dt: float,
              last_dt: float | None) -> tuple[float, float]:
     """One AB2 step of the slab (Euler without a last step); returns the slab's min and max of u."""
     rate = _rate(state, config, x, stage)
@@ -682,7 +686,8 @@ def _march(config: SolveConfig, store: Callable[[Field], None]
     stage = _Stage(eff.grid, eff.N, fl)
     stage.u[...] = state.values
     state = Field(eff.grid, stage.u, 0.0)
-    x = node_coords(eff.grid)
+    # only a manufactured source reads the coordinates
+    x = node_coords(eff.grid) if eff.rhs.kind is RhsKind.MANUFACTURED else None
     dt_history: list[float] = []
     status = RunStatus(StatusKind.COMPLETED)
     with _Team(stage, _processes(eff)) as team:

@@ -222,6 +222,40 @@ def test_checks_on_a_shared_stack_match_fresh_records(heat_run_32, heat_params, 
     assert plain(calls[-1](shared)) == wants[-1]
 
 
+def test_record_cache_holds_read_set_rows_only(heat_run_32, heat_params, tmp_path):
+    # the stored-run re-check (sandwich, energy at three s, chain, then the
+    # bound fit) at two radii whose balls share a box: each ball keeps its own
+    # entry of one row per snapshot its windows read, read-set nodes x 8 B,
+    # and every report equals the one from a fresh load
+    save_run(heat_run_32, tmp_path / "run")
+    shared = load_run(tmp_path / "run")
+    s0, p, e = heat_params.s0, heat_params.p, 2.5
+
+    def recheck(record, R0):
+        reports = [holder_sandwich_check(record, s0, R0 / 2.0, R0, p, time_exponent=e)]
+        reports += [energy_inequality_check(record, s, R0 / 2.0, R0, heat_params,
+                                            time_exponent=e) for s in (0.0, 0.5, 1.0)]
+        reports.append(moser_chain_check(record, heat_params, R0, 4, time_exponent=e))
+        reports.append(verify_bound([record], heat_params, R0, time_exponent=e))
+        return [report.to_dict() for report in reports]
+
+    radii = (0.24, 0.245)
+    for R0 in radii:
+        assert recheck(shared, R0) == recheck(load_run(tmp_path / "run"), R0)
+    windows = [_record_windows(shared, [R0], time_exponent=e)[0] for R0 in radii]
+    assert windows[0].key[0] == windows[1].key[0]  # one box
+    assert (windows[0].nb, windows[1].nb) == (1863, 2007)  # two balls
+    assert set(shared._magnitudes) == {win.key for win in windows}
+    for win in windows:
+        rows = shared._magnitudes[win.key]
+        held = [k for k, row in enumerate(rows) if row is not None]
+        assert held == win.support.tolist()
+        for k in held:
+            row = rows[k]
+            assert row.base is None and row.ndim == 1 and row.flags.c_contiguous
+            assert row.nbytes == win.plan[0].size * 8 and not row.flags.writeable
+
+
 def test_energy_inequality_constant_run():
     rec = _constant_record()
     params = ProblemParams(n=3, N=1, p=2.0, w=1.0, s0=0.0)

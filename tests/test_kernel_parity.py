@@ -49,9 +49,9 @@ from gradbound import (
     run,
 )
 from gradbound import mesh, solver
-from gradbound.energy import _box
+from gradbound.energy import _box, _Window
 from gradbound.flux import DELTA_U
-from gradbound.mesh import (_diff_along, _diff_at, _grad_magnitude_of, _inverse_2h, ball_mask,
+from gradbound.mesh import (_diff_along, _grad_magnitude_of, _inverse_2h, ball_mask,
                             gradient_of)
 from gradbound.solver import _d_max, _resolve_flux
 
@@ -142,6 +142,31 @@ def _box_and_grid_magnitudes(grid, u, center, radius):
     return boxed, grad_magnitude(gradient_of(grid, u))[mask], key, mask
 
 
+def _ball_window(grid, center, radius):
+    """The window of a ball alone: its row path reads no cylinder, times or weights."""
+    mask = ball_mask(grid, center, radius)
+    ranges, box, box_grid, box_mask = _box(grid, mask)
+    key = (ranges, np.packbits(box_mask).tobytes())
+    return _Window(None, grid, None, mask, None, None, box, box_grid, box_mask, key)
+
+
+def _assert_row_is_the_grid_magnitude(grid, u, center, radius):
+    """A window's |grad u| row is 1-D, C-contiguous, ball first and bit for bit
+    the whole grid's |grad u| at its read set; returns the window."""
+    win = _ball_window(grid, center, radius)
+    read, row = win.plan[0], win.magnitude(u)
+    assert row.ndim == 1 and row.flags.c_contiguous and row.size == read.size
+    assert win.nb == np.count_nonzero(win.mask)
+    assert np.array_equal(read[:win.nb], np.flatnonzero(win.box_mask))  # the ball first
+    at = np.unravel_index(read, win.box_mask.shape)
+    ranges = win.key[0]
+    if ranges is not None:  # box positions to grid nodes, wrapped on periodic axes
+        at = tuple((i + start) % count
+                   for i, (start, _), count in zip(at, ranges, grid.node_shape))
+    assert _same_bits(row, grad_magnitude(gradient_of(grid, u))[at])
+    return win
+
+
 # (boundary, center, radius) on an 8^3 unit grid, and what the box must show
 _BOXES = {
     "periodic-wrapped-halo": (Boundary.PERIODIC, (0.0, 0.5, 0.5), 0.2,
@@ -152,6 +177,11 @@ _BOXES = {
                lambda key, mask: key is None and mask.any()),
     "empty-ball": (Boundary.PERIODIC, (0.06, 0.06, 0.06), 0.01,
                    lambda key, mask: key is None and not mask.any()),
+    "dirichlet-corner": (Boundary.DIRICHLET, (0.0, 0.0, 1.0), 0.3,
+                         lambda key, mask: key[0][0] == key[1][0] == 0 and key[2][1] == 9),
+    # one node on x = 0, whose closure reads |grad u| two planes in: u three planes in
+    "dirichlet-one-plane-on-a-wall": (Boundary.DIRICHLET, (0.0, 0.5, 0.5), 0.1,
+                                      lambda key, mask: key[0] == (0, 4) and mask.sum() == 1),
 }
 
 
@@ -163,6 +193,7 @@ def test_box_magnitude_is_the_grid_magnitude_on_each_kind_of_box(name):
     boxed, whole, key, mask = _box_and_grid_magnitudes(grid, u, center, radius)
     assert shows(key, mask)
     assert _same_bits(boxed, whole)
+    _assert_row_is_the_grid_magnitude(grid, u, center, radius)
 
 
 @SETTINGS
@@ -170,12 +201,15 @@ def test_box_magnitude_is_the_grid_magnitude_on_each_kind_of_box(name):
 def test_box_magnitude_is_the_grid_magnitude_on_the_ball(case, data):
     # any ball, inside the domain or not: the box's one-sided closures spoil
     # only its halo, and the magnitude sums the per-axis derivatives in
-    # grad_magnitude's order
+    # grad_magnitude's order; the window's row holds the same bits at its
+    # whole read set: periodic halos that wrap (the np.ix_ box), Dirichlet
+    # walls and corners, balls that cover the grid or hold no node
     grid, u = case
     center = [data.draw(st.floats(-0.25 * e, 1.25 * e)) for e in grid.extent]
     radius = data.draw(st.floats(0.0, 1.5 * max(grid.extent)))
     boxed, whole, _, _ = _box_and_grid_magnitudes(grid, u, center, radius)
     assert _same_bits(boxed, whole)
+    _assert_row_is_the_grid_magnitude(grid, u, center, radius)
 
 
 @pytest.mark.parametrize("name", _BOXES)
@@ -194,12 +228,13 @@ def test_box_is_slices_unless_a_halo_wraps(name):
 
 
 def _ball_derivatives_and_box_gradient(grid, u, center, radius):
-    """The per-axis derivatives of |grad u| gathered at the ball's nodes of its
-    box, and the box's whole gradient of |grad u| cut to the ball; with the
+    """The per-axis derivatives of |grad u| at the ball's nodes from a window's
+    row, and the box's whole gradient of |grad u| cut to the ball; with the
     ball cut to the box."""
-    _, box, box_grid, box_mask = _box(grid, ball_mask(grid, center, radius))
-    mag = _grad_magnitude_of(box_grid, np.ascontiguousarray(u[box]))
-    return _diff_at(box_grid, box_mask)(mag), gradient_of(box_grid, mag)[box_mask], box_mask
+    win = _ball_window(grid, center, radius)
+    mag = _grad_magnitude_of(win.box_grid, np.ascontiguousarray(u[win.box]))
+    return (win.plan[1](win.magnitude(u)), gradient_of(win.box_grid, mag)[win.box_mask],
+            win.box_mask)
 
 
 def _same_per_axis(gathered, whole):
@@ -225,6 +260,9 @@ def test_ball_node_derivative_at_a_dirichlet_wall(name):
                for a in range(grid.n)]
     assert any(hit[0] == 0 or hit[-1] == box_mask.shape[a] - 1 for a, hit in enumerate(on_wall))
     assert _same_per_axis(gathered, whole)
+    # the read set holds the closure's two inward nodes of each ball node on a wall
+    win = _assert_row_is_the_grid_magnitude(grid, u, center, radius)
+    assert win.plan[0].size > win.nb
 
 
 @SETTINGS

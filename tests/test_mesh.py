@@ -1,8 +1,10 @@
 """Grids, stencils, cylinders, cutoffs, and the field file format."""
 
 import math
+import pickle
 import random
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +52,24 @@ def test_grid_validation():
     assert UNIT3.node_shape == (16, 16, 16)  # periodic drops the duplicate
     assert UNIT3.refined(2).cells == (32, 32, 32)
     assert Grid(3, 1.0, 16) == UNIT3  # one number stands for every axis
+
+
+def test_grid_spacing_is_computed_once_with_the_same_bits():
+    g = Grid(3, (1.0, 3.0, 0.7), (8, 48, 5), Boundary.DIRICHLET)
+    assert g.h is g.h  # one tuple for every read, not a new one per access
+    assert g.h == tuple(e / c for e, c in zip(g.extent, g.cells))
+    assert pickle.loads(pickle.dumps(g)) == g and pickle.loads(pickle.dumps(g)).h == g.h
+    assert replace(g, boundary=Boundary.PERIODIC).h == g.h
+
+
+def test_node_coords_returns_a_fresh_array_on_each_call():
+    # a caller that writes its coordinates changes no other caller's
+    g = Grid(3, 1.0, 4)
+    mine = node_coords(g)
+    mine[0, 0, 0, 0] = 99.0
+    theirs = node_coords(g)
+    assert theirs[0, 0, 0, 0] == 0.0 and theirs is not mine
+    assert np.array_equal(theirs[..., 2], np.broadcast_to(g.axis_coords(2), (4, 4, 4)))
 
 
 def test_gradient_constant_is_zero():

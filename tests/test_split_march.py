@@ -231,15 +231,17 @@ ALIGNED = SolveConfig(grid=Grid(3, 1.0, (9, 6, 6)), flux=FluxSpec(FluxKind.PURE_
 
 
 def test_an_error_in_a_child_slabs_update_raises_the_serial_error(monkeypatch):
-    # f raises past t = 2e-3 on a slab reaching x_0 > 0.7: the whole grid on
-    # one process, the last slab's child on two and three, whose phase-2
-    # error the parent raises by running that slab's phase itself
-    def failing(spec, u, grad, x, t, **kwargs):
-        if t > 2e-3 and x[..., 0].max() > 0.7:
-            raise ArithmeticError(f"f refused at t = {t:.3e}")
-        return rhs_eval(spec, u, grad, x, t, **kwargs)
+    # the rate raises past t = 2e-3 on a slab reaching x_0 > 0.7: the whole
+    # grid on one process, the last slab's child on two and three, whose
+    # phase-2 error the parent raises by running that slab's phase itself
+    rate = solver._rate
 
-    monkeypatch.setattr(solver, "rhs_eval", failing)
+    def failing(state, config, x, stage):
+        if state.time > 2e-3 and state.grid.axis_coords(0)[stage.planes[1] - 1] > 0.7:
+            raise ArithmeticError(f"f refused at t = {state.time:.3e}")
+        return rate(state, config, x, stage)
+
+    monkeypatch.setattr(solver, "_rate", failing)
     messages = []
     for processes in (1, 2, 3):
         _on(monkeypatch, processes)
